@@ -12,19 +12,21 @@ sequences, which the paired delay comparisons rely on.
 
 Plain-CuSum and random-transmission runs use a closed-form block update
 (cumulative sums against a running minimum) since their increments are
-i.i.d.; CuSum-AC runs use an explicit per-step loop because the censoring
-level depends on the running statistic.  Once few replications remain the
-adaptive-censoring loop falls back to a scalar completion that performs the
-identical float64 operations (so results are bit-equal to the vector path);
-run lengths have an exponential tail and the stragglers would otherwise pay
-full vector-dispatch overhead per step.  Both paths implement the exact step
-semantics of :mod:`cusumac.detectors`, which the test suite checks by
-trajectory replay.
+i.i.d.  CuSum-AC runs use one chunked kernel for every number of levels and
+sensors.  The censoring level depends only on the statistic, so for each
+chunk of ``CHUNK`` steps the fused increment and send count of every level
+are computed in bulk first.  The step loop then carries only the statistic
+and its level count: select the current level's increment, reflect at zero,
+clamp an upward crossing to the highest threshold crossed.  Alarms,
+conditioning, counters and trajectories are derived from the recorded
+statistic after each chunk, and a batch whose replications have all ended
+stops at that chunk instead of finishing its observation block.  Both
+kernels implement the exact step semantics of :mod:`cusumac.detectors`,
+which the test suite checks by trajectory replay.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,9 +35,8 @@ import numpy as np
 from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
 from .model import GaussianPair
 
-OBS_BLOCK = 1024   # steps per observation block; fixed so draw order is reproducible
-_TAIL_MAX = 16     # switch to the scalar completion at or below this many active reps
-_SPECIALIZE = True  # test hook: disable the two-level fast bodies
+OBS_BLOCK = 1024  # steps per observation block; fixed so draw order is reproducible
+CHUNK = 128       # CuSum-AC steps per chunk of bulk increments and derived outcomes
 
 
 @dataclass
@@ -77,6 +78,17 @@ def _as_pairs(pairs) -> list:
     return list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
 
 
+def _llr_fns(pairs) -> list:
+    """Per-sensor LLR evaluators for observation arrays of any shape."""
+    def llr_of(p):
+        if isinstance(p, GaussianPair):
+            slope, icpt = p.llr_slope, p.llr_intercept
+            return lambda x: x * slope + icpt
+        return lambda x: np.asarray(p.llr(x))
+
+    return [llr_of(p) for p in pairs]
+
+
 def _llr_matrix_fn(pairs):
     """Vectorized per-sensor LLR evaluator for an (n, M) observation matrix."""
     if all(isinstance(p, GaussianPair) for p in pairs):
@@ -90,29 +102,37 @@ def _llr_matrix_fn(pairs):
     return generic
 
 
-def _fill_obs_block(rng, pairs, out: np.ndarray, n_pre: int):
-    """Fill one (B, M) observation block: pre-change rows first, then post-change."""
-    B = out.shape[0]
-    for m, p in enumerate(pairs):
-        if n_pre:
-            out[:n_pre, m] = p.sample0(rng, n_pre)
-    for m, p in enumerate(pairs):
-        if n_pre < B:
-            out[n_pre:, m] = p.sample1(rng, B - n_pre)
-
-
 def _pre_steps(k0: int, B: int, nu: Optional[int]) -> int:
     if nu is None:
         return B
     return min(max(nu - 1 - k0, 0), B)
 
 
-def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int]) -> np.ndarray:
-    """Observations for steps k0+1 .. k0+B of every listed replication."""
-    out = np.empty((len(rep_ids), B, len(pairs)))
+def _rep_rngs(seed: int, rep_offset: int, n_reps: int, substream: int) -> list:
+    """One generator per replication, indexed by its position in the batch."""
+    return [np.random.default_rng([seed, rep_offset + i, substream]) for i in range(n_reps)]
+
+
+def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int],
+              sensor_major: bool = False) -> np.ndarray:
+    """Observations for steps k0+1 .. k0+B of every listed replication.
+
+    Each replication's block is drawn pre-change segment first, then
+    post-change, sensor by sensor within a segment.  The result is (n, B, M),
+    or (n, M, B) with ``sensor_major``; the layout does not change the draws.
+    """
+    M = len(pairs)
+    out = np.empty((len(rep_ids), M, B) if sensor_major else (len(rep_ids), B, M))
     n_pre = _pre_steps(k0, B, nu)
     for row, rid in enumerate(rep_ids):
-        _fill_obs_block(rep_rngs[rid], pairs, out[row], n_pre)
+        block = out[row].T if sensor_major else out[row]  # (B, M) view
+        rng = rep_rngs[rid]
+        for m, p in enumerate(pairs):
+            if n_pre:
+                block[:n_pre, m] = p.sample0(rng, n_pre)
+        for m, p in enumerate(pairs):
+            if n_pre < B:
+                block[n_pre:, m] = p.sample1(rng, B - n_pre)
     return out
 
 
@@ -184,274 +204,171 @@ def _stack_records(recs: dict) -> dict:
 
 
 class _AcTables:
-    """Per-level censoring tables; level 0 is the implicit full-rate region."""
+    """Censoring tables indexed by ``cnt``, the number of level thresholds <= s.
+
+    Row ``cnt`` describes level ``L - cnt``: its no-send interval and the
+    censored LLR of a no-send slot.  Row ``L`` is the full-rate region, whose
+    interval is empty.
+    """
 
     def __init__(self, config: CusumAcConfig, pairs):
         M = len(pairs)
-        n_levels = len(config.levels)
-        self.n_levels = n_levels
-        self.asc = np.array([lv.threshold for lv in config.levels])[::-1].copy()
-        self.lo = np.full((n_levels + 1, M), np.inf)
-        self.hi = np.full((n_levels + 1, M), -np.inf)
-        self.llrc = np.zeros((n_levels + 1, M))
-        for lv_idx in range(1, n_levels + 1):
-            for m in range(M):
-                strat = config.strategies[lv_idx - 1][m]
+        L = len(config.levels)
+        self.n_levels = L
+        self.llr_fns = _llr_fns(pairs)
+        self.asc = np.array(config.thresholds()[::-1])
+        # clamp[cnt]: the threshold a statistic crossing upward into cnt is clamped to
+        self.clamp = np.concatenate(([0.0], self.asc))
+        self.lo = np.full((L + 1, M), np.inf)
+        self.hi = np.full((L + 1, M), -np.inf)
+        self.llrc = np.zeros((L + 1, M))
+        for cnt in range(L):
+            for m, strat in enumerate(config.strategies[L - 1 - cnt]):
                 if not strat.monotone:
                     raise NotImplementedError(
                         "batch simulation needs observation-space censoring intervals"
                     )
-                self.lo[lv_idx, m] = strat.nosend_x_lo
-                self.hi[lv_idx, m] = strat.nosend_x_hi
-                self.llrc[lv_idx, m] = strat.llr_censored
+                self.lo[cnt, m] = strat.nosend_x_lo
+                self.hi[cnt, m] = strat.nosend_x_hi
+                self.llrc[cnt, m] = strat.llr_censored
+
+    def increments(self, x):
+        """Fused increment and send count of every level count over a chunk.
+
+        ``x`` is (n, M, C); both results are (n, C, L+1).  Sensors are added
+        in order onto 0.0, as the scalar step function does.
+        """
+        n, M, C = x.shape
+        L = self.n_levels
+        fused = np.zeros((n, C, L + 1))
+        n_sent = np.full((n, C, L + 1), M, dtype=np.int64)
+        for m, llr in enumerate(self.llr_fns):
+            xm = x[:, m]
+            raw = llr(xm)
+            fused[..., L] += raw
+            for cnt in range(L):
+                inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
+                fused[..., cnt] += np.where(inside, self.llrc[cnt, m], raw)
+                n_sent[..., cnt] -= inside
+        return fused, n_sent
 
 
 def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
                   stop_enabled, require_zero_at, record) -> BatchResult:
     M = len(pairs)
     tab = _AcTables(config, pairs)
-    n_levels = tab.n_levels
-    asc = tab.asc
-    a, a1 = config.a, config.a1
-    llr_of = _llr_matrix_fn(pairs)
-    all_gauss = all(isinstance(p, GaussianPair) for p in pairs)
-    two_level = _SPECIALIZE and n_levels == 1
+    L = tab.n_levels
 
     res = _new_result(n_reps, limit, M)
-    rep_rngs = {rep_offset + i: np.random.default_rng([seed, rep_offset + i, 0])
-                for i in range(n_reps)}
+    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
 
-    act = np.arange(rep_offset, rep_offset + n_reps, dtype=np.int64)
+    ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
-    cnt = np.zeros(n_reps, dtype=np.int64)  # number of level thresholds <= s
-    alive = np.ones(n_reps, dtype=bool)
+    cnt = np.zeros(n_reps, dtype=np.int64)  # level thresholds <= s; the level is L - cnt
     tx = np.zeros(n_reps, dtype=np.int64)
-    fb = np.zeros(n_reps, dtype=np.int64)   # level switches; initial announcement added at flush
-    t_above = np.zeros(n_reps, dtype=np.int64)
-    t_below = np.zeros(n_reps, dtype=np.int64)
-
-    recs = {"s": [], "level": [], "sent": [], "obs": [], "stopped": []} if record else None
-
-    def flush(local_rows):
-        ids = act[local_rows] - rep_offset
-        res.tx[ids] = tx[local_rows]
-        # The starting level differs from the sensors' full-rate default, so
-        # the initial strategy announcement counts as one feedback message.
-        res.feedback[ids] = fb[local_rows] + 1
-        res.time_above[ids] = t_above[local_rows]
-        res.time_below[ids] = t_below[local_rows]
-
-    if two_level and M == 1:
-        lo0 = float(tab.lo[1, 0])
-        hi0 = float(tab.hi[1, 0])
-        llrc0 = float(tab.llrc[1, 0])
-        if all_gauss:
-            g_slope = pairs[0].llr_slope
-            g_icpt = pairs[0].llr_intercept
-    elif two_level:
-        lo_vec = tab.lo[1]
-        hi_vec = tab.hi[1]
-        llrc_vec = tab.llrc[1]
+    switches = np.zeros(n_reps, dtype=np.int64)
+    above = np.zeros(n_reps, dtype=np.int64)
+    chunks = [] if record else None
 
     k = 0
-    while act.size and k < limit:
-        if not record and all_gauss and act.size <= _TAIL_MAX:
-            _scalar_finish_ac(config, pairs, tab, res, rep_rngs, act, rep_offset, k,
-                              s, cnt, tx, fb, t_above, t_below, nu, limit,
-                              stop_enabled, require_zero_at)
-            act = act[:0]
-            break
+    while ids.size and k < limit:
         B = min(OBS_BLOCK, limit - k)
-        obs = _draw_obs(rep_rngs, act, pairs, k, B, nu)
-        obs1 = obs[:, :, 0] if (two_level and M == 1) else None
-        for j in range(B):
-            if two_level and M == 1:
-                x = obs1[:, j]
-                below = cnt == 0
-                inside1 = below & (x >= lo0) & (x <= hi0)
-                raw = x * g_slope + g_icpt if all_gauss else llr_of(x[:, None])[:, 0]
-                inc = np.where(inside1, llrc0, raw)
-                s_tilde = np.maximum(s + inc, 0.0)
-                cnt_t = (s_tilde >= a1).astype(np.int64)
-                crossed = below & (cnt_t == 1)
-                s_new = np.where(crossed, a1, s_tilde)
-                n_sent = 1 - inside1
-            elif two_level:
-                x = obs[:, j, :]
-                below = cnt == 0
-                inside = below[:, None] & (x >= lo_vec) & (x <= hi_vec)
-                raw = llr_of(x)
-                inc = np.where(inside, llrc_vec, raw)
-                s_tilde = np.maximum(s + inc.sum(axis=1), 0.0)
-                cnt_t = (s_tilde >= a1).astype(np.int64)
-                crossed = below & (cnt_t == 1)
-                s_new = np.where(crossed, a1, s_tilde)
-                n_sent = M - inside.sum(axis=1)
-            else:
-                x = obs[:, j, :]
-                level = n_levels - cnt
-                inside = (x >= tab.lo[level]) & (x <= tab.hi[level])
-                raw = llr_of(x)
-                inc = np.where(inside, tab.llrc[level], raw)
-                s_tilde = np.maximum(s + inc.sum(axis=1), 0.0)
-                cnt_t = np.searchsorted(asc, s_tilde, side="right")
-                crossed = cnt_t > cnt
-                s_new = np.where(crossed, asc.take(np.maximum(cnt_t - 1, 0)), s_tilde)
-                n_sent = M - inside.sum(axis=1)
+        obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu, sensor_major=True)
+        rows = np.arange(ids.size)  # each running replication's row in obs
+        for j0 in range(0, B, CHUNK):
+            k0 = k + j0
+            C = min(CHUNK, B - j0)
+            n = ids.size
+            x = obs[rows, :, j0:j0 + C]
+            fused, n_sent = tab.increments(x)
 
-            k_step = k + j + 1
-            tx += n_sent * alive
-            fb += (cnt_t != cnt) & alive
-            above = s_new >= a1
-            t_above += above & alive
-            t_below += (~above) & alive
+            # The sequential part: select the increment of the level in force,
+            # reflect at zero, clamp an upward crossing to the highest
+            # threshold crossed.  at[j] + cnt indexes step j of each lane.
+            at = np.arange(n) * (C * (L + 1)) + np.arange(C)[:, None] * (L + 1)
+            S = np.empty((C, n))
+            cnt_in = cnt
+            for j in range(C):
+                s = np.add(s, fused.take(at[j] + cnt), out=S[j])
+                np.maximum(s, 0.0, out=s)
+                cnt_t = tab.asc.searchsorted(s, side="right")
+                np.copyto(s, tab.clamp.take(cnt_t), where=cnt_t > cnt)
+                cnt = cnt_t
 
+            # Everything else follows from the recorded statistic; the level
+            # count is a function of it, since a clamp lands on a threshold.
+            K = tab.asc.searchsorted(S, side="right")
+            end = np.full(n, C)  # row of each replication's last step in this chunk
             if stop_enabled:
-                newly = alive & (s_new >= a)
-                if newly.any():
-                    ids = act[newly] - rep_offset
-                    res.stop_time[ids] = k_step
-                    res.stopped[ids] = True
-                    alive = alive & ~newly
-
-            s = s_new
-            cnt = cnt_t
-
-            if require_zero_at is not None and k_step == require_zero_at:
-                rej = alive & (s != 0.0)
-                if rej.any():
-                    ids = act[rej] - rep_offset
-                    res.rejected[ids] = True
-                    res.stop_time[ids] = k_step
-                    alive = alive & ~rej
-
+                hit = S >= config.a
+                end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)
+            alarmed = end < C
+            if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
+                jr = require_zero_at - k0 - 1
+                rej = (end > jr) & (S[jr] != 0.0)
+                end[rej] = jr
+                alarmed &= ~rej
+                res.rejected[ids[rej]] = True
+            live = np.arange(C)[:, None] <= end
+            K_in = np.vstack((cnt_in, K[:-1]))  # level count in force at each step
+            tx += (n_sent.take(at + K_in) * live).sum(axis=0)
+            switches += ((K != K_in) & live).sum(axis=0)
+            above += ((S >= config.a1) & live).sum(axis=0)
             if record:
-                recs["s"].append(s.copy())
-                recs["level"].append((n_levels - cnt).copy())
-                if two_level and M == 1:
-                    recs["sent"].append((~inside1)[:, None])
-                    recs["obs"].append(x[:, None].copy())
-                else:
-                    recs["sent"].append(~inside)
-                    recs["obs"].append(x.copy())
-                recs["stopped"].append(res.stopped.copy())
+                xt = x.transpose(2, 0, 1)  # (C, n, M)
+                sent = (xt < tab.lo[K_in]) | (xt > tab.hi[K_in])
+                chunks.append((k0, ids, np.where(live, S, np.nan), np.where(live, L - K, -1),
+                               sent & live[..., None], np.where(live[..., None], xt, np.nan)))
 
-            if not alive.any():
-                break
+            done = end < C
+            if done.any():
+                res.stop_time[ids[done]] = k0 + end[done] + 1
+                res.stopped[ids[alarmed]] = True
+                _flush_ac(res, ids[done], tx[done], switches[done], above[done])
+                keep = ~done
+                ids, rows, s, cnt = ids[keep], rows[keep], s[keep], cnt[keep]
+                tx, switches, above = tx[keep], switches[keep], above[keep]
+                if not ids.size:
+                    break
         k += B
-        if record:
-            if not alive.any():
-                break
-            continue
-        if not alive.any():
-            flush(np.arange(act.size))
-            act = act[:0]
-            break
-        if not alive.all():
-            flush(np.nonzero(~alive)[0])
-            keep = alive
-            act = act[keep]
-            s = s[keep]
-            cnt = cnt[keep]
-            tx = tx[keep]
-            fb = fb[keep]
-            t_above = t_above[keep]
-            t_below = t_below[keep]
-            alive = alive[keep]
 
-    if act.size:
-        flush(np.arange(act.size))
+    _flush_ac(res, ids, tx, switches, above)
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:
-        res.records = _stack_records(recs)
+        res.records = _ac_records(res, chunks, M)
     return res
 
 
-def _scalar_finish_ac(config, pairs, tab, res, rep_rngs, act, rep_offset, k0,
-                      s, cnt, tx, fb, t_above, t_below, nu, limit,
-                      stop_enabled, require_zero_at):
-    """Complete the remaining replications one at a time in plain Python.
+def _flush_ac(res: BatchResult, ids, tx, switches, above):
+    res.tx[ids] = tx
+    # The starting level differs from the sensors' full-rate default, so the
+    # initial strategy announcement counts as one feedback message.
+    res.feedback[ids] = switches + 1
+    res.time_above[ids] = above
+    res.time_below[ids] = res.stop_time[ids] - above
 
-    Performs the same float64 operations as the vector loop (sequential
-    per-sensor summation matches numpy's small-array sum), so the outcome is
-    bit-identical; only Gaussian pairs take this path because a user LLR
-    callable might not evaluate identically on scalars and arrays.
+
+def _ac_records(res: BatchResult, chunks, M: int) -> dict:
+    """Per-step (T, n_reps[, M]) trajectories up to the last replication's end.
+
+    Steps after a replication ended hold NaN (``s``, ``obs``), -1 (``level``)
+    and False (``sent``).
     """
-    M = len(pairs)
-    L = tab.n_levels
-    a, a1 = config.a, config.a1
-    asc_list = [float(v) for v in tab.asc]
-    lo_list = tab.lo.tolist()
-    hi_list = tab.hi.tolist()
-    llrc_list = tab.llrc.tolist()
-    slopes = [p.llr_slope for p in pairs]
-    icpts = [p.llr_intercept for p in pairs]
-    buf = np.empty((OBS_BLOCK, M))
-
-    for row in range(act.size):
-        rid = int(act[row])
-        out = rid - rep_offset
-        rng = rep_rngs[rid]
-        s_i = float(s[row])
-        cnt_i = int(cnt[row])
-        tx_i = int(tx[row])
-        fb_i = int(fb[row])
-        ta_i = int(t_above[row])
-        tb_i = int(t_below[row])
-        k_i = k0
-        running = True
-        while running and k_i < limit:
-            B = min(OBS_BLOCK, limit - k_i)
-            _fill_obs_block(rng, pairs, buf[:B], _pre_steps(k_i, B, nu))
-            for j in range(B):
-                lvl = L - cnt_i
-                fused = 0.0
-                n_sent = 0
-                if lvl:
-                    lo_row = lo_list[lvl]
-                    hi_row = hi_list[lvl]
-                    llrc_row = llrc_list[lvl]
-                    for m in range(M):
-                        xv = buf[j, m]
-                        if lo_row[m] <= xv <= hi_row[m]:
-                            fused = fused + llrc_row[m]
-                        else:
-                            fused = fused + (xv * slopes[m] + icpts[m])
-                            n_sent += 1
-                else:
-                    for m in range(M):
-                        fused = fused + (buf[j, m] * slopes[m] + icpts[m])
-                    n_sent = M
-                s_t = s_i + fused
-                if s_t < 0.0:
-                    s_t = 0.0
-                cnt_new = bisect_right(asc_list, s_t)
-                s_new = asc_list[cnt_new - 1] if cnt_new > cnt_i else s_t
-                k_i += 1
-                tx_i += n_sent
-                if cnt_new != cnt_i:
-                    fb_i += 1
-                if s_new >= a1:
-                    ta_i += 1
-                else:
-                    tb_i += 1
-                s_i = s_new
-                cnt_i = cnt_new
-                if stop_enabled and s_new >= a:
-                    res.stop_time[out] = k_i
-                    res.stopped[out] = True
-                    running = False
-                    break
-                if require_zero_at is not None and k_i == require_zero_at and s_i != 0.0:
-                    res.rejected[out] = True
-                    res.stop_time[out] = k_i
-                    running = False
-                    break
-        res.tx[out] = tx_i
-        res.feedback[out] = fb_i + 1
-        res.time_above[out] = ta_i
-        res.time_below[out] = tb_i
+    T = int(res.stop_time.max(initial=0))
+    n = res.n_reps
+    recs = {
+        "s": np.full((T, n), np.nan),
+        "level": np.full((T, n), -1, dtype=np.int64),
+        "sent": np.zeros((T, n, M), dtype=bool),
+        "obs": np.full((T, n, M), np.nan),
+    }
+    for k0, ids, *arrays in chunks:
+        c = min(arrays[0].shape[0], T - k0)
+        for key, arr in zip(("s", "level", "sent", "obs"), arrays):
+            recs[key][k0:k0 + c, ids] = arr[:c]
+    recs["stopped"] = res.stopped & (np.arange(1, T + 1)[:, None] >= res.stop_time)
+    return recs
 
 
 def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
@@ -468,16 +385,10 @@ def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
     llr_of = _llr_matrix_fn(pairs)
 
     res = _new_result(n_reps, limit, M)
-    rep_rngs = {rep_offset + i: np.random.default_rng([seed, rep_offset + i, 0])
-                for i in range(n_reps)}
-    aux_rngs = (
-        {rep_offset + i: np.random.default_rng([seed, rep_offset + i, 1])
-         for i in range(n_reps)}
-        if is_rtx
-        else None
-    )
+    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
+    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
 
-    act = np.arange(rep_offset, rep_offset + n_reps, dtype=np.int64)
+    act = np.arange(n_reps)
     carry_s = np.zeros(n_reps)  # absolute random-walk value
     carry_m = np.zeros(n_reps)  # running minimum of the walk (init -c_0 = 0)
     tx = np.zeros(n_reps, dtype=np.int64)
@@ -507,7 +418,7 @@ def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
             idx = hit.argmax(axis=1)
             if found.any():
                 rows = np.nonzero(found)[0]
-                ids = act[rows] - rep_offset
+                ids = act[rows]
                 res.stop_time[ids] = k + idx[rows] + 1
                 res.stopped[ids] = True
                 res.tx[ids] = tx[rows] + tx_cum[rows, idx[rows]]
@@ -517,7 +428,7 @@ def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
 
         k += B
         if k >= limit:
-            ids = act[survivors] - rep_offset
+            ids = act[survivors]
             res.tx[ids] = tx[survivors] + tx_cum[survivors, -1]
             break
         carry_s = S[survivors, -1]
@@ -536,15 +447,9 @@ def _run_iid_steploop(detector, pairs, n_reps, seed, rep_offset, nu, limit,
     llr_of = _llr_matrix_fn(pairs)
 
     res = _new_result(n_reps, limit, M)
-    rep_rngs = {rep_offset + i: np.random.default_rng([seed, rep_offset + i, 0])
-                for i in range(n_reps)}
-    aux_rngs = (
-        {rep_offset + i: np.random.default_rng([seed, rep_offset + i, 1])
-         for i in range(n_reps)}
-        if is_rtx
-        else None
-    )
-    rep_ids = np.arange(rep_offset, rep_offset + n_reps, dtype=np.int64)
+    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
+    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
+    rep_ids = np.arange(n_reps)
     s = np.zeros(n_reps)
     alive = np.ones(n_reps, dtype=bool)
     recs = {"s": [], "level": [], "sent": [], "obs": [], "stopped": []} if record else None

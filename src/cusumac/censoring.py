@@ -16,6 +16,7 @@ The no-send event itself carries the constant log-likelihood ratio
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,7 +223,25 @@ def optimize(pair, epsilon: float) -> CensoringStrategy:
     within 1e-10 nats resolve to the smallest lower endpoint.  Requires a
     monotone-LLR pair; epsilon = 1 short-circuits to the full-rate strategy
     and rates below 1e-3 are rejected as degenerate.
+
+    Results are memoized on ``(pair, epsilon)`` when the pair is hashable
+    (``GaussianPair`` and ``CustomPair`` are frozen dataclasses), so a
+    network of identical sensors is optimized once; the returned strategy is
+    immutable and shared.  Unhashable pairs are optimized on every call.
     """
+    try:
+        hash(pair)
+    except TypeError:
+        return _optimize(pair, epsilon)
+    return _optimize_memo(pair, epsilon)
+
+
+@functools.lru_cache(maxsize=1024)
+def _optimize_memo(pair, epsilon: float) -> CensoringStrategy:
+    return _optimize(pair, epsilon)
+
+
+def _optimize(pair, epsilon: float) -> CensoringStrategy:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     if epsilon == 1.0:

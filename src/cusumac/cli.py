@@ -424,13 +424,13 @@ def _run_rate(spec, out_dir, seed, n_jobs):
     sink.add(spec.detector, "comm_rate", est, **_detector_extra(spec),
              horizon=spec.horizon, mode=spec.mode)
     path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS + ["horizon", "mode"], sink.rows)
+    _write_csv(path, RESULT_COLUMNS, sink.rows)
     return [path]
 
 
 def _run_delay_vs_arlfa(spec, out_dir, seed, n_jobs):
     pair, pairs = _pairs_of(spec)
-    strategies = [optimize(p, spec.eps1) for p in pairs]
+    strategies = [optimize(pair, spec.eps1)] * spec.m  # the sensors are copies of one pair
     sink = _RowSink(spec, seed)
     warm_c = warm_ac = None
     for i, zeta in enumerate(spec.zeta_grid):
@@ -489,7 +489,7 @@ def _run_delay_vs_rate(spec, out_dir, seed, n_jobs):
     warm_ac = None
     for i, eps in enumerate(spec.epsilon_grid):
         a1, eps1 = REFERENCE_TWO_LEVEL_PARAMS[round(eps, 2)]
-        strategies = [optimize(p, eps1) for p in pairs]
+        strategies = [optimize(pair, eps1)] * spec.m
         ac_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
             pairs, a, a1, eps1, strategies=st)
         cal_ac = calibrate_threshold(ac_of, pairs, zeta, derive_seed(seed, 20 + i),

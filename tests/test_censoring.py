@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+from cusumac import censoring
 from cusumac.censoring import CensoringStrategy, optimize
+from cusumac.model import gaussian_mean_shift
 
 # Frozen output of the exhaustive-grid oracle below at eps = 0.5 (2000 grid
 # points over the feasible lower endpoints; closed-form truncated-Gaussian
@@ -35,6 +37,16 @@ def grid_oracle_best_post_kl(eps: float, n_grid: int = 2000) -> float:
 
     ls = np.linspace(norm.ppf(1e-6), norm.ppf(eps - 1e-6), n_grid)
     return max(value(l) for l in ls)
+
+
+@pytest.fixture
+def optimizer_runs(monkeypatch):
+    """Records each golden-section search, which every uncached optimization runs once."""
+    runs = []
+    search = censoring._golden_max
+    monkeypatch.setattr(censoring, "_golden_max",
+                        lambda *args: runs.append(args) or search(*args))
+    return runs
 
 
 class TestOptimizer:
@@ -68,6 +80,28 @@ class TestOptimizer:
 
         with pytest.raises(NotImplementedError):
             optimize(Wrapped(), 0.5)
+
+    def test_memoized_per_pair_and_rate(self, optimizer_runs):
+        pair = gaussian_mean_shift(0.0, 0.55, 1.0)  # a key no other test uses
+        strategies = [optimize(p, 0.27) for p in [pair] * 3]
+        assert len(optimizer_runs) == 1
+        assert strategies[0] is strategies[1] is strategies[2]
+        assert optimize(gaussian_mean_shift(0.0, 0.55, 1.0), 0.27) is strategies[0]
+        optimize(pair, 0.3)
+        assert len(optimizer_runs) == 2
+
+    def test_unhashable_pair_is_optimized_uncached(self, pair, strategy_cache,
+                                                   optimizer_runs):
+        class Unhashable:
+            __hash__ = None
+
+            def __getattr__(self, name):
+                return getattr(pair, name)
+
+        first = optimize(Unhashable(), 0.4)
+        second = optimize(Unhashable(), 0.4)
+        assert len(optimizer_runs) == 2
+        assert first == second == strategy_cache(0.4)
 
     def test_rate_constraint_holds_exactly(self, pair, strategy_cache):
         for eps in (0.1, 0.4, 0.9):

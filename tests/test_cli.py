@@ -144,6 +144,48 @@ horizon = 10000
         assert rate[0]["metric"] == "comm_rate"
         assert 0.0 < float(rate[0]["mean"]) <= 1.0
 
+    def test_result_headers_have_unique_columns(self, tmp_path):
+        cfg = write(tmp_path, """
+[meta]
+seed = 12
+
+[experiment:t]
+kind = trace
+detector = cusum
+a = 3.0
+horizon = 50
+
+[experiment:a]
+kind = arlfa
+detector = cusum
+a = 2.0
+n_reps = 100
+
+[experiment:d]
+kind = delay
+detector = cusum
+a = 2.0
+n_reps = 100
+
+[experiment:r]
+kind = rate
+detector = random_tx
+a = 3.0
+epsilon = 0.5
+n_reps = 10
+horizon = 10000
+""")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert [p.name for p in paths] == ["a.csv", "d.csv", "r.csv", "t.csv"]
+        for path in paths:
+            with open(path, newline="") as fh:
+                header = next(csv.reader(fh))
+            assert len(header) == len(set(header)), path.name
+        with open(out / "r.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == RESULT_COLUMNS
+
     def test_delay_vs_arlfa_rows(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="sweep", kind="delay_vs_arlfa",
