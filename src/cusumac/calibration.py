@@ -238,6 +238,8 @@ def search_two_level(
     measured in ``no_stop`` mode by default; ``rate_mode="conditional"``
     applies the literal survive-to-the-horizon conditioning instead, which
     sits slightly below the open-band surrogate near the budget boundary.
+    Slow-regime membership is judged on the renewal cycle of the fused
+    statistic of all sensors, with each sensor's strategy at ``eps1``.
     When no candidate is admissible the best-effort candidate is still
     returned, flagged infeasible.
     """
@@ -245,6 +247,8 @@ def search_two_level(
         raise ValueError("grids must be nonempty")
     if any(not (1e-3 < e <= 1.0) for e in eps1_grid):
         raise ValueError("grid rates must lie in (1e-3, 1]")
+    if any(not (a1 > 0.0) for a1 in a1_grid):
+        raise ValueError("grid switching thresholds a1 must be positive")
     pairs_list = pairs if isinstance(pairs, (list, tuple)) else [pairs]
 
     strategy_cache = {
@@ -296,8 +300,8 @@ def search_two_level(
                                       n_jobs=n_jobs)
             delay = estimate_delay(config, pairs_list, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
-            cycle = estimate_cycle(pairs_list[0], a1, math.inf, eps1, cycle_reps,
-                                   derive_seed(seed, 25), strategy=strategies[0])
+            cycle = estimate_cycle(pairs_list, a1, math.inf, eps1, cycle_reps,
+                                   derive_seed(seed, 25), strategy=strategies)
             eprime: EprimeCheck = check_eprime_membership(cycle)
             admissible = (
                 cal.arlfa.mean >= target.zeta * (1.0 - target.tolerance)

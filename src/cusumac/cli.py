@@ -241,8 +241,9 @@ def _validate_spec(spec: ExperimentSpec):
         _require(spec.horizon >= 1, f"{spec.name}: horizon must be positive")
     if spec.kind in ("arlfa", "delay", "delay_vs_arlfa", "delay_vs_rate", "calibrate"):
         _require(spec.n_reps >= 100, f"{spec.name}: n_reps must be at least 100")
-    if spec.kind == "rate":
+    if spec.kind in ("rate", "calibrate"):
         _require(spec.horizon >= 10_000, f"{spec.name}: rate horizon must be >= 10000")
+    if spec.kind == "rate":
         _require(spec.mode in ("no_stop", "conditional"),
                  f"{spec.name}: mode must be no_stop or conditional")
         _require(spec.n_reps >= 2, f"{spec.name}: n_reps must be at least 2")
@@ -267,6 +268,8 @@ def _validate_spec(spec: ExperimentSpec):
                  f"{spec.name}: epsilon in (0, 1] required")
         for e in spec.eps1_grid:
             _require(1e-3 < e <= 1, f"{spec.name}: eps1 grid values must lie in (1e-3, 1]")
+        for a1 in spec.a1_grid:
+            _require(a1 > 0, f"{spec.name}: a1 grid values must be positive")
     _require(0 < spec.tolerance < 1, f"{spec.name}: tolerance must lie in (0, 1)")
 
 

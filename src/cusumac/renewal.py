@@ -1,14 +1,23 @@
 """Renewal-cycle estimators for the adaptive-censoring detector.
 
-Between alarms the detector decomposes into i.i.d. cycles: a full-rate
-random-walk excursion from the switching threshold a1 (the two-sided SPRT
-leg, duration eta) that either crosses the alarm threshold or falls back
-below a1 with clamped re-entry value s_hat, followed - on return - by a
-censored climb back to a1 (duration phi).  This module estimates those cycle
-quantities by direct simulation, plus the derived checks built on them: the
-slow-regime membership test (is the censored climb at least as long as a
-plain CuSum run to a1?), the alternating-renewal upper bound on the
-communication rate, and the expected per-alarm feedback count.
+Between alarms the fused M-sensor statistic decomposes into i.i.d. cycles: a
+full-rate excursion from the switching threshold a1 (the two-sided SPRT leg,
+duration eta) that either reaches the alarm threshold or falls back below a1
+with re-entry value s_hat, followed - on return - by a censored climb back to
+a1 (duration phi).  This module estimates those cycle quantities by
+simulation, plus the derived checks built on them: the slow-regime
+membership test (is the censored climb at least as long as a plain CuSum run
+to a1?), the alternating-renewal upper bound on the communication rate, and
+the expected per-alarm feedback count.
+
+Every leg, and the plain CuSum run t_a1, is one call of a single walker: the
+reflected fused statistic stepped from a start value until it leaves
+[lower, upper).  Within a leg the censoring level never changes, so the
+increments are i.i.d. and a block of steps reduces to a cumulative sum
+against a running minimum.  The walker draws ``_WALK_BLOCK`` observations
+per replication at a time, not the engine's fixed ``OBS_BLOCK``: legs last a
+few to a few dozen steps, and the engine's block is fixed by the draw
+schedule that the paired delay comparisons rely on.
 
 ``estimate_cycle_direct`` measures whole cycles through the scalar detector
 step function instead, giving an independent route for the composition
@@ -22,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _engine
 from .censoring import optimize
-from .detectors import CusumSpec, cusum_ac_step, initial_state, two_level
+from .detectors import cusum_ac_multi_step, initial_state, two_level
 from .montecarlo import McEstimate, derive_seed, _reduce
 
 __all__ = [
@@ -89,99 +97,77 @@ class EprimeCheck:
         return self.verdict == "member"
 
 
-def _eta_walks(pair, a1: float, a: float, n: int, seed: int, cap: int):
-    """Simulate n raw-LLR walks from 0 until exit of [0, a - a1].
-
-    Returns (durations, returned flags, clamped re-entry values, n_capped).
-    The band is open above when a is infinite; capped walks count as
-    non-returning and are excluded from the conditional statistics.
-    """
-    band = math.inf if math.isinf(a) else a - a1
-    rngs = [np.random.default_rng([seed, i, 0]) for i in range(n)]
-    act = np.arange(n)
-    w = np.zeros(n)
-    dur = np.zeros(n, dtype=np.int64)
-    returned = np.zeros(n, dtype=bool)
-    shat = np.zeros(n)
-    capped = 0
-    k = 0
-    while act.size and k < cap:
-        B = min(_WALK_BLOCK, cap - k)
-        inc = np.empty((act.size, B))
-        for row, rid in enumerate(act):
-            inc[row] = pair.llr(pair.sample0(rngs[rid], B))
-        path = np.cumsum(inc, axis=1) + w[:, None]
-        out = (path < 0.0) | (path > band)
-        found = out.any(axis=1)
-        idx = out.argmax(axis=1)
-        if found.any():
-            rows = np.nonzero(found)[0]
-            ids = act[rows]
-            exit_vals = path[rows, idx[rows]]
-            dur[ids] = k + idx[rows] + 1
-            below = exit_vals < 0.0
-            returned[ids[below]] = True
-            shat[ids[below]] = np.maximum(exit_vals[below] + a1, 0.0)
-        k += B
-        keep = ~found
-        w = path[keep, -1]
-        act = act[keep]
-    if act.size:
-        capped = int(act.size)
-        dur[act] = cap
-    return dur, returned, shat, capped
+def _sensors(pairs, eps1: float, strategy) -> tuple[list, list]:
+    """Per-sensor pairs and censoring strategies (optimized, shared or as given)."""
+    pairs = list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
+    if strategy is None:
+        return pairs, [optimize(p, eps1) for p in pairs]
+    if not isinstance(strategy, (list, tuple)):
+        return pairs, [strategy] * len(pairs)
+    if len(strategy) != len(pairs):
+        raise ValueError(f"got {len(strategy)} strategies for {len(pairs)} sensors")
+    return pairs, list(strategy)
 
 
-def _phi_walks(pair, strategy, a1: float, starts: np.ndarray, seed: int, cap: int):
-    """Censored reflected walks from the given starts until reaching a1.
+def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
+          seed: int, cap: int):
+    """Step the reflected fused statistic from ``starts`` until it leaves [lower, upper).
 
-    Returns (durations, n_capped).  Increments are the censored LLR under
-    the pre-change law: the raw LLR outside the no-send interval, the
-    censored constant inside.
+    Replication i draws from stream [seed, i, 0], ``_WALK_BLOCK`` steps at a
+    time, sensor by sensor within a block.  A sensor's increment is its raw
+    LLR, or with ``strategies`` its censored LLR: the constant inside the
+    no-send interval.  Sensors are added in order onto 0.0, as the scalar
+    step does.  With c_0 the start and W the unreflected walk from 0, the
+    reflected statistic is c_k = W_k - min(-c_0, min_{j<=k} W_j).
+
+    Returns (durations, exit values, n_capped); a capped walk has duration
+    ``cap`` and exit value NaN.
     """
     n = starts.size
     rngs = [np.random.default_rng([seed, i, 0]) for i in range(n)]
-    lo, hi, llr_c = strategy.nosend_x_lo, strategy.nosend_x_hi, strategy.llr_censored
     act = np.arange(n)
-    s = starts.astype(float).copy()
-    dur = np.zeros(n, dtype=np.int64)
-    capped = 0
+    w = np.zeros(n)
+    w_min = -starts
+    dur = np.full(n, cap, dtype=np.int64)
+    exit_s = np.full(n, np.nan)
     k = 0
     while act.size and k < cap:
         B = min(_WALK_BLOCK, cap - k)
-        done_any = False
-        x = np.empty((act.size, B))
+        x = np.empty((act.size, len(pairs), B))
         for row, rid in enumerate(act):
-            x[row] = pair.sample0(rngs[rid], B)
-        inside = (x >= lo) & (x <= hi)
-        inc = np.where(inside, llr_c, np.asarray(pair.llr(x)))
-        # Reflection at zero forces a step-by-step scan inside the block.
-        alive = np.ones(act.size, dtype=bool)
-        for j in range(B):
-            s = np.maximum(s + inc[:, j], 0.0)
-            reached = alive & (s >= a1)
-            if reached.any():
-                dur[act[reached]] = k + j + 1
-                alive &= ~reached
-                done_any = True
-                if not alive.any():
-                    break
+            for m, p in enumerate(pairs):
+                x[row, m] = p.sample0(rngs[rid], B)
+        inc = np.zeros((act.size, B))
+        for m, p in enumerate(pairs):
+            llr = np.asarray(p.llr(x[:, m]))
+            if strategies is not None:
+                st = strategies[m]
+                inside = (x[:, m] >= st.nosend_x_lo) & (x[:, m] <= st.nosend_x_hi)
+                llr = np.where(inside, st.llr_censored, llr)
+            inc += llr
+        path = np.cumsum(inc, axis=1) + w[:, None]
+        path_min = np.minimum(np.minimum.accumulate(path, axis=1), w_min[:, None])
+        s = path - path_min
+        out = (s < lower) | (s >= upper)
+        found = out.any(axis=1)
+        rows = np.nonzero(found)[0]
+        idx = out[rows].argmax(axis=1)
+        dur[act[rows]] = k + idx + 1
+        exit_s[act[rows]] = s[rows, idx]
+        keep = ~found
+        act, w, w_min = act[keep], path[keep, -1], path_min[keep, -1]
         k += B
-        if done_any:
-            s = s[alive]
-            act = act[alive]
-    if act.size:
-        capped = int(act.size)
-        dur[act] = cap
-    return dur, capped
+    return dur, exit_s, int(act.size)
 
 
-def estimate_cycle(pair, a1: float, a: float, eps1: float, n_reps: int, seed: int, *,
+def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: int, *,
                    strategy=None, cap: int = _WALK_CAP) -> CycleStats:
-    """Estimate the renewal-cycle quantities under the pre-change law.
+    """Estimate the renewal-cycle quantities of the fused statistic pre-change.
 
-    ``a`` may be infinite (the walk band is then open above).  The censored
-    climb is simulated from every observed re-entry value, so the
+    ``pairs`` is one pair or a list of per-sensor pairs, and ``strategy`` one
+    shared censoring strategy or one per sensor (optimized at ``eps1`` when
+    omitted).  ``a`` may be infinite (the SPRT leg is then open above).  The
+    censored climb is simulated from every observed re-entry value, so the
     conditional mean over the empirical re-entry distribution needs no
     parametric form.
     """
@@ -191,45 +177,43 @@ def estimate_cycle(pair, a1: float, a: float, eps1: float, n_reps: int, seed: in
         raise ValueError(f"eps1 must lie in (1e-3, 1], got {eps1}")
     if n_reps < 100:
         raise ValueError("cycle estimation needs at least 100 replications")
-    if strategy is None:
-        strategy = optimize(pair, eps1)
+    pairs, strategies = _sensors(pairs, eps1, strategy)
 
-    dur, returned, shat, capped_eta = _eta_walks(pair, a1, a, n_reps,
-                                                 derive_seed(seed, 11), cap)
+    eta, shat, capped_eta = _walk(pairs, None, np.full(n_reps, a1), a1, a,
+                                  derive_seed(seed, 11), cap)
+    returned = shat < a1
     ret_vals = shat[returned]
-    phi_dur, capped_phi = _phi_walks(pair, strategy, a1, ret_vals,
-                                     derive_seed(seed, 12), cap)
-
-    t_batch = _engine.run_batch(CusumSpec(a1), [pair], n_reps=n_reps,
-                                seed=derive_seed(seed, 13), limit=cap)
-    t_capped = int((~t_batch.stopped).sum())
+    phi, _, capped_phi = _walk(pairs, strategies, ret_vals, -math.inf, a1,
+                               derive_seed(seed, 12), cap)
+    t_a1, _, capped_t = _walk(pairs, None, np.zeros(n_reps), -math.inf,
+                              np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
 
     return CycleStats(
         a1=a1,
         a=a,
         eps1=eps1,
-        eta0=_reduce(dur, seed, capped_eta),
-        eta0_given_return=_reduce(dur[returned], seed),
-        phi_given_return=_reduce(phi_dur, seed, capped_phi),
-        t_a1=_reduce(t_batch.stop_time, seed, t_capped),
+        eta0=_reduce(eta, seed, capped_eta),
+        eta0_given_return=_reduce(eta[returned], seed),
+        phi_given_return=_reduce(phi, seed, capped_phi),
+        t_a1=_reduce(t_a1, seed, capped_t),
         p_return=_reduce(returned.astype(float), seed),
         return_value_samples=ret_vals,
-        capped_walks=capped_eta + capped_phi + t_capped,
+        capped_walks=capped_eta + capped_phi + capped_t,
     )
 
 
-def estimate_cycle_direct(pair, a1: float, a: float, eps1: float, n_cycles: int,
+def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int,
                           seed: int, *, strategy=None, cap: int = 1_000_000
                           ) -> DirectCycleStats:
-    """Measure whole SPRT cycles by stepping the scalar detector from a1.
+    """Measure whole SPRT cycles by stepping the scalar fused detector from a1.
 
-    A cycle ends at the alarm or at the bit-exact reset back to a1 after a
-    spell below; this is the independent route the composition identity is
-    checked against.
+    Takes pairs and strategies as :func:`estimate_cycle` does.  A cycle ends
+    at the alarm or at the bit-exact reset back to a1 after a spell below;
+    this is the independent route the composition identity is checked
+    against.
     """
-    if strategy is None:
-        strategy = optimize(pair, eps1)
-    config = two_level(pair, a=a, a1=a1, eps1=eps1, strategies=[strategy])
+    pairs, strategies = _sensors(pairs, eps1, strategy)
+    config = two_level(pairs, a=a, a1=a1, eps1=eps1, strategies=strategies)
     lengths = np.zeros(n_cycles, dtype=np.int64)
     returned = np.zeros(n_cycles, dtype=bool)
     for i in range(n_cycles):
@@ -237,8 +221,8 @@ def estimate_cycle_direct(pair, a1: float, a: float, eps1: float, n_cycles: int,
         state = initial_state(config, s0=a1)
         while True:
             prev_s = state.s
-            x = float(pair.sample0(rng))
-            state, _ = cusum_ac_step(state, config, x, pair)
+            xs = [float(p.sample0(rng)) for p in pairs]
+            state, _ = cusum_ac_multi_step(state, config, xs, pairs)
             if state.stopped:
                 lengths[i] = state.k
                 break

@@ -9,7 +9,8 @@ from cusumac.calibration import (
     search_two_level,
 )
 from cusumac.detectors import CusumSpec, two_level
-from cusumac.montecarlo import estimate_comm_rate, estimate_delay
+from cusumac.montecarlo import derive_seed, estimate_comm_rate, estimate_delay
+from cusumac.renewal import check_eprime_membership, estimate_cycle
 
 
 class TestCalibrateThreshold:
@@ -111,6 +112,14 @@ class TestSearchTwoLevel:
         assert result.config is None  # rate screen kills the only candidate
         assert result.search_trace[0].note == "rate screen failed"
 
+    def test_eprime_margin_is_from_the_fused_statistic(self, pairs3, strategy_cache):
+        target = CalibrationTarget(zeta=300.0, epsilon=0.8, tolerance=0.05)
+        result = search_two_level(pairs3, target, a1_grid=[0.78], eps1_grid=[0.5],
+                                  n_reps=400, seed=14, cycle_reps=1000)
+        cycle = estimate_cycle(pairs3, 0.78, math.inf, 0.5, 1000, derive_seed(14, 25),
+                               strategy=[strategy_cache(0.5)] * 3)
+        assert result.search_trace[0].eprime_margin == check_eprime_membership(cycle).margin
+
     def test_search_is_deterministic(self, pair):
         target = CalibrationTarget(zeta=300.0, epsilon=0.8, tolerance=0.05)
         kw = dict(a1_grid=[0.6, 1.0], eps1_grid=[0.5], n_reps=400, seed=13,
@@ -126,6 +135,9 @@ class TestSearchTwoLevel:
             search_two_level(pair, target, a1_grid=[], eps1_grid=[0.5])
         with pytest.raises(ValueError):
             search_two_level(pair, target, a1_grid=[0.5], eps1_grid=[5e-4])
+        for a1 in (0.0, -0.5):
+            with pytest.raises(ValueError, match="a1"):
+                search_two_level(pair, target, a1_grid=[0.8, a1], eps1_grid=[0.5])
 
 
 class TestRatePlateau:

@@ -57,6 +57,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("bad, key", [("a1_grid = 0.8 -0.5", "a1 grid"),
+                                          ("a1_grid = 0.8\nhorizon = 500", "horizon")])
+    def test_calibrate_rejects_bad_grid_and_horizon(self, tmp_path, bad, key):
+        body = "zeta = 300\nepsilon = 0.8\neps1_grid = 0.5\nn_reps = 200\n" + bad
+        cfg = write(tmp_path, BASE.format(name="c", kind="calibrate", body=body))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_cusum_ac_requires_levels(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="d", kind="delay", body="detector = cusum_ac\na = 4.5\nn_reps = 200"))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cusumac.montecarlo import McEstimate, estimate_comm_rate, pre_change_run
-from cusumac.detectors import two_level
+from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
+from cusumac.detectors import CusumSpec, two_level
 from cusumac.renewal import (
     CycleStats,
     check_eprime_membership,
@@ -16,6 +16,18 @@ from cusumac.renewal import (
 
 # Exit probability of the one-step band: P(llr < 0) = Phi(0.25).
 P_RETURN_DEGENERATE = 0.598706
+
+# Single-sensor means (eta0, eta0_given_return, phi_given_return, t_a1,
+# p_return) and capped_walks at (a1, a, eps1, seed), 2000 reps, generated
+# before the three cycle legs shared one walker, when t_a1 came from the
+# engine's plain-CuSum run.
+GOLDEN_M1 = [
+    ((0.78, 4.5, 0.63, 31),
+     (3.0875, 3.017570281124498, 10.328313253012048, 12.126, 0.996), 0),
+    ((0.78, math.inf, 0.63, 32), (3.2115, 3.2115, 9.5455, 12.6445, 1.0), 0),
+    ((0.78, 0.78 + 1e-9, 0.5, 33),
+     (1.0, 1.0, 11.318030050083472, 12.3485, 0.599), 0),
+]
 
 
 def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0):
@@ -55,6 +67,48 @@ class TestCycleEstimation:
         assert abs(direct.cycle_length.mean - composed) <= 3 * se
         p_se = math.hypot(stats.p_return.std_error, direct.p_return.std_error)
         assert abs(direct.p_return.mean - stats.p_return.mean) <= 3 * p_se
+
+    @pytest.mark.parametrize("config, means, capped", GOLDEN_M1)
+    def test_single_sensor_golden(self, pair, strategy_cache, config, means, capped):
+        a1, a, eps1, seed = config
+        stats = estimate_cycle(pair, a1, a, eps1, n_reps=2000, seed=seed,
+                               strategy=strategy_cache(eps1))
+        got = (stats.eta0.mean, stats.eta0_given_return.mean,
+               stats.phi_given_return.mean, stats.t_a1.mean, stats.p_return.mean)
+        assert got == means
+        assert stats.capped_walks == capped
+
+    def test_composition_identity_fused(self, pairs3, strategy_cache):
+        # The identity for the fused 3-sensor statistic, against whole cycles
+        # stepped through cusum_ac_multi_step.
+        a1, a, eps1 = 0.78, 4.5, 0.63
+        strategies = [strategy_cache(eps1)] * 3
+        stats = estimate_cycle(pairs3, a1, a, eps1, n_reps=6000, seed=17,
+                               strategy=strategies)
+        direct = estimate_cycle_direct(pairs3, a1, a, eps1, n_cycles=3000, seed=18,
+                                       strategy=strategies)
+        p = stats.p_return.mean
+        composed = stats.eta0.mean + p * stats.phi_given_return.mean
+        se = math.sqrt(
+            stats.eta0.std_error ** 2
+            + (p * stats.phi_given_return.std_error) ** 2
+            + (stats.phi_given_return.mean * stats.p_return.std_error) ** 2
+            + direct.cycle_length.std_error ** 2)
+        assert abs(direct.cycle_length.mean - composed) <= 3 * se
+
+    def test_fused_t_a1_matches_engine_arlfa(self, pairs3, strategy_cache):
+        # The plain-CuSum leg against the engine's ARLFA run at threshold a1.
+        a1 = 0.78
+        stats = estimate_cycle(pairs3, a1, math.inf, 0.63, n_reps=4000, seed=19,
+                               strategy=strategy_cache(0.63))
+        arl = estimate_arlfa(CusumSpec(a1), pairs3, 2000, cap=100_000, seed=20)
+        se = math.hypot(stats.t_a1.std_error, arl.std_error)
+        assert abs(stats.t_a1.mean - arl.mean) <= 3 * se
+
+    def test_strategy_count_must_match_sensors(self, pairs3, strategy_cache):
+        with pytest.raises(ValueError, match="strategies"):
+            estimate_cycle(pairs3, 0.78, 4.0, 0.63, n_reps=200, seed=21,
+                           strategy=[strategy_cache(0.63)] * 2)
 
     def test_open_band_walks_stay_finite(self, pair, strategy_cache):
         stats = estimate_cycle(pair, a1=0.78, a=math.inf, eps1=0.63,
