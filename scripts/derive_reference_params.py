@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Derive the reference (a1, eps1) operating points for the delay-vs-rate sweep.
 
-For each communication budget the script screens a small candidate grid by
-measured network rate, calibrates the survivors to the target ARLFA, and
-keeps the admissible candidate with the smallest paired delay.  The winning
-table is frozen into cusumac.cli as REFERENCE_TWO_LEVEL_PARAMS; re-run this
-script to regenerate it (it takes tens of minutes at the default budgets).
+For each communication budget the script runs ``calibration.search_two_level``
+once over a small candidate grid: it screens each candidate by measured
+network rate, calibrates the survivors to the target ARLFA, and keeps the
+admissible candidate (rate within three standard errors of the budget) with
+the smallest delay.  It prints every candidate of the search trace, then the
+winning table, which is frozen into cusumac.cli as REFERENCE_TWO_LEVEL_PARAMS;
+re-run this script to regenerate it (it takes tens of minutes at the default
+budgets).
 
 Usage: python scripts/derive_reference_params.py [--zeta 10000] [--sensors 3]
 """
@@ -13,10 +16,8 @@ Usage: python scripts/derive_reference_params.py [--zeta 10000] [--sensors 3]
 import argparse
 import time
 
-from cusumac import gaussian_mean_shift, two_level
-from cusumac.calibration import calibrate_threshold
-from cusumac.censoring import optimize
-from cusumac.montecarlo import estimate_comm_rate, estimate_delay
+from cusumac import gaussian_mean_shift
+from cusumac.calibration import CalibrationTarget, search_two_level
 
 EPS_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 A1_CANDIDATES = [0.4, 0.8, 1.2]
@@ -24,9 +25,6 @@ A1_CANDIDATES = [0.4, 0.8, 1.2]
 # statistic spends too much time above small thresholds otherwise.
 A1_CANDIDATES_TIGHT = [0.8, 1.2, 1.6, 2.0, 2.4]
 EPS1_FRACTIONS = [0.45, 0.6, 0.75, 0.9]
-# Operating points quoted for the budgets 0.7 and 0.4 in the delay-vs-ARLFA
-# comparisons; kept in the candidate pool so the table stays comparable.
-PINNED = {0.7: (0.78, 0.63), 0.4: (0.79, 0.27)}
 
 
 def main():
@@ -34,60 +32,35 @@ def main():
     ap.add_argument("--zeta", type=float, default=10_000.0)
     ap.add_argument("--sensors", type=int, default=3)
     ap.add_argument("--reps", type=int, default=600)
-    ap.add_argument("--delay-reps", type=int, default=1500)
     ap.add_argument("--seed", type=int, default=20240501)
     args = ap.parse_args()
 
-    pair = gaussian_mean_shift(0.0, 0.5, 1.0)
-    pairs = [pair] * args.sensors
-    strat_cache = {}
-
-    def strategies_for(eps1):
-        if eps1 not in strat_cache:
-            strat_cache[eps1] = [optimize(p, eps1) for p in pairs]
-        return strat_cache[eps1]
-
+    pairs = [gaussian_mean_shift(0.0, 0.5, 1.0)] * args.sensors
     table = {}
     for eps in EPS_GRID:
         t0 = time.time()
-        a1_set = A1_CANDIDATES_TIGHT if eps <= 0.2 else A1_CANDIDATES
-        candidates = [(a1, round(f * eps, 3)) for a1 in a1_set
-                      for f in EPS1_FRACTIONS if f * eps > 1e-3]
-        if eps in PINNED:
-            candidates.append(PINNED[eps])
-        best = None
-        warm = None
-        for a1, eps1 in candidates:
-            strategies = strategies_for(eps1)
-            cfg_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
-                pairs, a, a1, eps1, strategies=st)
-            rate = estimate_comm_rate(cfg_of(a1 + 100.0), pairs, 10_000, 30,
-                                      seed=args.seed + 1)
-            if rate.mean > eps:
-                print(f"  eps={eps} a1={a1} eps1={eps1}: rate {rate.mean:.3f} > {eps}, skip")
-                continue
-            try:
-                cal = calibrate_threshold(cfg_of, pairs, args.zeta, args.seed + 2,
-                                          n_reps=args.reps, tolerance=0.05, initial=warm)
-            except Exception as err:
-                print(f"  eps={eps} a1={a1} eps1={eps1}: calibration failed ({err})")
-                continue
-            warm = cal.a
-            delay = estimate_delay(cfg_of(cal.a), pairs, args.delay_reps, args.seed + 3)
-            print(f"  eps={eps} a1={a1} eps1={eps1}: a={cal.a:.3f} "
-                  f"arlfa={cal.arlfa.mean:.0f} rate={rate.mean:.3f} "
-                  f"delay={delay.mean:.2f}+-{delay.std_error:.2f}")
-            if best is None or delay.mean < best[0]:
-                best = (delay.mean, a1, eps1, cal.a, rate.mean)
-        if best is None:
+        result = search_two_level(
+            pairs, CalibrationTarget(zeta=args.zeta, epsilon=eps),
+            a1_grid=A1_CANDIDATES_TIGHT if eps <= 0.2 else A1_CANDIDATES,
+            eps1_grid=[round(f * eps, 3) for f in EPS1_FRACTIONS],
+            n_reps=args.reps, seed=args.seed)
+        for rec in result.search_trace:
+            verdict = "admissible" if rec.admissible else (rec.note or "not admissible")
+            print(f"  eps={eps} a1={rec.a1} eps1={rec.eps1}: a={rec.a:.3f} "
+                  f"arlfa={rec.arlfa_mean:.0f} rate={rec.rate_mean:.3f}+-{rec.rate_se:.3f} "
+                  f"delay={rec.delay_mean:.2f}+-{rec.delay_se:.2f} "
+                  f"E'={rec.eprime_verdict} [{verdict}]")
+        if not result.feasible:
             print(f"eps={eps}: NO ADMISSIBLE CANDIDATE")
             continue
-        table[eps] = best
-        print(f"eps={eps}: chose a1={best[1]} eps1={best[2]} (a={best[3]:.3f}, "
-              f"rate={best[4]:.3f}, delay={best[0]:.2f}) [{time.time()-t0:.0f}s]")
+        cfg, report = result.config, result.report
+        table[eps] = (cfg.a1, cfg.levels[0].rate, cfg.a)
+        print(f"eps={eps}: chose a1={cfg.a1} eps1={cfg.levels[0].rate} (a={cfg.a:.3f}, "
+              f"rate={report.comm_rate.mean:.3f}, delay={report.delay.mean:.2f}) "
+              f"[{time.time() - t0:.0f}s]")
 
     print("\nREFERENCE_TWO_LEVEL_PARAMS = {")
-    for eps, (_, a1, eps1, a, _) in sorted(table.items()):
+    for eps, (a1, eps1, a) in sorted(table.items()):
         print(f"    {eps}: ({a1}, {eps1}),  # calibrated a ~ {a:.2f}")
     print("}")
 

@@ -6,14 +6,20 @@ so results do not depend on batching, chunk boundaries or worker count.
 Substream 0 carries observations (consumed in fixed blocks of ``OBS_BLOCK``
 steps, pre-change segment first when the change time falls inside a block,
 sensor by sensor within a segment); substream 1 carries the Bernoulli
-uniforms of the random-transmission policy.  The fixed block schedule means
-two detectors simulated under the same seed see identical observation
-sequences, which the paired delay comparisons rely on.
+uniforms of the random-transmission policy, one ``(OBS_BLOCK, M)`` draw per
+block.  The fixed block schedule means two detectors simulated under the
+same seed see identical observation sequences, which the paired delay
+comparisons rely on.
 
-Plain-CuSum and random-transmission runs use a closed-form block update
-(cumulative sums against a running minimum) since their increments are
-i.i.d.  CuSum-AC runs use one chunked kernel for every number of levels and
-sensors.  The censoring level depends only on the statistic, so for each
+There are two simulation bodies.  Unrecorded, unconditioned plain-CuSum and
+random-transmission runs use a closed-form block update (cumulative sums
+against a running minimum), since their increments are i.i.d.  Every other
+batch (any CuSum-AC run, and any run that records trajectories or sets
+``require_zero_at``) goes through one chunked kernel.  Plain CuSum and
+random transmission are its case without censoring levels: their strict
+alarm ``S > a`` is the kernel's inclusive test against ``nextafter(a, inf)``,
+and random transmission masks the full-rate increment with its Bernoulli
+send flags.  The censoring level depends only on the statistic, so for each
 chunk of ``CHUNK`` steps the fused increment and send count of every level
 are computed in bulk first.  The step loop then carries only the statistic
 and its level count: select the current level's increment, reflect at zero,
@@ -21,7 +27,7 @@ clamp an upward crossing to the highest threshold crossed.  Alarms,
 conditioning, counters and trajectories are derived from the recorded
 statistic after each chunk, and a batch whose replications have all ended
 stops at that chunk instead of finishing its observation block.  Both
-kernels implement the exact step semantics of :mod:`cusumac.detectors`,
+bodies implement the exact step semantics of :mod:`cusumac.detectors`,
 which the test suite checks by trajectory replay.
 """
 
@@ -36,7 +42,7 @@ from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
 from .model import GaussianPair
 
 OBS_BLOCK = 1024  # steps per observation block; fixed so draw order is reproducible
-CHUNK = 128       # CuSum-AC steps per chunk of bulk increments and derived outcomes
+CHUNK = 128       # kernel steps per chunk of bulk increments and derived outcomes
 
 
 @dataclass
@@ -179,6 +185,10 @@ def run_batch(
     every replication whose statistic is not exactly zero after step t (or
     that already alarmed by then), and stops simulating it.  ``record=True``
     keeps full per-step trajectories; intended for small test batches only.
+
+    Plain-CuSum and random-transmission batches without ``record`` or
+    ``require_zero_at`` take the closed-form block update; every other
+    batch runs on the chunked kernel.  Both draw the same observations.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -188,42 +198,41 @@ def run_batch(
             raise ValueError(
                 f"config has {detector.n_sensors} sensors, got {len(pairs)} pairs"
             )
-        return _run_cusum_ac(detector, pairs, n_reps, seed, rep_offset, nu, limit,
-                             stop_enabled, require_zero_at, record)
-    if isinstance(detector, (CusumSpec, RandomTxSpec)):
-        if record or require_zero_at is not None:
-            return _run_iid_steploop(detector, pairs, n_reps, seed, rep_offset, nu, limit,
-                                     stop_enabled, require_zero_at, record)
+    elif not isinstance(detector, (CusumSpec, RandomTxSpec)):
+        raise TypeError(f"unsupported detector {detector!r}")
+    elif not record and require_zero_at is None:
         return _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
                                stop_enabled)
-    raise TypeError(f"unsupported detector {detector!r}")
+    return _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
+                       stop_enabled, require_zero_at, record)
 
 
-def _stack_records(recs: dict) -> dict:
-    return {key: (np.stack(vals) if vals else np.empty((0,))) for key, vals in recs.items()}
-
-
-class _AcTables:
-    """Censoring tables indexed by ``cnt``, the number of level thresholds <= s.
+class _StepTables:
+    """Per-level step tables of one detector, indexed by ``cnt`` (thresholds <= s).
 
     Row ``cnt`` describes level ``L - cnt``: its no-send interval and the
     censored LLR of a no-send slot.  Row ``L`` is the full-rate region, whose
-    interval is empty.
+    interval is empty.  Plain CuSum and random transmission have no levels
+    (L = 0); their strict alarm ``S > a`` is the inclusive ``S >= nextafter(a,
+    inf)``, and they never count time above a level.
     """
 
-    def __init__(self, config: CusumAcConfig, pairs):
+    def __init__(self, detector, pairs):
         M = len(pairs)
-        L = len(config.levels)
+        is_ac = isinstance(detector, CusumAcConfig)
+        L = len(detector.levels) if is_ac else 0
         self.n_levels = L
         self.llr_fns = _llr_fns(pairs)
-        self.asc = np.array(config.thresholds()[::-1])
+        self.a = detector.a if is_ac else np.nextafter(detector.a, np.inf)
+        self.a1 = detector.a1 if is_ac else np.inf
+        self.asc = np.array(detector.thresholds()[::-1] if is_ac else [])
         # clamp[cnt]: the threshold a statistic crossing upward into cnt is clamped to
         self.clamp = np.concatenate(([0.0], self.asc))
         self.lo = np.full((L + 1, M), np.inf)
         self.hi = np.full((L + 1, M), -np.inf)
         self.llrc = np.zeros((L + 1, M))
         for cnt in range(L):
-            for m, strat in enumerate(config.strategies[L - 1 - cnt]):
+            for m, strat in enumerate(detector.strategies[L - 1 - cnt]):
                 if not strat.monotone:
                     raise NotImplementedError(
                         "batch simulation needs observation-space censoring intervals"
@@ -232,11 +241,12 @@ class _AcTables:
                 self.hi[cnt, m] = strat.nosend_x_hi
                 self.llrc[cnt, m] = strat.llr_censored
 
-    def increments(self, x):
+    def increments(self, x, mask=None):
         """Fused increment and send count of every level count over a chunk.
 
-        ``x`` is (n, M, C); both results are (n, C, L+1).  Sensors are added
-        in order onto 0.0, as the scalar step function does.
+        ``x`` is (n, M, C), as is ``mask``, the random-transmission send
+        flags applied to the full-rate row; both results are (n, C, L+1).
+        Sensors are added in order onto 0.0, as the scalar step function does.
         """
         n, M, C = x.shape
         L = self.n_levels
@@ -245,22 +255,33 @@ class _AcTables:
         for m, llr in enumerate(self.llr_fns):
             xm = x[:, m]
             raw = llr(xm)
-            fused[..., L] += raw
+            if mask is None:
+                fused[..., L] += raw
+            else:
+                fused[..., L] += raw * mask[:, m]
+                n_sent[..., L] -= ~mask[:, m]
             for cnt in range(L):
                 inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
                 fused[..., cnt] += np.where(inside, self.llrc[cnt, m], raw)
                 n_sent[..., cnt] -= inside
         return fused, n_sent
 
+    def sent(self, xt, cnt, mask=None):
+        """Send flags (C, n, M) of observations ``xt`` at level counts ``cnt`` (C, n)."""
+        flags = (xt < self.lo[cnt]) | (xt > self.hi[cnt])
+        return flags if mask is None else flags & mask
 
-def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
-                  stop_enabled, require_zero_at, record) -> BatchResult:
+
+def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
+                stop_enabled, require_zero_at, record) -> BatchResult:
     M = len(pairs)
-    tab = _AcTables(config, pairs)
+    tab = _StepTables(detector, pairs)
     L = tab.n_levels
+    is_rtx = isinstance(detector, RandomTxSpec)
 
     res = _new_result(n_reps, limit, M)
     rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
+    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
 
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
@@ -274,13 +295,16 @@ def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
     while ids.size and k < limit:
         B = min(OBS_BLOCK, limit - k)
         obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu, sensor_major=True)
+        if is_rtx:  # (n, M, B) send flags, drawn (B, M) per replication
+            gam = (_draw_uniforms(aux_rngs, ids, M, B) < detector.epsilon).transpose(0, 2, 1)
         rows = np.arange(ids.size)  # each running replication's row in obs
         for j0 in range(0, B, CHUNK):
             k0 = k + j0
             C = min(CHUNK, B - j0)
             n = ids.size
             x = obs[rows, :, j0:j0 + C]
-            fused, n_sent = tab.increments(x)
+            g = gam[rows, :, j0:j0 + C] if is_rtx else None
+            fused, n_sent = tab.increments(x, g)
 
             # The sequential part: select the increment of the level in force,
             # reflect at zero, clamp an upward crossing to the highest
@@ -300,7 +324,7 @@ def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
             K = tab.asc.searchsorted(S, side="right")
             end = np.full(n, C)  # row of each replication's last step in this chunk
             if stop_enabled:
-                hit = S >= config.a
+                hit = S >= tab.a
                 end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)
             alarmed = end < C
             if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
@@ -313,10 +337,10 @@ def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
             K_in = np.vstack((cnt_in, K[:-1]))  # level count in force at each step
             tx += (n_sent.take(at + K_in) * live).sum(axis=0)
             switches += ((K != K_in) & live).sum(axis=0)
-            above += ((S >= config.a1) & live).sum(axis=0)
+            above += ((S >= tab.a1) & live).sum(axis=0)
             if record:
                 xt = x.transpose(2, 0, 1)  # (C, n, M)
-                sent = (xt < tab.lo[K_in]) | (xt > tab.hi[K_in])
+                sent = tab.sent(xt, K_in, g.transpose(2, 0, 1) if is_rtx else None)
                 chunks.append((k0, ids, np.where(live, S, np.nan), np.where(live, L - K, -1),
                                sent & live[..., None], np.where(live[..., None], xt, np.nan)))
 
@@ -324,7 +348,7 @@ def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
             if done.any():
                 res.stop_time[ids[done]] = k0 + end[done] + 1
                 res.stopped[ids[alarmed]] = True
-                _flush_ac(res, ids[done], tx[done], switches[done], above[done])
+                _flush(res, ids[done], tx[done], switches[done], above[done], L)
                 keep = ~done
                 ids, rows, s, cnt = ids[keep], rows[keep], s[keep], cnt[keep]
                 tx, switches, above = tx[keep], switches[keep], above[keep]
@@ -332,24 +356,26 @@ def _run_cusum_ac(config, pairs, n_reps, seed, rep_offset, nu, limit,
                     break
         k += B
 
-    _flush_ac(res, ids, tx, switches, above)
+    _flush(res, ids, tx, switches, above, L)
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:
-        res.records = _ac_records(res, chunks, M)
+        res.records = _records(res, chunks, M)
     return res
 
 
-def _flush_ac(res: BatchResult, ids, tx, switches, above):
+def _flush(res: BatchResult, ids, tx, switches, above, n_levels: int):
     res.tx[ids] = tx
-    # The starting level differs from the sensors' full-rate default, so the
-    # initial strategy announcement counts as one feedback message.
-    res.feedback[ids] = switches + 1
-    res.time_above[ids] = above
-    res.time_below[ids] = res.stop_time[ids] - above
+    if n_levels:
+        # The starting level differs from the sensors' full-rate default, so the
+        # initial strategy announcement counts as one feedback message.  A
+        # detector without levels keeps no feedback or sojourn counts.
+        res.feedback[ids] = switches + 1
+        res.time_above[ids] = above
+        res.time_below[ids] = res.stop_time[ids] - above
 
 
-def _ac_records(res: BatchResult, chunks, M: int) -> dict:
+def _records(res: BatchResult, chunks, M: int) -> dict:
     """Per-step (T, n_reps[, M]) trajectories up to the last replication's end.
 
     Steps after a replication ended hold NaN (``s``, ``obs``), -1 (``level``)
@@ -435,66 +461,4 @@ def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
         carry_m = run_min[survivors, -1]
         tx = tx[survivors] + tx_cum[survivors, -1]
         act = act[survivors]
-    return res
-
-
-def _run_iid_steploop(detector, pairs, n_reps, seed, rep_offset, nu, limit,
-                      stop_enabled, require_zero_at, record) -> BatchResult:
-    """Per-step loop for cusum/random-tx when recording or conditioning; small batches."""
-    M = len(pairs)
-    is_rtx = isinstance(detector, RandomTxSpec)
-    a = detector.a
-    llr_of = _llr_matrix_fn(pairs)
-
-    res = _new_result(n_reps, limit, M)
-    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
-    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
-    rep_ids = np.arange(n_reps)
-    s = np.zeros(n_reps)
-    alive = np.ones(n_reps, dtype=bool)
-    recs = {"s": [], "level": [], "sent": [], "obs": [], "stopped": []} if record else None
-
-    k = 0
-    while alive.any() and k < limit:
-        B = min(OBS_BLOCK, limit - k)
-        obs = _draw_obs(rep_rngs, rep_ids, pairs, k, B, nu)
-        gam = _draw_uniforms(aux_rngs, rep_ids, M, B) < detector.epsilon if is_rtx else None
-        for j in range(B):
-            x = obs[:, j, :]
-            raw = llr_of(x)
-            if is_rtx:
-                sent = gam[:, j, :]
-                inc = (raw * sent).sum(axis=1)
-            else:
-                sent = np.ones((n_reps, M), dtype=bool)
-                inc = raw.sum(axis=1)
-            s_new = np.maximum(s + inc, 0.0)
-            k_step = k + j + 1
-            res.tx += sent.sum(axis=1) * alive
-            if stop_enabled:
-                newly = alive & (s_new > a)
-                if newly.any():
-                    res.stop_time[newly] = k_step
-                    res.stopped[newly] = True
-                    alive = alive & ~newly
-            s = s_new
-            if require_zero_at is not None and k_step == require_zero_at:
-                rej = alive & (s != 0.0)
-                if rej.any():
-                    res.rejected[rej] = True
-                    res.stop_time[rej] = k_step
-                    alive = alive & ~rej
-            if record:
-                recs["s"].append(s.copy())
-                recs["level"].append(np.zeros(n_reps, dtype=np.int64))
-                recs["sent"].append(sent.copy())
-                recs["obs"].append(x.copy())
-                recs["stopped"].append(res.stopped.copy())
-            if not alive.any():
-                break
-        k += B
-    if require_zero_at is not None:
-        res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
-    if record:
-        res.records = _stack_records(recs)
     return res

@@ -48,6 +48,8 @@ __all__ = [
 # Default grids bracket the operating points used by the canned experiments.
 DEFAULT_A1_GRID = tuple(round(0.2 * i, 1) for i in range(1, 11))       # 0.2 .. 2.0
 DEFAULT_EPS1_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))     # 0.1 .. 0.9
+# Full-budget ARLFA runs are capped at max(CAP_MULT * zeta, 100) steps.
+CAP_MULT = 100
 
 
 class CalibrationError(RuntimeError):
@@ -101,7 +103,6 @@ def calibrate_threshold(
     *,
     n_reps: int = 2000,
     tolerance: float = 0.05,
-    cap_mult: float = 100.0,
     max_probes: int = 40,
     initial: Optional[float] = None,
     n_jobs: int = 1,
@@ -113,8 +114,8 @@ def calibrate_threshold(
     detectors, so the search takes log-space secant steps with a fitted slope:
     cheap screen probes (a tenth of the budget, run-length cap 8 * zeta so a
     badly placed probe stays cheap) locate the threshold, then full-budget
-    probes confirm.  The first probe sits at the asymptotic ln(zeta) rule
-    unless ``initial`` is given.
+    probes (run-length cap ``CAP_MULT * zeta``) confirm.  The first probe
+    sits at the asymptotic ln(zeta) rule unless ``initial`` is given.
     """
     if zeta < 1.0:
         raise ValueError(f"zeta must be >= 1, got {zeta}")
@@ -127,7 +128,7 @@ def calibrate_threshold(
                                   n_reps=est.n_reps))
         return est
 
-    full_cap = max(int(cap_mult * zeta), 100)
+    full_cap = max(int(CAP_MULT * zeta), 100)
     if zeta <= 1.0:
         # Any nonnegative threshold satisfies E[T] >= 1; zero is the smallest.
         est = probe(0.0, max(100, n_reps // 10), 0, full_cap)
@@ -226,7 +227,6 @@ def search_two_level(
     rate_horizon: int = 10_000,
     cycle_reps: int = 4000,
     require_membership: bool = False,
-    rate_mode: str = "no_stop",
     n_jobs: int = 1,
 ) -> CalibrationResult:
     """Brute-force search over (a1, eps1) minimizing delay under the constraints.
@@ -235,9 +235,8 @@ def search_two_level(
     rate, then calibrated to the ARLFA target and measured.  Admissibility
     means the calibrated ARLFA reaches zeta within tolerance and the rate does
     not exceed the budget by more than three standard errors.  The rate is
-    measured in ``no_stop`` mode by default; ``rate_mode="conditional"``
-    applies the literal survive-to-the-horizon conditioning instead, which
-    sits slightly below the open-band surrogate near the budget boundary.
+    measured in ``no_stop`` mode.  The winner's final report is measured on
+    a fresh seed, with its ARLFA runs capped at ``CAP_MULT * zeta`` steps.
     Slow-regime membership is judged on the renewal cycle of the fused
     statistic of all sensors, with each sensor's strategy at ``eps1``.
     When no candidate is admissible the best-effort candidate is still
@@ -296,8 +295,7 @@ def search_two_level(
             warm_a = cal.a
             config = config_of(cal.a)
             rate = estimate_comm_rate(config, pairs_list, rate_horizon, rate_reps,
-                                      derive_seed(seed, 23), mode=rate_mode,
-                                      n_jobs=n_jobs)
+                                      derive_seed(seed, 23), n_jobs=n_jobs)
             delay = estimate_delay(config, pairs_list, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
             cycle = estimate_cycle(pairs_list, a1, math.inf, eps1, cycle_reps,
@@ -327,7 +325,7 @@ def search_two_level(
     best_rec, best_cfg = min(pool, key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
     report = measure_performance(
         best_cfg, pairs_list, n_reps=n_reps,
-        cap=max(int(100 * target.zeta), 100), horizon=rate_horizon,
+        cap=max(int(CAP_MULT * target.zeta), 100), horizon=rate_horizon,
         seed=derive_seed(seed, 99), nu=target.nu,
         rate_reps=rate_reps, n_jobs=n_jobs)
     return CalibrationResult(

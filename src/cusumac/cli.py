@@ -178,8 +178,7 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
                     meta["seed"] = int(value)
                 elif key == "threads":
                     meta["threads"] = int(value)
-                elif key == "reps":
-                    meta["reps"] = int(value)
+                    _require(meta["threads"] >= 1, "[meta] threads must be at least 1")
                 else:
                     raise ConfigError(f"unknown key {key!r} in [meta]")
         elif section == "provenance":
@@ -624,6 +623,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
         if args.reproduce:
             if args.seed is None:
                 raise ConfigError("--seed is required (runs must be reproducible)")

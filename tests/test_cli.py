@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from cusumac import montecarlo
 from cusumac.cli import (
     RESULT_COLUMNS,
     TRACE_COLUMNS,
@@ -79,6 +80,33 @@ class TestParsing:
                               "a = 4.5\nhorizon = 50\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+        body = "detector = cusum\na = 3.0\nn_reps = 200"
+        cfg = write(tmp_path, BASE.format(name="a", kind="arlfa", body=body))
+        in_meta = write(tmp_path, BASE.replace("seed = 4242", f"seed = 4242\nthreads = {threads}")
+                        .format(name="a", kind="arlfa", body=body), name="meta.ini")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            parse_config(in_meta)
+        assert main(["--config", str(in_meta), "--out", str(out)]) == 2
+        assert main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 2
+        assert main(["--reproduce", "fig5", "--seed", "1", "--out", str(out),
+                     "--threads", str(threads)]) == 2
+        assert not out.exists()
+
+    def test_meta_reps_is_unknown(self, tmp_path):
+        cfg = write(tmp_path, "[meta]\nseed = 3\nreps = 100\n")
+        with pytest.raises(ConfigError, match="unknown key 'reps' in \\[meta\\]"):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_empty_experiment_list_exits_zero(self, tmp_path):
         cfg = write(tmp_path, "[meta]\nseed = 3\n")

@@ -141,6 +141,24 @@ class TestIidReplay:
             np.testing.assert_array_equal(fast.stopped, slow.stopped)
             np.testing.assert_array_equal(fast.tx, slow.tx)
 
+    # sha256 over the BatchResult arrays of conditioned runs, generated by the
+    # per-step i.i.d. loop that preceded the kernel's no-level case.
+    _GOLDEN_CONDITIONED = {
+        "cusum": (CusumSpec(4.0), 1, dict(n_reps=300, seed=52, nu=20, limit=5000,
+                                          require_zero_at=19),
+                  "2e642dd1245e5d28f8a462e15782a41c0a0a77a126d0aabd9b97312286daed3a"),
+        "random_tx": (RandomTxSpec(5.0, 0.5), 3,
+                      dict(n_reps=200, seed=53, nu=1101, limit=6000, require_zero_at=1100),
+                      "8ac4297a57d740794039fcd9c129cc6d895eb54fd94201aa10eac6a89cab4ec1"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_CONDITIONED))
+    def test_conditioned_golden_digests(self, pair, name):
+        det, m, kwargs, digest = self._GOLDEN_CONDITIONED[name]
+        batch = eng.run_batch(det, [pair] * m, **kwargs)
+        assert batch.rejected.any() and (~batch.rejected).any()
+        assert _digest(batch) == digest
+
     def test_block_path_multisensor_full_rate_identity(self, pairs3):
         # eps = 1 random transmission is pathwise the plain fused CuSum.
         c = eng.run_batch(CusumSpec(5.0), pairs3, n_reps=50, seed=47, limit=4000)

@@ -79,6 +79,15 @@ class TestDelay:
         d20 = estimate_delay(cfg, pair, 2000, seed=10, nu=20, worst_history=True)
         assert abs(d1.mean - d20.mean) <= three_se(d1, d20)
 
+    @pytest.mark.parametrize("det", [CusumSpec(4.5), RandomTxSpec(4.5, 0.5)],
+                             ids=["cusum", "random_tx"])
+    def test_iid_worst_history_is_the_first_step_start(self, pair, det):
+        # A statistic at zero when the change arrives is the nu = 1 start, so
+        # the two delay laws are equal for the i.i.d. detectors.
+        d1 = estimate_delay(det, pair, 2000, seed=13, nu=1)
+        d20 = estimate_delay(det, pair, 2000, seed=14, nu=20, worst_history=True)
+        assert abs(d1.mean - d20.mean) <= three_se(d1, d20)
+
     def test_unconditional_late_change_is_not_worst_case(self, pair, strategy_cache):
         # Favorable pre-change histories shorten the delay, so the
         # unconditional nu > 1 mean sits below the worst-history one.
