@@ -122,7 +122,12 @@ def calibrate_threshold(
     probes: list[ProbeRecord] = []
 
     def probe(a: float, n: int, idx: int, cap: int) -> McEstimate:
-        est = estimate_arlfa(make_detector(a), pairs, n, cap=cap,
+        try:
+            detector = make_detector(a)
+        except ValueError as err:
+            # e.g. a probe at or below a two-level detector's switching threshold
+            raise CalibrationError(f"no detector at threshold {a:g}: {err}", probes) from err
+        est = estimate_arlfa(detector, pairs, n, cap=cap,
                              seed=derive_seed(seed, idx), n_jobs=n_jobs)
         probes.append(ProbeRecord(a=a, arlfa_mean=est.mean, arlfa_se=est.std_error,
                                   n_reps=est.n_reps))

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize as sp_optimize
 
 __all__ = ["CensoringStrategy", "optimize", "full_rate_strategy"]
 
@@ -163,6 +162,8 @@ def _quantile0(pair):
     if q is not None:
         return q
 
+    from scipy.optimize import brentq
+
     def by_root(p):
         # Expand a bracket around zero until cdf0 straddles p, then refine.
         lo, hi = -1.0, 1.0
@@ -170,13 +171,17 @@ def _quantile0(pair):
             lo *= 2.0
         while pair.cdf0(hi) < p:
             hi *= 2.0
-        return sp_optimize.brentq(lambda x: pair.cdf0(x) - p, lo, hi, xtol=1e-10)
+        return brentq(lambda x: pair.cdf0(x) - p, lo, hi, xtol=1e-10)
 
     return by_root
 
 
 def _send_region_kl(pair, lo: float, hi: float) -> float:
     """Integral of f1*llr over the send region (-inf, lo) u (hi, inf)."""
+    closed_form = getattr(pair, "send_region_kl", None)
+    if closed_form is not None:
+        return closed_form(lo, hi)
+    from scipy import integrate
 
     def g(x):
         return pair.f1(x) * pair.llr(x)
@@ -220,7 +225,10 @@ def optimize(pair, epsilon: float) -> CensoringStrategy:
     The no-send interval's lower endpoint is searched on a 256-point grid
     (refined by golden section); for each candidate the upper endpoint is
     pinned by the rate constraint cdf0(hi) - cdf0(lo) = 1 - epsilon.  Ties
-    within 1e-10 nats resolve to the smallest lower endpoint.  Requires a
+    within 1e-10 nats resolve to the smallest lower endpoint.  The objective
+    is evaluated in closed form when the pair offers ``send_region_kl`` and
+    ``quantile0`` (``GaussianPair`` does, with no scipy import); other pairs
+    use quadrature and, without ``quantile0``, root finding.  Requires a
     monotone-LLR pair; epsilon = 1 short-circuits to the full-rate strategy
     and rates below 1e-3 are rejected as degenerate.
 

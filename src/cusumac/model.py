@@ -10,6 +10,13 @@ Only the Gaussian mean-shift pair ships built in.  Any object exposing the
 same surface (``f0``, ``f1``, ``cdf0``, ``cdf1``, ``sample0``, ``sample1``,
 ``llr``, ``monotone_llr``) can be passed wherever a pair is expected;
 ``CustomPair`` is a convenience wrapper for that case.
+
+A pair may also offer closed forms: ``closed_form_kl`` (both divergences)
+and ``send_region_kl`` (the post-change LLR mass outside a no-send
+interval, the censoring optimizer's objective).  ``GaussianPair`` has both,
+and computes its CDF and quantile with the standard library, so the
+Gaussian path never imports scipy.  Pairs without closed forms fall back to
+``scipy.integrate.quad``, imported only when it is needed.
 """
 
 from __future__ import annotations
@@ -17,11 +24,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
 
 __all__ = [
     "GaussianPair",
@@ -32,6 +38,31 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
+
+
+def _elementwise(fn, x):
+    """``fn`` of a scalar as a float, of an array elementwise as a float array."""
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    return np.vectorize(fn, otypes=[float])(x)
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF, erfc(-z / sqrt 2) / 2; Q(z) is ``_normal_cdf(-z)``."""
+    return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _normal_quantile(q: float) -> float:
+    # NormalDist.inv_cdf rejects the endpoints; keep norm.ppf's conventions.
+    if 0.0 < q < 1.0:
+        return _STD_NORMAL.inv_cdf(q)
+    if q == 0.0:
+        return -math.inf
+    if q == 1.0:
+        return math.inf
+    return math.nan
 
 
 @dataclass(frozen=True)
@@ -79,13 +110,13 @@ class GaussianPair:
         return np.exp(self.logf1(x))
 
     def cdf0(self, x):
-        return norm.cdf(x, loc=self.mu0, scale=self.sigma)
+        return _elementwise(lambda v: _normal_cdf((v - self.mu0) / self.sigma), x)
 
     def cdf1(self, x):
-        return norm.cdf(x, loc=self.mu1, scale=self.sigma)
+        return _elementwise(lambda v: _normal_cdf((v - self.mu1) / self.sigma), x)
 
     def quantile0(self, q):
-        return norm.ppf(q, loc=self.mu0, scale=self.sigma)
+        return _elementwise(lambda p: self.mu0 + self.sigma * _normal_quantile(p), q)
 
     def sample0(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu0, self.sigma, size)
@@ -96,6 +127,23 @@ class GaussianPair:
     def closed_form_kl(self) -> tuple[float, float]:
         d = (self.mu1 - self.mu0) ** 2 / (2.0 * self.sigma**2)
         return d, d
+
+    def send_region_kl(self, lo: float, hi: float) -> float:
+        """Integral of f1 * llr over the send region (-inf, lo) u (hi, inf).
+
+        With z = (x - mu1) / sigma, the truncated first moments of N(mu1,
+        sigma^2) are mu1 * Phi(z_lo) - sigma * phi(z_lo) below ``lo`` and
+        mu1 * Q(z_hi) + sigma * phi(z_hi) above ``hi``; the LLR is affine.
+        """
+        z_lo = (lo - self.mu1) / self.sigma
+        z_hi = (hi - self.mu1) / self.sigma
+        below = _normal_cdf(z_lo)
+        above = _normal_cdf(-z_hi)
+        dens_lo = math.exp(-0.5 * z_lo * z_lo - _LOG_SQRT_2PI)
+        dens_hi = math.exp(-0.5 * z_hi * z_hi - _LOG_SQRT_2PI)
+        slope, c = self.llr_slope, self.llr_intercept
+        return (slope * (self.mu1 * below - self.sigma * dens_lo) + c * below
+                + slope * (self.mu1 * above + self.sigma * dens_hi) + c * above)
 
 
 @dataclass(frozen=True)
@@ -145,6 +193,8 @@ def gaussian_mean_shift(mu0: float, mu1: float, sigma: float) -> GaussianPair:
 def _kl_by_quadrature(pair) -> tuple[float, float]:
     # E1[llr] and E_inf[-llr], each as an adaptive quadrature over the real
     # line; a non-convergent integral means the divergence is not finite.
+    from scipy import integrate
+
     def post(x):
         return pair.f1(x) * pair.llr(x)
 

@@ -46,6 +46,14 @@ class TestCalibrateThreshold:
                                 n_reps=200, tolerance=1e-6, max_probes=4)
         assert len(err.value.probes) == 4
 
+    def test_unbuildable_detector_is_a_calibration_error(self, pair):
+        # A probe at or below a1 cannot build the two-level detector.
+        with pytest.raises(CalibrationError, match="must lie below") as err:
+            calibrate_threshold(lambda a: two_level(pair, a, 2.0, 0.5), pair, 50.0,
+                                seed=5, n_reps=100, tolerance=0.2)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert all(p.a > 2.0 for p in err.value.probes)
+
     def test_zeta_below_one_rejected(self, pair):
         with pytest.raises(ValueError):
             calibrate_threshold(lambda a: CusumSpec(a), pair, 0.5, seed=5)
@@ -128,6 +136,15 @@ class TestSearchTwoLevel:
         r2 = search_two_level(pair, target, **kw)
         assert r1.search_trace == r2.search_trace
         assert r1.config == r2.config
+
+    def test_unbuildable_probe_fails_only_its_candidate(self, pairs3):
+        # The secant probes below a1 = 1.6 here; the search used to abort.
+        result = search_two_level(pairs3, CalibrationTarget(zeta=50, epsilon=0.7),
+                                  a1_grid=(1.6,), eps1_grid=(0.63,), n_reps=100, seed=1)
+        assert not result.feasible and result.config is None
+        (rec,) = result.search_trace
+        assert rec.note.startswith("calibration failed: ")
+        assert "must lie below the alarm threshold" in rec.note
 
     def test_grid_validation(self, pair):
         target = CalibrationTarget(zeta=300.0, epsilon=0.8)

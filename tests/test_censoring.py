@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from cusumac import censoring
 from cusumac.censoring import CensoringStrategy, optimize
-from cusumac.model import gaussian_mean_shift
+from cusumac.model import CustomPair, gaussian_mean_shift
 
 # Frozen output of the exhaustive-grid oracle below at eps = 0.5 (2000 grid
 # points over the feasible lower endpoints; closed-form truncated-Gaussian
@@ -80,6 +80,21 @@ class TestOptimizer:
 
         with pytest.raises(NotImplementedError):
             optimize(Wrapped(), 0.5)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.27, 0.4, 0.63, 0.9])
+    def test_closed_form_matches_quadrature_route(self, pair, strategy_cache, eps):
+        # The same pair without closed forms or a quantile takes the
+        # quad-and-brentq route through the identical search.
+        custom = CustomPair(
+            f0=pair.f0, f1=pair.f1,
+            cdf0=lambda x: norm.cdf(x), cdf1=lambda x: norm.cdf(x, loc=0.5),
+            sample0=pair.sample0, sample1=pair.sample1, llr=pair.llr,
+            monotone_llr=True,
+        )
+        closed, quad = strategy_cache(eps), optimize(custom, eps)
+        assert closed.nosend_x_lo == pytest.approx(quad.nosend_x_lo, abs=1e-6)
+        assert closed.nosend_x_hi == pytest.approx(quad.nosend_x_hi, abs=1e-6)
+        assert closed.post_kl == pytest.approx(quad.post_kl, abs=1e-10)
 
     def test_memoized_per_pair_and_rate(self, optimizer_runs):
         pair = gaussian_mean_shift(0.0, 0.55, 1.0)  # a key no other test uses

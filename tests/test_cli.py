@@ -1,7 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import cusumac
 from cusumac import montecarlo
 from cusumac.cli import (
     RESULT_COLUMNS,
@@ -316,3 +322,40 @@ class TestCanned:
 
     def test_reproduce_requires_seed(self, tmp_path):
         assert main(["--reproduce", "fig5", "--out", str(tmp_path)]) == 2
+
+
+# Runs in a fresh interpreter where any import of scipy fails.
+NO_SCIPY_RUN = textwrap.dedent("""
+    import sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is blocked")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+    import cusumac.cli as cli
+
+    rc = cli.main(["--config", sys.argv[1], "--out", sys.argv[2]])
+    leaked = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(rc, leaked)
+    sys.exit(rc if not leaked else 3)
+""")
+
+
+def test_gaussian_cusum_ac_run_needs_no_scipy(tmp_path):
+    cfg = write(tmp_path, BASE.format(
+        name="small", kind="delay_vs_arlfa",
+        body="m = 3\nzeta_grid = 50\na1 = 0.79\neps1 = 0.27\nepsilon = 0.4\n"
+             "n_reps = 100\ntolerance = 0.2"))
+    out = tmp_path / "out"
+    src = str(Path(cusumac.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(cfg), str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
+    rows = read_csv(out / "small.csv")
+    assert {r["detector"] for r in rows} == {"cusum", "cusum_ac"}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import integrate
 from scipy.stats import kstest, norm
 
 from cusumac.model import CustomPair, gaussian_mean_shift, kl_divergence
@@ -43,6 +44,54 @@ class TestGaussianPair:
     def test_quantile_inverts_cdf(self, pair):
         q = np.array([0.01, 0.3, 0.5, 0.9, 0.999])
         np.testing.assert_allclose(pair.cdf0(pair.quantile0(q)), q, atol=1e-12)
+
+
+class TestGaussianClosedForms:
+    # The Gaussian path computes its CDF, quantile and send-region divergence
+    # without scipy; these pin it against scipy's routines.
+    PAIRS = [(0.0, 0.5, 1.0), (1.0, -0.3, 2.5)]  # the second LLR decreases
+
+    @pytest.mark.parametrize("mu0, mu1, sigma", PAIRS)
+    def test_send_region_kl_matches_quadrature(self, mu0, mu1, sigma):
+        p = gaussian_mean_shift(mu0, mu1, sigma)
+
+        def g(x):
+            return p.f1(x) * p.llr(x)
+
+        for lo in np.linspace(mu1 - 5 * sigma, mu1 + 3 * sigma, 9):
+            for width in (0.0, 0.2 * sigma, sigma, 4 * sigma):
+                hi = lo + width
+                left, _ = integrate.quad(g, -np.inf, lo, epsabs=1e-13, epsrel=1e-13,
+                                         limit=200)
+                right, _ = integrate.quad(g, hi, np.inf, epsabs=1e-13, epsrel=1e-13,
+                                          limit=200)
+                assert abs(p.send_region_kl(lo, hi) - (left + right)) <= 1e-10
+
+    @pytest.mark.parametrize("mu0, mu1, sigma", PAIRS)
+    def test_cdfs_match_scipy(self, mu0, mu1, sigma):
+        p = gaussian_mean_shift(mu0, mu1, sigma)
+        x = np.array([-40.0, -3.0, -0.2, 0.0, 0.7, 3.0, 40.0])
+        np.testing.assert_allclose(p.cdf0(x), norm.cdf(x, mu0, sigma), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p.cdf1(x), norm.cdf(x, mu1, sigma), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(p.cdf0(x.reshape(7, 1)), norm.cdf(x, mu0, sigma)[:, None],
+                                   rtol=1e-12, atol=0)
+        for v in x:
+            assert isinstance(p.cdf0(v), float)
+            assert p.cdf0(v) == pytest.approx(norm.cdf(v, mu0, sigma), rel=1e-12, abs=0)
+            assert p.cdf1(v) == pytest.approx(norm.cdf(v, mu1, sigma), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("mu0, mu1, sigma", PAIRS)
+    def test_quantile_matches_scipy(self, mu0, mu1, sigma):
+        p = gaussian_mean_shift(mu0, mu1, sigma)
+        q = np.array([0.0, 1e-12, 0.01, 0.5, 0.93, 1.0 - 1e-12, 1.0])
+        np.testing.assert_allclose(p.quantile0(q), norm.ppf(q, mu0, sigma),
+                                   rtol=1e-12, atol=1e-12)
+        for v in q:
+            assert isinstance(p.quantile0(v), float)
+            assert p.quantile0(v) == pytest.approx(norm.ppf(v, mu0, sigma),
+                                                   rel=1e-12, abs=1e-12)
+        assert p.quantile0(0.0) == -np.inf and p.quantile0(1.0) == np.inf
+        assert np.isnan(p.quantile0(-0.1)) and np.isnan(p.quantile0(1.1))
 
 
 class TestSamplers:
