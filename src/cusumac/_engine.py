@@ -114,9 +114,105 @@ def _pre_steps(k0: int, B: int, nu: Optional[int]) -> int:
     return min(max(nu - 1 - k0, 0), B)
 
 
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+
+
+class _SeedWords:
+    """A SeedSequence whose ``generate_state(4, uint64)`` output is precomputed.
+
+    :func:`_rep_rngs` registers it as a numpy ``ISeedSequence`` on first
+    use, so importing this module does not import ``numpy.random``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == 4 and np.dtype(dtype) == np.uint64, "only PCG64 seeding"
+        return self.words
+
+
+def _u32_words(v: int) -> list:
+    """The little-endian 32-bit words numpy's SeedSequence makes of an integer."""
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
+        words.append(v & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, hash_const: int, mult: int = _MULT_A) -> tuple:
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * mult) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_words(seed: int, ids: np.ndarray, substream: int) -> np.ndarray:
+    """``SeedSequence([seed, id, substream]).generate_state(4, uint64)`` for every id.
+
+    The pool mixing and state generation of numpy's SeedSequence, run on
+    uint32 columns: row r of the (n, 4) result seeds the generator of
+    replication ``ids[r]``.  Ids must fit one 32-bit word, as numpy
+    coerces them.
+    """
+    n = ids.size
+    entropy = ([np.full(n, w, np.uint32) for w in _u32_words(seed)]
+               + [ids.astype(np.uint32)]
+               + [np.full(n, w, np.uint32) for w in _u32_words(substream)])
+    hc = _INIT_A
+    pool = []
+    for i in range(_POOL_SIZE):
+        word, hc = _hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32), hc)
+        pool.append(word)
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                h, hc = _hashmix(pool[i_src], hc)
+                pool[i_dst] = _mix(pool[i_dst], h)
+    for extra in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            h, hc = _hashmix(extra, hc)
+            pool[i_dst] = _mix(pool[i_dst], h)
+
+    hc = _INIT_B
+    state = []
+    for i in range(8):  # 4 uint64 words, low half first
+        word, hc = _hashmix(pool[i % _POOL_SIZE], hc, _MULT_B)
+        state.append(word.astype(np.uint64))
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
+                    axis=1)
+
+
 def _rep_rngs(seed: int, rep_offset: int, n_reps: int, substream: int) -> list:
-    """One generator per replication, indexed by its position in the batch."""
-    return [np.random.default_rng([seed, rep_offset + i, substream]) for i in range(n_reps)]
+    """One generator per replication, indexed by its position in the batch.
+
+    Replication i gets ``default_rng([seed, rep_offset + i, substream])``,
+    bit for bit.  The SeedSequence hashing of all n_reps generators runs at
+    once in :func:`_seed_words`, so each generator costs only its PCG64
+    construction.
+    """
+    seed, rep_offset = int(seed), int(rep_offset)
+    if seed < 0 or rep_offset < 0:
+        raise ValueError("seeds and replication offsets must be non-negative")
+    if rep_offset + n_reps > 2**32:
+        raise ValueError("replication ids must stay below 2**32")
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
+    words = _seed_words(seed, np.arange(rep_offset, rep_offset + n_reps, dtype=np.uint64),
+                        substream)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
 def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int],

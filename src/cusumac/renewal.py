@@ -14,10 +14,14 @@ Every leg, and the plain CuSum run t_a1, is one call of a single walker: the
 reflected fused statistic stepped from a start value until it leaves
 [lower, upper).  Within a leg the censoring level never changes, so the
 increments are i.i.d. and a block of steps reduces to a cumulative sum
-against a running minimum.  The walker draws ``_WALK_BLOCK`` observations
-per replication at a time, not the engine's fixed ``OBS_BLOCK``: legs last a
-few to a few dozen steps, and the engine's block is fixed by the draw
-schedule that the paired delay comparisons rely on.
+against a running minimum.  The walker does not use the engine's fixed
+``OBS_BLOCK``, which the paired delay comparisons rely on: legs last a few to
+a few dozen steps, so it draws a first block of ``_WALK_FIRST`` steps per
+replication and doubles each later block up to ``_WALK_BLOCK``.  The
+schedule depends only on the step count, so results do not depend on
+batching.  With M > 1 sensors it is part of the walker's stream, since a
+block is drawn sensor by sensor; with M = 1 the draws are one sequence
+whatever the block sizes.
 
 ``estimate_cycle_direct`` measures whole cycles through the scalar detector
 step function instead, giving an independent route for the composition
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._engine import _rep_rngs
 from .censoring import optimize
 from .detectors import cusum_ac_multi_step, initial_state, two_level
 from .montecarlo import McEstimate, derive_seed, _reduce
@@ -47,7 +52,8 @@ __all__ = [
 ]
 
 _WALK_CAP = 10_000_000  # hard step cap for open-band walks; hits are flagged, never silent
-_WALK_BLOCK = 256
+_WALK_FIRST = 16   # steps in a walk's first block; blocks then double
+_WALK_BLOCK = 256  # largest block
 
 
 @dataclass(frozen=True)
@@ -113,18 +119,21 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
           seed: int, cap: int):
     """Step the reflected fused statistic from ``starts`` until it leaves [lower, upper).
 
-    Replication i draws from stream [seed, i, 0], ``_WALK_BLOCK`` steps at a
-    time, sensor by sensor within a block.  A sensor's increment is its raw
-    LLR, or with ``strategies`` its censored LLR: the constant inside the
-    no-send interval.  Sensors are added in order onto 0.0, as the scalar
-    step does.  With c_0 the start and W the unreflected walk from 0, the
-    reflected statistic is c_k = W_k - min(-c_0, min_{j<=k} W_j).
+    Replication i draws from stream [seed, i, 0] in blocks of 16, 16, 32,
+    64, ... steps, doubling up to ``_WALK_BLOCK``, sensor by sensor within a
+    block.  The schedule depends only on the step count; it is part of the
+    stream at M > 1, and at M = 1 gives the same draws as any other
+    schedule.  A sensor's increment is its raw LLR, or with ``strategies``
+    its censored LLR: the constant inside the no-send interval.  Sensors are
+    added in order onto 0.0, as the scalar step does.  With c_0 the start
+    and W the unreflected walk from 0, the reflected statistic is
+    c_k = W_k - min(-c_0, min_{j<=k} W_j).
 
     Returns (durations, exit values, n_capped); a capped walk has duration
     ``cap`` and exit value NaN.
     """
     n = starts.size
-    rngs = [np.random.default_rng([seed, i, 0]) for i in range(n)]
+    rngs = _rep_rngs(seed, 0, n, 0)
     act = np.arange(n)
     w = np.zeros(n)
     w_min = -starts
@@ -132,7 +141,7 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
     exit_s = np.full(n, np.nan)
     k = 0
     while act.size and k < cap:
-        B = min(_WALK_BLOCK, cap - k)
+        B = min(_WALK_BLOCK, max(_WALK_FIRST, k), cap - k)
         x = np.empty((act.size, len(pairs), B))
         for row, rid in enumerate(act):
             for m, p in enumerate(pairs):
@@ -216,8 +225,7 @@ def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int
     config = two_level(pairs, a=a, a1=a1, eps1=eps1, strategies=strategies)
     lengths = np.zeros(n_cycles, dtype=np.int64)
     returned = np.zeros(n_cycles, dtype=bool)
-    for i in range(n_cycles):
-        rng = np.random.default_rng([seed, i, 0])
+    for i, rng in enumerate(_rep_rngs(seed, 0, n_cycles, 0)):
         state = initial_state(config, s0=a1)
         while True:
             prev_s = state.s

@@ -210,6 +210,29 @@ class TestEngineDeterminism:
         assert (batch.stop_time[batch.rejected] <= 19).all()
 
 
+class TestRepRngs:
+    @pytest.mark.parametrize("n_reps", [0, 1, 5])
+    @pytest.mark.parametrize("substream", [0, 1])
+    @pytest.mark.parametrize("rep_offset", [0, 123_456_789])
+    # 2**96 + 7 has three 32-bit words, so its entropy overflows the hash pool.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
+                                      2**96 + 7])
+    def test_bulk_seeding_matches_default_rng(self, seed, rep_offset, substream, n_reps):
+        rngs = eng._rep_rngs(seed, rep_offset, n_reps, substream)
+        assert len(rngs) == n_reps
+        for i, rng in enumerate(rngs):
+            ref = np.random.default_rng([seed, rep_offset + i, substream])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(64), ref.standard_normal(64))
+
+    def test_ids_beyond_32_bits_rejected(self):
+        assert len(eng._rep_rngs(3, 2**32 - 2, 2, 0)) == 2
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            eng._rep_rngs(3, 2**32 - 2, 3, 0)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            eng._rep_rngs(3, 2**32, 1, 0)
+
+
 # Optimal strategies of N(0,1) -> N(0.5,1) as literals, so the golden digests
 # below do not depend on the optimizer's last bits: rate -> (x_lo, x_hi, llr_c).
 _STRATEGIES = {

@@ -188,6 +188,14 @@ class TestDiagnosticsAndDeterminism:
         two = estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=2)
         assert one == two
 
+    def test_worker_count_invariance_on_kernel(self, pair, strategy_cache):
+        # The second worker's chunk starts at rep_offset > 0 on the kernel.
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
+                        strategies=[strategy_cache(0.63)])
+        one = pre_change_run(cfg, pair, 201, cap=100_000, seed=26, n_jobs=1)
+        two = pre_change_run(cfg, pair, 201, cap=100_000, seed=26, n_jobs=2)
+        assert one == two
+
     def test_frac_above_stabilizes_in_a(self, pair, strategy_cache):
         cfg_stop = two_level(pair, a=0.78 + 5.0, a1=0.78, eps1=0.63,
                              strategies=[strategy_cache(0.63)])

@@ -6,6 +6,9 @@ import pytest
 from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
 from cusumac.detectors import CusumSpec, two_level
 from cusumac.renewal import (
+    _WALK_BLOCK,
+    _WALK_FIRST,
+    _walk,
     CycleStats,
     check_eprime_membership,
     estimate_cycle,
@@ -137,6 +140,42 @@ class TestCycleEstimation:
         rec = stats.to_record()
         assert rec["a1"] == 0.78
         assert "phi_given_return_mean" in rec and "p_return_se" in rec
+
+
+class _RecordingPair:
+    """Delegates to a pair and records the size of every sample0 request."""
+
+    def __init__(self, pair):
+        self.pair = pair
+        self.sizes = []
+
+    def sample0(self, rng, size=None):
+        self.sizes.append(size)
+        return self.pair.sample0(rng, size)
+
+    def __getattr__(self, name):
+        return getattr(self.pair, name)
+
+
+class TestWalkDraws:
+    def test_short_leg_draws_one_first_block(self, pair):
+        sensors = [_RecordingPair(pair), _RecordingPair(pair)]
+        # A vanishing band: every walk leaves it at its first step.
+        dur, _, capped = _walk(sensors, None, np.full(50, 0.78), 0.78, 0.78 + 1e-9,
+                               seed=1, cap=10_000)
+        assert capped == 0 and (dur == 1).all()
+        for rec in sensors:
+            assert rec.sizes == [_WALK_FIRST] * 50
+
+    def test_long_leg_blocks_double_up_to_the_largest(self, pair):
+        rec = _RecordingPair(pair)
+        schedule = [16, 16, 32, 64, 128, 256, 256, 100]
+        cap = sum(schedule)
+        dur, exit_s, capped = _walk([rec], None, np.zeros(3), -math.inf, math.inf,
+                                    seed=2, cap=cap)
+        assert capped == 3 and (dur == cap).all() and np.isnan(exit_s).all()
+        assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
+        assert rec.sizes == [b for b in schedule for _ in range(3)]
 
 
 class TestEprimeMembership:
