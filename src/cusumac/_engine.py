@@ -11,24 +11,25 @@ block.  The fixed block schedule means two detectors simulated under the
 same seed see identical observation sequences, which the paired delay
 comparisons rely on.
 
-There are two simulation bodies.  Unrecorded, unconditioned plain-CuSum and
-random-transmission runs use a closed-form block update (cumulative sums
-against a running minimum), since their increments are i.i.d.  Every other
-batch (any CuSum-AC run, and any run that records trajectories or sets
-``require_zero_at``) goes through one chunked kernel.  Plain CuSum and
-random transmission are its case without censoring levels: their strict
+Every batch of all three detectors runs on one chunked kernel.  Plain CuSum
+and random transmission are its case without censoring levels: their strict
 alarm ``S > a`` is the kernel's inclusive test against ``nextafter(a, inf)``,
 and random transmission masks the full-rate increment with its Bernoulli
 send flags.  The censoring level depends only on the statistic, so for each
 chunk of ``CHUNK`` steps the fused increment and send count of every level
-are computed in bulk first.  The step loop then carries only the statistic
-and its level count: select the current level's increment, reflect at zero,
-clamp an upward crossing to the highest threshold crossed.  Alarms,
-conditioning, counters and trajectories are derived from the recorded
-statistic after each chunk, and a batch whose replications have all ended
-stops at that chunk instead of finishing its observation block.  Both
-bodies implement the exact step semantics of :mod:`cusumac.detectors`,
-which the test suite checks by trajectory replay.
+are computed in bulk first.  Only the sequential step that follows has two
+forms.  A batch without censoring levels and without ``record`` has i.i.d.
+increments, so the reflected statistic is the closed form
+``c_k = w_k - min(-c_0, min_{j<=k} w_j)`` of their random walk w, a
+cumulative sum against a running minimum carried across chunks.  Every other
+batch (CuSum-AC, or any recorded run) takes the per-step recursion, which
+carries only the statistic and its level count: select the current level's
+increment, reflect at zero, clamp an upward crossing to the highest
+threshold crossed; recorded trajectories therefore replay bit for bit
+through the scalar step functions of :mod:`cusumac.detectors`.  Alarms,
+``require_zero_at`` conditioning, counters and trajectories are derived
+from the chunk's statistic, and a batch whose replications have all ended
+stops at that chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
@@ -93,19 +94,6 @@ def _llr_fns(pairs) -> list:
         return lambda x: np.asarray(p.llr(x))
 
     return [llr_of(p) for p in pairs]
-
-
-def _llr_matrix_fn(pairs):
-    """Vectorized per-sensor LLR evaluator for an (n, M) observation matrix."""
-    if all(isinstance(p, GaussianPair) for p in pairs):
-        slopes = np.array([p.llr_slope for p in pairs])
-        icpts = np.array([p.llr_intercept for p in pairs])
-        return lambda x: x * slopes + icpts
-
-    def generic(x):
-        return np.stack([np.asarray(p.llr(x[:, m])) for m, p in enumerate(pairs)], axis=1)
-
-    return generic
 
 
 def _pre_steps(k0: int, B: int, nu: Optional[int]) -> int:
@@ -215,26 +203,22 @@ def _rep_rngs(seed: int, rep_offset: int, n_reps: int, substream: int) -> list:
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
-def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int],
-              sensor_major: bool = False) -> np.ndarray:
-    """Observations for steps k0+1 .. k0+B of every listed replication.
+def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int]) -> np.ndarray:
+    """Observations (n, M, B) for steps k0+1 .. k0+B of every listed replication.
 
     Each replication's block is drawn pre-change segment first, then
-    post-change, sensor by sensor within a segment.  The result is (n, B, M),
-    or (n, M, B) with ``sensor_major``; the layout does not change the draws.
+    post-change, sensor by sensor within a segment.
     """
-    M = len(pairs)
-    out = np.empty((len(rep_ids), M, B) if sensor_major else (len(rep_ids), B, M))
+    out = np.empty((len(rep_ids), len(pairs), B))
     n_pre = _pre_steps(k0, B, nu)
     for row, rid in enumerate(rep_ids):
-        block = out[row].T if sensor_major else out[row]  # (B, M) view
         rng = rep_rngs[rid]
         for m, p in enumerate(pairs):
             if n_pre:
-                block[:n_pre, m] = p.sample0(rng, n_pre)
+                out[row, m, :n_pre] = p.sample0(rng, n_pre)
         for m, p in enumerate(pairs):
             if n_pre < B:
-                block[n_pre:, m] = p.sample1(rng, B - n_pre)
+                out[row, m, n_pre:] = p.sample1(rng, B - n_pre)
     return out
 
 
@@ -282,9 +266,8 @@ def run_batch(
     that already alarmed by then), and stops simulating it.  ``record=True``
     keeps full per-step trajectories; intended for small test batches only.
 
-    Plain-CuSum and random-transmission batches without ``record`` or
-    ``require_zero_at`` take the closed-form block update; every other
-    batch runs on the chunked kernel.  Both draw the same observations.
+    Every batch runs on the one chunked kernel; see the module docstring for
+    the two forms of its sequential step.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -296,9 +279,6 @@ def run_batch(
             )
     elif not isinstance(detector, (CusumSpec, RandomTxSpec)):
         raise TypeError(f"unsupported detector {detector!r}")
-    elif not record and require_zero_at is None:
-        return _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
-                               stop_enabled)
     return _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
                        stop_enabled, require_zero_at, record)
 
@@ -374,6 +354,7 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
     tab = _StepTables(detector, pairs)
     L = tab.n_levels
     is_rtx = isinstance(detector, RandomTxSpec)
+    closed = not L and not record  # i.i.d. increments: the closed-form step
 
     res = _new_result(n_reps, limit, M)
     rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
@@ -385,12 +366,14 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
     tx = np.zeros(n_reps, dtype=np.int64)
     switches = np.zeros(n_reps, dtype=np.int64)
     above = np.zeros(n_reps, dtype=np.int64)
+    w = np.zeros(n_reps)      # closed form: the random walk of the increments
+    w_min = np.zeros(n_reps)  # and its running minimum, started at -c_0 = 0
     chunks = [] if record else None
 
     k = 0
     while ids.size and k < limit:
         B = min(OBS_BLOCK, limit - k)
-        obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu, sensor_major=True)
+        obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu)
         if is_rtx:  # (n, M, B) send flags, drawn (B, M) per replication
             gam = (_draw_uniforms(aux_rngs, ids, M, B) < detector.epsilon).transpose(0, 2, 1)
         rows = np.arange(ids.size)  # each running replication's row in obs
@@ -402,18 +385,26 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
             g = gam[rows, :, j0:j0 + C] if is_rtx else None
             fused, n_sent = tab.increments(x, g)
 
-            # The sequential part: select the increment of the level in force,
-            # reflect at zero, clamp an upward crossing to the highest
-            # threshold crossed.  at[j] + cnt indexes step j of each lane.
+            # The sequential part.  at[j] + cnt indexes step j of each lane.
             at = np.arange(n) * (C * (L + 1)) + np.arange(C)[:, None] * (L + 1)
-            S = np.empty((C, n))
             cnt_in = cnt
-            for j in range(C):
-                s = np.add(s, fused.take(at[j] + cnt), out=S[j])
-                np.maximum(s, 0.0, out=s)
-                cnt_t = tab.asc.searchsorted(s, side="right")
-                np.copyto(s, tab.clamp.take(cnt_t), where=cnt_t > cnt)
-                cnt = cnt_t
+            if closed:
+                # With i.i.d. increments the reflected recursion is
+                # c_k = w_k - min(-c_0, min_{j<=k} w_j) for their walk w.
+                walk = np.cumsum(fused[..., 0], axis=1) + w[:, None]
+                walk_min = np.minimum(np.minimum.accumulate(walk, axis=1), w_min[:, None])
+                S = (walk - walk_min).T
+                w, w_min = walk[:, -1], walk_min[:, -1]
+            else:
+                # Select the increment of the level in force, reflect at zero,
+                # clamp an upward crossing to the highest threshold crossed.
+                S = np.empty((C, n))
+                for j in range(C):
+                    s = np.add(s, fused.take(at[j] + cnt), out=S[j])
+                    np.maximum(s, 0.0, out=s)
+                    cnt_t = tab.asc.searchsorted(s, side="right")
+                    np.copyto(s, tab.clamp.take(cnt_t), where=cnt_t > cnt)
+                    cnt = cnt_t
 
             # Everything else follows from the recorded statistic; the level
             # count is a function of it, since a clamp lands on a threshold.
@@ -447,6 +438,7 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
                 _flush(res, ids[done], tx[done], switches[done], above[done], L)
                 keep = ~done
                 ids, rows, s, cnt = ids[keep], rows[keep], s[keep], cnt[keep]
+                w, w_min = w[keep], w_min[keep]
                 tx, switches, above = tx[keep], switches[keep], above[keep]
                 if not ids.size:
                     break
@@ -492,69 +484,3 @@ def _records(res: BatchResult, chunks, M: int) -> dict:
     recs["stopped"] = res.stopped & (np.arange(1, T + 1)[:, None] >= res.stop_time)
     return recs
 
-
-def _run_iid_blocks(detector, pairs, n_reps, seed, rep_offset, nu, limit,
-                    stop_enabled) -> BatchResult:
-    """Block-closed-form path for detectors with state-independent increments.
-
-    With i.i.d. increments w the reflected recursion c_k = max(0, c_{k-1}+w_k)
-    equals S_k - min(-c_0, min_{j<=k} S_j) for the plain random walk S, so a
-    whole block of steps reduces to a cumulative sum and a running minimum.
-    """
-    M = len(pairs)
-    is_rtx = isinstance(detector, RandomTxSpec)
-    a = detector.a
-    llr_of = _llr_matrix_fn(pairs)
-
-    res = _new_result(n_reps, limit, M)
-    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
-    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
-
-    act = np.arange(n_reps)
-    carry_s = np.zeros(n_reps)  # absolute random-walk value
-    carry_m = np.zeros(n_reps)  # running minimum of the walk (init -c_0 = 0)
-    tx = np.zeros(n_reps, dtype=np.int64)
-
-    k = 0
-    while act.size and k < limit:
-        B = min(OBS_BLOCK, limit - k)
-        n = act.size
-        obs = _draw_obs(rep_rngs, act, pairs, k, B, nu)
-        per_sensor = llr_of(obs.reshape(-1, M))
-        if is_rtx:
-            gamma = _draw_uniforms(aux_rngs, act, M, B) < detector.epsilon
-            per_sensor = per_sensor * gamma.reshape(-1, M)
-            sent_per_step = gamma.sum(axis=2)
-        else:
-            sent_per_step = np.full((n, B), M, dtype=np.int64)
-        inc = per_sensor.sum(axis=1).reshape(n, B)
-
-        S = np.cumsum(inc, axis=1) + carry_s[:, None]
-        run_min = np.minimum(np.minimum.accumulate(S, axis=1), carry_m[:, None])
-        c = S - run_min
-        tx_cum = np.cumsum(sent_per_step, axis=1)
-
-        if stop_enabled:
-            hit = c > a
-            found = hit.any(axis=1)
-            idx = hit.argmax(axis=1)
-            if found.any():
-                rows = np.nonzero(found)[0]
-                ids = act[rows]
-                res.stop_time[ids] = k + idx[rows] + 1
-                res.stopped[ids] = True
-                res.tx[ids] = tx[rows] + tx_cum[rows, idx[rows]]
-            survivors = ~found
-        else:
-            survivors = np.ones(n, dtype=bool)
-
-        k += B
-        if k >= limit:
-            ids = act[survivors]
-            res.tx[ids] = tx[survivors] + tx_cum[survivors, -1]
-            break
-        carry_s = S[survivors, -1]
-        carry_m = run_min[survivors, -1]
-        tx = tx[survivors] + tx_cum[survivors, -1]
-        act = act[survivors]
-    return res

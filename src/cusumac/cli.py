@@ -222,6 +222,7 @@ def _validate_spec(spec: ExperimentSpec):
     _require(spec.mu0 != spec.mu1, f"{spec.name}: mu0 and mu1 must differ")
     _require(spec.m >= 1, f"{spec.name}: m must be at least 1")
     _require(spec.nu >= 1, f"{spec.name}: nu must be at least 1")
+    _require(spec.cap is None or spec.cap >= 1, f"{spec.name}: cap must be at least 1")
     if spec.kind in ("trace", "arlfa", "delay", "rate"):
         _require(spec.detector in ("cusum", "cusum_ac", "random_tx"),
                  f"{spec.name}: unknown detector {spec.detector!r}")
@@ -251,8 +252,10 @@ def _validate_spec(spec: ExperimentSpec):
         _require(all(z >= 1 for z in spec.zeta_grid), f"{spec.name}: zeta values must be >= 1")
         _require(spec.a1 is not None and spec.eps1 is not None,
                  f"{spec.name}: a1 and eps1 are required")
-        _require(spec.eps1 is not None and 1e-3 < spec.eps1 <= 1,
-                 f"{spec.name}: eps1 must lie in (1e-3, 1]")
+        _require(spec.a1 > 0, f"{spec.name}: a1 must be positive")
+        _require(1e-3 < spec.eps1 <= 1, f"{spec.name}: eps1 must lie in (1e-3, 1]")
+        _require(spec.epsilon is None or 0 < spec.epsilon <= 1,
+                 f"{spec.name}: epsilon must lie in (0, 1]")
     if spec.kind == "delay_vs_rate":
         _require(spec.zeta is not None and spec.zeta >= 1, f"{spec.name}: zeta >= 1 required")
         _require(bool(spec.epsilon_grid), f"{spec.name}: epsilon_grid is required")

@@ -346,44 +346,29 @@ def random_tx_cusum_step(state: DetectorState, x: float, pair, epsilon: float, a
 
 
 def simulate_trace(detector, pair, nu: Optional[int], horizon: int, seed: int):
-    """Step a single-sensor detector and collect per-step trace records.
+    """Per-step trace records of one single-sensor run.
 
     Observations come from the pre-change law for steps k < nu and from the
     post-change law from k = nu on (nu None means the change never happens).
     Returns a list of dicts with keys k, s, level, sent, stopped; the run
-    ends at the alarm or after ``horizon`` steps.
+    ends at the alarm or after ``horizon`` steps.  The run is replication 0
+    of a recorded engine batch under ``seed``, so it sees the observations
+    of replication 0 of every batch under that seed.
     """
-    obs_rng = np.random.default_rng([seed, 0, 0])
-    aux_rng = np.random.default_rng([seed, 0, 1])
-    if isinstance(detector, CusumAcConfig):
-        if detector.n_sensors != 1:
-            raise ValueError("trace simulation supports a single sensor")
-        state = initial_state(detector)
-    else:
-        state = initial_state()
-    rows = []
-    for k in range(1, horizon + 1):
-        post = nu is not None and k >= nu
-        x = float(pair.sample1(obs_rng) if post else pair.sample0(obs_rng))
-        if isinstance(detector, CusumAcConfig):
-            state, sent = cusum_ac_step(state, detector, x, pair)
-        elif isinstance(detector, RandomTxSpec):
-            state, sent = random_tx_cusum_step(state, x, pair, detector.epsilon, detector.a,
-                                               aux_rng)
-        elif isinstance(detector, CusumSpec):
-            state = cusum_step(state, float(pair.llr(x)), detector.a)
-            sent = True
-        else:
-            raise TypeError(f"unsupported detector {detector!r}")
-        rows.append(
-            {
-                "k": k,
-                "s": state.s,
-                "level": state.active_level,
-                "sent": int(sent),
-                "stopped": int(state.stopped),
-            }
-        )
-        if state.stopped:
-            break
-    return rows
+    from . import _engine  # _engine imports this module
+
+    if isinstance(detector, CusumAcConfig) and detector.n_sensors != 1:
+        raise ValueError("trace simulation supports a single sensor")
+    batch = _engine.run_batch(detector, [pair], n_reps=1, seed=seed, nu=nu, limit=horizon,
+                              record=True)
+    recs = batch.records
+    return [
+        {
+            "k": k + 1,
+            "s": float(recs["s"][k, 0]),
+            "level": int(recs["level"][k, 0]),
+            "sent": int(recs["sent"][k, 0, 0]),
+            "stopped": int(recs["stopped"][k, 0]),
+        }
+        for k in range(int(batch.stop_time[0]))
+    ]

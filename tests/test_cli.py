@@ -75,6 +75,20 @@ class TestParsing:
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("kind, body, key", [
+        ("delay_vs_arlfa", "zeta_grid = 1000\na1 = -0.5\neps1 = 0.27", "a1"),
+        ("arlfa", "detector = cusum\na = 3.0\ncap = 0", "cap"),
+        ("delay", "detector = cusum\na = 3.0\ncap = 0", "cap"),
+        ("delay_vs_arlfa", "zeta_grid = 1000\na1 = 0.79\neps1 = 0.27\nepsilon = 7", "epsilon"),
+    ], ids=["negative_a1", "arlfa_cap_zero", "delay_cap_zero", "epsilon_above_one"])
+    def test_out_of_range_inputs_rejected_before_running(self, tmp_path, kind, body, key):
+        cfg = write(tmp_path, BASE.format(name="x", kind=kind, body=body + "\nn_reps = 200"))
+        with pytest.raises(ConfigError, match=key):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_cusum_ac_requires_levels(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="d", kind="delay", body="detector = cusum_ac\na = 4.5\nn_reps = 200"))

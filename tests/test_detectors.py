@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from cusumac.detectors import (
     CusumAcConfig,
     CusumSpec,
     Level,
+    RandomTxSpec,
     cusum_ac_multi_step,
     cusum_ac_step,
     cusum_step,
@@ -314,3 +316,28 @@ def test_simulate_trace_schema_and_stop(pair):
         two_level(pair, a=4.5, a1=0.78, eps1=0.63), pair, nu=60, horizon=400, seed=99)
     assert any(r["sent"] == 0 for r in cfg_rows)
     assert {r["level"] for r in cfg_rows} <= {0, 1}
+
+
+# sha256 of repr(simulate_trace(...)) per detector and (nu, horizon, seed),
+# generated by the scalar stepping loop that preceded the engine-backed trace.
+# The second setting's runs pass the first observation block.
+_TRACE_DIGESTS = {
+    ("cusum", 60, 300, 7): "d4e26f5e4f3ba447d7d132dd300086109e2ef8cc5add3dc9f574706282b56c37",
+    ("cusum", None, 2000, 8): "5b6df161a3e95f384a20bedd7e9f82f5142febf1d9fac181a741a9a289b79e35",
+    ("random_tx", 60, 300, 7):
+        "b698106f72613e1c5235c490b930f967e490926e1bc32c6aa3ff12a6ac85d3bb",
+    ("random_tx", None, 2000, 8):
+        "fddc32ee20b7b032121bbbbda104550292d1d4ca230ddfa12023075a2da3b255",
+    ("cusum_ac", 60, 300, 7): "42d67d6b890e21d50d120b8a70c95c39b6e1f82678917f3c9e2205895e95956f",
+    ("cusum_ac", None, 2000, 8):
+        "1f1779c22bb3f882ea2099beeba311a3cbca9afdeb2b8ee8f3a34451f216ff0d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TRACE_DIGESTS, key=str))
+def test_simulate_trace_golden_digests(pair, key):
+    name, nu, horizon, seed = key
+    detector = {"cusum": CusumSpec(4.5), "random_tx": RandomTxSpec(4.5, 0.5),
+                "cusum_ac": two_level(pair, 4.5, 0.78, 0.63)}[name]
+    rows = simulate_trace(detector, pair, nu, horizon, seed)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _TRACE_DIGESTS[key]

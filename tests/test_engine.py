@@ -131,15 +131,34 @@ class TestIidReplay:
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
 
-    def test_block_path_matches_steploop(self, pair):
+    # Each case runs the closed-form step (record=False) against the per-step
+    # recursion (record=True) on the same draws.
+    _FORMS_CASES = {
+        "m1_nu1": ((CusumSpec(3.0), RandomTxSpec(3.0, 0.6)), 1,
+                   dict(n_reps=40, seed=46, nu=1, limit=3000)),
+        "m3_change_in_second_block": ((RandomTxSpec(4.0, 0.5),), 3,
+                                      dict(n_reps=40, seed=48, nu=1500, limit=5000)),
+        # Rejection at a step past two blocks makes the statistic's zeros count.
+        "nostop_past_two_blocks": ((CusumSpec(3.0),), 1,
+                                   dict(n_reps=40, seed=49, limit=2 * eng.OBS_BLOCK + 200,
+                                        stop_enabled=False,
+                                        require_zero_at=2 * eng.OBS_BLOCK + 100)),
+        "conditioned": ((CusumSpec(4.0), RandomTxSpec(4.0, 0.5)), 1,
+                        dict(n_reps=120, seed=50, nu=20, limit=3000, require_zero_at=19)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_FORMS_CASES))
+    def test_block_path_matches_steploop(self, pair, name):
         # The closed-form block path and the per-step loop must agree exactly.
-        for det in (CusumSpec(3.0), RandomTxSpec(3.0, 0.6)):
-            fast = eng.run_batch(det, [pair], n_reps=40, seed=46, nu=1, limit=3000)
-            slow = eng.run_batch(det, [pair], n_reps=40, seed=46, nu=1, limit=3000,
-                                 record=True)
-            np.testing.assert_array_equal(fast.stop_time, slow.stop_time)
-            np.testing.assert_array_equal(fast.stopped, slow.stopped)
-            np.testing.assert_array_equal(fast.tx, slow.tx)
+        dets, m, kwargs = self._FORMS_CASES[name]
+        for det in dets:
+            fast = eng.run_batch(det, [pair] * m, **kwargs)
+            slow = eng.run_batch(det, [pair] * m, record=True, **kwargs)
+            for field in _FIELDS:
+                np.testing.assert_array_equal(getattr(fast, field), getattr(slow, field),
+                                              err_msg=field)
+            if "require_zero_at" in kwargs:
+                assert fast.rejected.any() and (~fast.rejected).any()
 
     # sha256 over the BatchResult arrays of conditioned runs, generated by the
     # per-step i.i.d. loop that preceded the kernel's no-level case.
@@ -158,6 +177,26 @@ class TestIidReplay:
         batch = eng.run_batch(det, [pair] * m, **kwargs)
         assert batch.rejected.any() and (~batch.rejected).any()
         assert _digest(batch) == digest
+
+    # sha256 over the BatchResult arrays of unrecorded, unconditioned runs,
+    # generated by the closed-form block body that preceded the single kernel.
+    _GOLDEN_IID = {
+        "cusum_m3": (CusumSpec(5.0), 3, dict(n_reps=64, seed=401, limit=6000),
+                     "ca9c70642d941d2f355dbd8569f6c939437402a72e4ad8762ef045ac7915585e"),
+        "random_tx_m3_delay": (RandomTxSpec(4.0, 0.5), 3,
+                               dict(n_reps=48, seed=402, limit=5000, nu=1500),
+                               "8fd74b7774507eca5aa5e38acc6bbe6d1d240f56c711afdcab79385dac381240"),
+        "cusum_nostop": (CusumSpec(3.0), 1,
+                         dict(n_reps=20, seed=403, limit=2500, stop_enabled=False),
+                         "fbe366dbcee7c3050b16c689b3bbb010a94cddcba5cddbe3075dfe9de1038194"),
+        "random_tx_m2": (RandomTxSpec(5.0, 0.3), 2, dict(n_reps=40, seed=404, limit=6000),
+                         "3c78268629333d75364e5722ad8269a501cab36fbf5bd13e02632c09935ea892"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_IID))
+    def test_iid_golden_digests(self, pair, name):
+        det, m, kwargs, digest = self._GOLDEN_IID[name]
+        assert _digest(eng.run_batch(det, [pair] * m, **kwargs)) == digest
 
     def test_block_path_multisensor_full_rate_identity(self, pairs3):
         # eps = 1 random transmission is pathwise the plain fused CuSum.
