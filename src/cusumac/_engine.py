@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
-from .model import GaussianPair
+from .model import GaussianPair, as_pairs
 
 OBS_BLOCK = 1024  # steps per observation block; fixed so draw order is reproducible
 CHUNK = 128       # kernel steps per chunk of bulk increments and derived outcomes
@@ -79,10 +79,6 @@ def concat_results(parts: Sequence[BatchResult]) -> BatchResult:
         n_sensors=parts[0].n_sensors,
         records=None,
     )
-
-
-def _as_pairs(pairs) -> list:
-    return list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
 
 
 def _llr_fns(pairs) -> list:
@@ -271,7 +267,7 @@ def run_batch(
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
-    pairs = _as_pairs(pairs)
+    pairs = as_pairs(pairs)
     if isinstance(detector, CusumAcConfig):
         if detector.n_sensors != len(pairs):
             raise ValueError(

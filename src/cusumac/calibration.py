@@ -16,11 +16,12 @@ made binding with ``require_membership``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 from .censoring import optimize
 from .detectors import CusumAcConfig, two_level
+from .model import as_pairs
 from .montecarlo import (
     McEstimate,
     PerfReport,
@@ -199,14 +200,16 @@ class CandidateRecord:
     note: str = ""
 
     def to_record(self) -> dict:
-        return {
-            "a1": self.a1, "eps1": self.eps1, "a": self.a,
-            "arlfa_mean": self.arlfa_mean, "arlfa_se": self.arlfa_se,
-            "rate_mean": self.rate_mean, "rate_se": self.rate_se,
-            "delay_mean": self.delay_mean, "delay_se": self.delay_se,
-            "eprime_verdict": self.eprime_verdict, "eprime_margin": self.eprime_margin,
-            "admissible": int(self.admissible), "note": self.note,
-        }
+        return dict(asdict(self), admissible=int(self.admissible))
+
+
+def _skipped(a1: float, eps1: float, rate: McEstimate, note: str) -> CandidateRecord:
+    """A candidate dropped before measurement: its screen rate, NaN elsewhere."""
+    nan = math.nan
+    return CandidateRecord(a1=a1, eps1=eps1, a=nan, arlfa_mean=nan, arlfa_se=nan,
+                           rate_mean=rate.mean, rate_se=rate.std_error, delay_mean=nan,
+                           delay_se=nan, eprime_verdict="skipped", eprime_margin=nan,
+                           admissible=False, note=note)
 
 
 @dataclass(frozen=True)
@@ -253,10 +256,10 @@ def search_two_level(
         raise ValueError("grid rates must lie in (1e-3, 1]")
     if any(not (a1 > 0.0) for a1 in a1_grid):
         raise ValueError("grid switching thresholds a1 must be positive")
-    pairs_list = pairs if isinstance(pairs, (list, tuple)) else [pairs]
+    pairs = as_pairs(pairs)
 
     strategy_cache = {
-        eps1: [optimize(p, eps1) for p in pairs_list] for eps1 in sorted(set(eps1_grid))
+        eps1: [optimize(p, eps1) for p in pairs] for eps1 in sorted(set(eps1_grid))
     }
     rate_reps = max(100, n_reps // 10)
     screen_reps = max(20, n_reps // 100)
@@ -269,41 +272,29 @@ def search_two_level(
         for eps1 in eps1_grid:
             strategies = strategy_cache[eps1]
             config_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
-                pairs_list, a, a1, eps1, strategies=st)
+                pairs, a, a1, eps1, strategies=st)
             # The rate ignores the alarm threshold, so screen before calibrating.
             rate_screen = estimate_comm_rate(
-                config_of(a1 + 100.0), pairs_list, rate_horizon, screen_reps,
+                config_of(a1 + 100.0), pairs, rate_horizon, screen_reps,
                 derive_seed(seed, 21), n_jobs=n_jobs)
             if rate_screen.mean - 3.0 * rate_screen.std_error > target.epsilon:
-                trace.append(CandidateRecord(
-                    a1=a1, eps1=eps1, a=math.nan,
-                    arlfa_mean=math.nan, arlfa_se=math.nan,
-                    rate_mean=rate_screen.mean, rate_se=rate_screen.std_error,
-                    delay_mean=math.nan, delay_se=math.nan,
-                    eprime_verdict="skipped", eprime_margin=math.nan,
-                    admissible=False, note="rate screen failed"))
+                trace.append(_skipped(a1, eps1, rate_screen, "rate screen failed"))
                 continue
             try:
                 cal = calibrate_threshold(
-                    config_of, pairs_list, target.zeta, derive_seed(seed, 22),
+                    config_of, pairs, target.zeta, derive_seed(seed, 22),
                     n_reps=n_reps, tolerance=target.tolerance, initial=warm_a,
                     n_jobs=n_jobs)
             except CalibrationError as err:
-                trace.append(CandidateRecord(
-                    a1=a1, eps1=eps1, a=math.nan,
-                    arlfa_mean=math.nan, arlfa_se=math.nan,
-                    rate_mean=rate_screen.mean, rate_se=rate_screen.std_error,
-                    delay_mean=math.nan, delay_se=math.nan,
-                    eprime_verdict="skipped", eprime_margin=math.nan,
-                    admissible=False, note=f"calibration failed: {err}"))
+                trace.append(_skipped(a1, eps1, rate_screen, f"calibration failed: {err}"))
                 continue
             warm_a = cal.a
             config = config_of(cal.a)
-            rate = estimate_comm_rate(config, pairs_list, rate_horizon, rate_reps,
+            rate = estimate_comm_rate(config, pairs, rate_horizon, rate_reps,
                                       derive_seed(seed, 23), n_jobs=n_jobs)
-            delay = estimate_delay(config, pairs_list, n_reps, derive_seed(seed, 24),
+            delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
-            cycle = estimate_cycle(pairs_list, a1, math.inf, eps1, cycle_reps,
+            cycle = estimate_cycle(pairs, a1, math.inf, eps1, cycle_reps,
                                    derive_seed(seed, 25), strategy=strategies)
             eprime: EprimeCheck = check_eprime_membership(cycle)
             admissible = (
@@ -329,7 +320,7 @@ def search_two_level(
                                  search_trace=tuple(trace), feasible=False, target=target)
     best_rec, best_cfg = min(pool, key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
     report = measure_performance(
-        best_cfg, pairs_list, n_reps=n_reps,
+        best_cfg, pairs, n_reps=n_reps,
         cap=max(int(CAP_MULT * target.zeta), 100), horizon=rate_horizon,
         seed=derive_seed(seed, 99), nu=target.nu,
         rate_reps=rate_reps, n_jobs=n_jobs)

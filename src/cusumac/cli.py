@@ -145,20 +145,29 @@ _KEYS_BY_KIND = {
 }
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in text.replace(",", " ").split())
+def _parse_scalar(parse, text: str, where: str):
+    """``parse(text)``; a ConfigError naming the section and key ``where`` if it fails."""
+    try:
+        return parse(text)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"{where}: {text!r} is not {kind}") from None
+
+
+def _parse_grid(text: str, where: str) -> tuple[float, ...]:
+    vals = tuple(_parse_scalar(float, tok, where) for tok in text.replace(",", " ").split())
     if not vals:
-        raise ConfigError(f"empty grid: {text!r}")
+        raise ConfigError(f"{where}: empty grid: {text!r}")
     return vals
 
 
-def _parse_bool(text: str) -> bool:
+def _parse_bool(text: str, where: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "1", "yes"):
         return True
     if t in ("false", "0", "no"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ConfigError(f"{where}: {text!r} is not a boolean")
 
 
 def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
@@ -174,13 +183,10 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
     for section in parser.sections():
         if section == "meta":
             for key, value in parser.items(section):
-                if key == "seed":
-                    meta["seed"] = int(value)
-                elif key == "threads":
-                    meta["threads"] = int(value)
-                    _require(meta["threads"] >= 1, "[meta] threads must be at least 1")
-                else:
+                if key not in ("seed", "threads"):
                     raise ConfigError(f"unknown key {key!r} in [meta]")
+                meta[key] = _parse_scalar(int, value, f"[meta] {key}")
+            _require(meta.get("threads", 1) >= 1, "[meta] threads must be at least 1")
         elif section == "provenance":
             continue  # written by previous runs; carries no settings
         elif section.startswith("experiment:"):
@@ -199,12 +205,13 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
                 if key not in allowed:
                     raise ConfigError(f"experiment {name!r}: unknown key {key!r} "
                                       f"for kind {kind!r}")
+                where = f"[{section}] {key}"
                 if key in _GRID_FIELDS:
-                    setattr(spec, key, _parse_grid(value))
+                    setattr(spec, key, _parse_grid(value, where))
                 elif key in _BOOL_FIELDS:
-                    setattr(spec, key, _parse_bool(value))
+                    setattr(spec, key, _parse_bool(value, where))
                 else:
-                    setattr(spec, key, _FIELD_PARSERS[key](value))
+                    setattr(spec, key, _parse_scalar(_FIELD_PARSERS[key], value, where))
             _validate_spec(spec)
             specs.append(spec)
         else:
@@ -336,6 +343,12 @@ class _RowSink:
         base.update(extra)
         self.rows.append(base)
 
+    def write(self, out_dir: Path, columns=RESULT_COLUMNS) -> Path:
+        """Write the rows to ``<experiment name>.csv`` in ``out_dir``."""
+        path = out_dir / f"{self.spec.name}.csv"
+        _write_csv(path, columns, self.rows)
+        return path
+
 
 def _pairs_of(spec: ExperimentSpec):
     pair = gaussian_mean_shift(spec.mu0, spec.mu1, spec.sigma)
@@ -391,20 +404,17 @@ def _run_arlfa(spec, out_dir, seed, n_jobs):
     pair, pairs = _pairs_of(spec)
     detector = _detector_of(spec, pairs)
     cap = spec.cap if spec.cap is not None else 1_000_000
-    sink = _RowSink(spec, seed)
     if spec.detector == "cusum_ac":
         pre = pre_change_run(detector, pairs, spec.n_reps, cap, seed, n_jobs=n_jobs)
-        sink.add(spec.detector, "arlfa", pre.arlfa, **_detector_extra(spec), cap=cap)
-        sink.add(spec.detector, "feedback_ratio", pre.feedback_ratio,
-                 **_detector_extra(spec), cap=cap)
-        sink.add(spec.detector, "frac_time_above_a1", pre.frac_time_above_a1,
-                 **_detector_extra(spec), cap=cap)
+        ests = {"arlfa": pre.arlfa, "feedback_ratio": pre.feedback_ratio,
+                "frac_time_above_a1": pre.frac_time_above_a1}
     else:
-        est = estimate_arlfa(detector, pairs, spec.n_reps, cap, seed, n_jobs=n_jobs)
-        sink.add(spec.detector, "arlfa", est, **_detector_extra(spec), cap=cap)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS + ["cap"], sink.rows)
-    return [path]
+        ests = {"arlfa": estimate_arlfa(detector, pairs, spec.n_reps, cap, seed,
+                                        n_jobs=n_jobs)}
+    sink = _RowSink(spec, seed)
+    for metric, est in ests.items():
+        sink.add(spec.detector, metric, est, **_detector_extra(spec), cap=cap)
+    return [sink.write(out_dir, RESULT_COLUMNS + ["cap"])]
 
 
 def _run_delay(spec, out_dir, seed, n_jobs):
@@ -415,9 +425,7 @@ def _run_delay(spec, out_dir, seed, n_jobs):
                          worst_history=spec.worst_history, n_jobs=n_jobs)
     sink = _RowSink(spec, seed)
     sink.add(spec.detector, "delay", est, **_detector_extra(spec))
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS, sink.rows)
-    return [path]
+    return [sink.write(out_dir)]
 
 
 def _run_rate(spec, out_dir, seed, n_jobs):
@@ -428,9 +436,7 @@ def _run_rate(spec, out_dir, seed, n_jobs):
     sink = _RowSink(spec, seed)
     sink.add(spec.detector, "comm_rate", est, **_detector_extra(spec),
              horizon=spec.horizon, mode=spec.mode)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS, sink.rows)
-    return [path]
+    return [sink.write(out_dir)]
 
 
 def _run_delay_vs_arlfa(spec, out_dir, seed, n_jobs):
@@ -455,25 +461,20 @@ def _run_delay_vs_arlfa(spec, out_dir, seed, n_jobs):
                                         delay_seed, nu=spec.nu, n_jobs=n_jobs)
         samp_ac, trunc_ac = delay_samples(ac_of(cal_ac.a), pairs, spec.n_reps,
                                           delay_seed, nu=spec.nu, n_jobs=n_jobs)
-        d_c = summarize(samp_c, delay_seed, trunc_c)
-        d_ac = summarize(samp_ac, delay_seed, trunc_ac)
-        gap = paired_gap(samp_ac, samp_c, delay_seed, trunc_c + trunc_ac)
         rate = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
                                   max(100, spec.n_reps // 10),
                                   derive_seed(seed, 100 + i), n_jobs=n_jobs)
-        sink.add("cusum", "arlfa", cal_c.arlfa, a=cal_c.a, epsilon=1.0, zeta_target=zeta)
-        sink.add("cusum", "delay", d_c, a=cal_c.a, epsilon=1.0, zeta_target=zeta)
-        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, a=cal_ac.a, a1=spec.a1,
-                 eps1=spec.eps1, epsilon=spec.epsilon, zeta_target=zeta)
-        sink.add("cusum_ac", "delay", d_ac, a=cal_ac.a, a1=spec.a1, eps1=spec.eps1,
-                 epsilon=spec.epsilon, zeta_target=zeta)
-        sink.add("cusum_ac", "delay_gap_vs_cusum", gap, a=cal_ac.a, a1=spec.a1,
-                 eps1=spec.eps1, epsilon=spec.epsilon, zeta_target=zeta)
-        sink.add("cusum_ac", "comm_rate", rate, a=cal_ac.a, a1=spec.a1, eps1=spec.eps1,
-                 epsilon=spec.epsilon, zeta_target=zeta)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS, sink.rows)
-    return [path]
+        c_extra = {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}
+        ac_extra = {"a": cal_ac.a, "a1": spec.a1, "eps1": spec.eps1,
+                    "epsilon": spec.epsilon, "zeta_target": zeta}
+        sink.add("cusum", "arlfa", cal_c.arlfa, **c_extra)
+        sink.add("cusum", "delay", summarize(samp_c, delay_seed, trunc_c), **c_extra)
+        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, **ac_extra)
+        sink.add("cusum_ac", "delay", summarize(samp_ac, delay_seed, trunc_ac), **ac_extra)
+        sink.add("cusum_ac", "delay_gap_vs_cusum",
+                 paired_gap(samp_ac, samp_c, delay_seed, trunc_c + trunc_ac), **ac_extra)
+        sink.add("cusum_ac", "comm_rate", rate, **ac_extra)
+    return [sink.write(out_dir)]
 
 
 def _run_delay_vs_rate(spec, out_dir, seed, n_jobs):
@@ -487,9 +488,9 @@ def _run_delay_vs_rate(spec, out_dir, seed, n_jobs):
     delay_seed = derive_seed(seed, 8)
     samp_c, trunc_c = delay_samples(CusumSpec(cal_c.a), pairs, spec.n_reps,
                                     delay_seed, nu=spec.nu, n_jobs=n_jobs)
-    sink.add("cusum", "arlfa", cal_c.arlfa, a=cal_c.a, epsilon=1.0, zeta_target=zeta)
-    sink.add("cusum", "delay", summarize(samp_c, delay_seed, trunc_c),
-             a=cal_c.a, epsilon=1.0, zeta_target=zeta)
+    c_extra = {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}
+    sink.add("cusum", "arlfa", cal_c.arlfa, **c_extra)
+    sink.add("cusum", "delay", summarize(samp_c, delay_seed, trunc_c), **c_extra)
 
     warm_ac = None
     for i, eps in enumerate(spec.epsilon_grid):
@@ -513,25 +514,19 @@ def _run_delay_vs_rate(spec, out_dir, seed, n_jobs):
         rate_ac = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
                                      max(100, spec.n_reps // 10),
                                      derive_seed(seed, 80 + i), n_jobs=n_jobs)
-        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, a=cal_ac.a, a1=a1, eps1=eps1,
-                 epsilon=eps, zeta_target=zeta)
-        sink.add("cusum_ac", "delay", summarize(samp_ac, delay_seed, trunc_ac),
-                 a=cal_ac.a, a1=a1, eps1=eps1, epsilon=eps, zeta_target=zeta)
+        ac_extra = {"a": cal_ac.a, "a1": a1, "eps1": eps1, "epsilon": eps, "zeta_target": zeta}
+        rtx_extra = {"a": cal_rtx.a, "epsilon": eps, "zeta_target": zeta}
+        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, **ac_extra)
+        sink.add("cusum_ac", "delay", summarize(samp_ac, delay_seed, trunc_ac), **ac_extra)
         sink.add("cusum_ac", "delay_gap_vs_cusum",
-                 paired_gap(samp_ac, samp_c, delay_seed, trunc_ac + trunc_c),
-                 a=cal_ac.a, a1=a1, eps1=eps1, epsilon=eps, zeta_target=zeta)
-        sink.add("cusum_ac", "comm_rate", rate_ac, a=cal_ac.a, a1=a1, eps1=eps1,
-                 epsilon=eps, zeta_target=zeta)
-        sink.add("random_tx", "arlfa", cal_rtx.arlfa, a=cal_rtx.a, epsilon=eps,
-                 zeta_target=zeta)
+                 paired_gap(samp_ac, samp_c, delay_seed, trunc_ac + trunc_c), **ac_extra)
+        sink.add("cusum_ac", "comm_rate", rate_ac, **ac_extra)
+        sink.add("random_tx", "arlfa", cal_rtx.arlfa, **rtx_extra)
         sink.add("random_tx", "delay", summarize(samp_rtx, delay_seed, trunc_rtx),
-                 a=cal_rtx.a, epsilon=eps, zeta_target=zeta)
+                 **rtx_extra)
         sink.add("random_tx", "delay_gap_vs_cusum_ac",
-                 paired_gap(samp_rtx, samp_ac, delay_seed, trunc_rtx + trunc_ac),
-                 a=cal_rtx.a, epsilon=eps, zeta_target=zeta)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS, sink.rows)
-    return [path]
+                 paired_gap(samp_rtx, samp_ac, delay_seed, trunc_rtx + trunc_ac), **rtx_extra)
+    return [sink.write(out_dir)]
 
 
 def _run_calibrate(spec, out_dir, seed, n_jobs):
@@ -549,14 +544,9 @@ def _run_calibrate(spec, out_dir, seed, n_jobs):
         cfg = result.config
         extra = {"a": cfg.a, "a1": cfg.a1, "eps1": cfg.levels[0].rate,
                  "epsilon": spec.epsilon, "zeta_target": spec.zeta}
-        rep = result.report
-        sink.add("cusum_ac", "arlfa", rep.arlfa, **extra)
-        sink.add("cusum_ac", "delay", rep.delay, **extra)
-        sink.add("cusum_ac", "comm_rate", rep.comm_rate, **extra)
-        sink.add("cusum_ac", "feedback_ratio", rep.feedback_ratio, **extra)
-        sink.add("cusum_ac", "frac_time_above_a1", rep.frac_time_above_a1, **extra)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, RESULT_COLUMNS, sink.rows)
+        for metric in ("arlfa", "delay", "comm_rate", "feedback_ratio", "frac_time_above_a1"):
+            sink.add("cusum_ac", metric, getattr(result.report, metric), **extra)
+    path = sink.write(out_dir)
     if not result.feasible:
         print(f"warning: {spec.name}: no admissible candidate; best effort written",
               file=sys.stderr)
@@ -631,7 +621,7 @@ def main(argv=None) -> int:
             if args.seed is None:
                 raise ConfigError("--seed is required (runs must be reproducible)")
             reproduce(args.reproduce, args.out, args.seed,
-                      n_reps=args.reps if args.reps else 2000,
+                      n_reps=args.reps if args.reps is not None else 2000,
                       n_jobs=args.threads if args.threads is not None else 1)
             return 0
         if not args.config:

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .censoring import CensoringStrategy, optimize
+from .model import as_pairs
 
 __all__ = [
     "CusumSpec",
@@ -177,7 +178,7 @@ def two_level(
     (shared by all sensors) or one rate per sensor.  Precomputed strategies
     can be passed to skip the optimizer (they must match the rates).
     """
-    pairs = pair_or_pairs if isinstance(pair_or_pairs, (list, tuple)) else [pair_or_pairs]
+    pairs = as_pairs(pair_or_pairs)
     rates = list(eps1) if isinstance(eps1, (list, tuple)) else [eps1] * len(pairs)
     if len(rates) != len(pairs):
         raise ValueError("need one censoring rate per sensor")
@@ -234,10 +235,8 @@ def _require_running(state: DetectorState):
         raise ValueError("detector already stopped; cannot step a stopped detector")
 
 
-def cusum_step(state: DetectorState, llr_value: float, a: float) -> DetectorState:
-    """One plain-CuSum update; the detector sees (and is charged for) every observation."""
-    _require_running(state)
-    s_new = max(0.0, state.s + llr_value)
+def _cusum_update(state: DetectorState, inc: float, a: float, n_sent: int) -> DetectorState:
+    s_new = max(0.0, state.s + inc)
     k = state.k + 1
     stopped = s_new > a
     return dataclasses.replace(
@@ -246,8 +245,14 @@ def cusum_step(state: DetectorState, llr_value: float, a: float) -> DetectorStat
         k=k,
         stopped=stopped,
         stop_time=k if stopped else state.stop_time,
-        tx_count=state.tx_count + 1,
+        tx_count=state.tx_count + n_sent,
     )
+
+
+def cusum_step(state: DetectorState, llr_value: float, a: float) -> DetectorState:
+    """One plain-CuSum update; the detector sees (and is charged for) every observation."""
+    _require_running(state)
+    return _cusum_update(state, llr_value, a, 1)
 
 
 def _ac_update(state: DetectorState, config: CusumAcConfig, fused_inc: float, n_sent: int
@@ -278,19 +283,14 @@ def _ac_update(state: DetectorState, config: CusumAcConfig, fused_inc: float, n_
 
 def cusum_ac_step(state: DetectorState, config: CusumAcConfig, x: float, pair
                   ) -> tuple[DetectorState, bool]:
-    """One CuSum-AC update for a single sensor; returns (state, sent)."""
-    _require_running(state)
+    """One CuSum-AC update for a single sensor; returns (state, sent).
+
+    The M = 1 case of :func:`cusum_ac_multi_step`.
+    """
     if config.n_sensors != 1:
         raise ValueError("config carries multiple sensors; use cusum_ac_multi_step")
-    level = state.active_level
-    if level == 0:
-        sent = True
-        inc = float(pair.llr(x))
-    else:
-        strat = config.strategy(level)
-        sent = strat.apply(x, pair)
-        inc = float(pair.llr(x)) if sent else strat.llr_censored
-    return _ac_update(state, config, inc, 1 if sent else 0), sent
+    state, sent = cusum_ac_multi_step(state, config, [x], [pair])
+    return state, sent[0]
 
 
 def cusum_ac_multi_step(state: DetectorState, config: CusumAcConfig, xs, pairs
@@ -331,18 +331,7 @@ def random_tx_cusum_step(state: DetectorState, x: float, pair, epsilon: float, a
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     sent = bool(rng.random() < epsilon)
     inc = float(pair.llr(x)) if sent else 0.0
-    s_new = max(0.0, state.s + inc)
-    k = state.k + 1
-    stopped = s_new > a
-    new_state = dataclasses.replace(
-        state,
-        s=s_new,
-        k=k,
-        stopped=stopped,
-        stop_time=k if stopped else state.stop_time,
-        tx_count=state.tx_count + (1 if sent else 0),
-    )
-    return new_state, sent
+    return _cusum_update(state, inc, a, int(sent)), sent
 
 
 def simulate_trace(detector, pair, nu: Optional[int], horizon: int, seed: int):

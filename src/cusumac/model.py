@@ -33,6 +33,7 @@ __all__ = [
     "GaussianPair",
     "CustomPair",
     "KlReport",
+    "as_pairs",
     "gaussian_mean_shift",
     "kl_divergence",
 ]
@@ -40,6 +41,11 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
+
+
+def as_pairs(pairs) -> list:
+    """One pair, or a list or tuple of per-sensor pairs, as a list of pairs."""
+    return list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
 
 
 def _elementwise(fn, x):

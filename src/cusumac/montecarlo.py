@@ -12,7 +12,8 @@ because the censoring policy only depends on the level thresholds, and the
 rate constraint holds uniformly in the alarm threshold) and is the cheap
 default; ``conditional`` keeps the alarm and averages only over replications
 surviving to the horizon, which is the literal conditional definition of the
-rate and serves as a cross-check.
+rate and serves as a cross-check.  It resamples until enough replications
+survive, in the same loop as the worst-history delay.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ import numpy as np
 
 from . import _engine
 from .detectors import CusumAcConfig
+from .model import as_pairs
 
 __all__ = [
     "McEstimate",
     "PerfReport",
     "PreChangeRun",
-    "DelayGap",
     "InfeasibleError",
     "estimate_arlfa",
     "estimate_delay",
-    "estimate_delay_gap",
     "estimate_comm_rate",
     "delay_samples",
     "paired_gap",
@@ -88,7 +88,8 @@ def derive_seed(seed: int, salt: int) -> int:
     return (seed + salt * _GOLDEN64) % 2**63
 
 
-def _reduce(values: np.ndarray, seed: int, truncated: int = 0) -> McEstimate:
+def summarize(values: np.ndarray, seed: int, truncated: int = 0) -> McEstimate:
+    """Reduce raw per-replication values to a Monte Carlo estimate."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n < 2:
@@ -118,17 +119,50 @@ def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwa
     if n_jobs <= 1 or n_reps < 2 * n_jobs:
         return _engine.run_batch(detector, pairs, n_reps=n_reps, seed=seed,
                                  rep_offset=rep_offset, **kwargs)
-    base = n_reps // n_jobs
-    sizes = [base + (1 if i < n_reps % n_jobs else 0) for i in range(n_jobs)]
-    tasks = []
-    offset = rep_offset
-    for size in sizes:
-        if size:
-            tasks.append((detector, pairs, size, seed, offset, kwargs))
-            offset += size
+    base, extra = divmod(n_reps, n_jobs)
+    tasks, offset = [], rep_offset
+    for i in range(n_jobs):
+        size = base + (1 if i < extra else 0)
+        tasks.append((detector, pairs, size, seed, offset, kwargs))
+        offset += size
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         parts = list(pool.map(_engine_task, tasks))
     return _engine.concat_results(parts)
+
+
+def _resample(detector, pairs, n_reps: int, seed: int, n_jobs: int, usable, failure: str,
+              **kwargs) -> tuple[_engine.BatchResult, np.ndarray]:
+    """Consecutive batches of ``n_reps`` until ``n_reps`` replications are usable.
+
+    ``usable(batch)`` masks the replications that count.  Returns all batches
+    concatenated and the indices of the first ``n_reps`` usable ones.  After
+    ``_MAX_ATTEMPT_FACTOR * n_reps`` attempts it raises InfeasibleError with
+    ``failure`` formatted with the counts ``got``, ``n_reps`` and ``attempts``.
+    """
+    parts, masks = [], []
+    got = attempts = 0
+    while got < n_reps:
+        if attempts >= _MAX_ATTEMPT_FACTOR * n_reps:
+            raise InfeasibleError(failure.format(got=got, n_reps=n_reps, attempts=attempts))
+        batch = _run_chunked(detector, pairs, n_reps, seed, rep_offset=attempts,
+                             n_jobs=n_jobs, **kwargs)
+        parts.append(batch)
+        masks.append(usable(batch))
+        got += int(masks[-1].sum())
+        attempts += batch.n_reps
+    return _engine.concat_results(parts), np.flatnonzero(np.concatenate(masks))[:n_reps]
+
+
+def _pre_change_batch(detector, pairs, n_reps: int, cap: int, seed: int, n_jobs: int
+                      ) -> tuple[_engine.BatchResult, int]:
+    """One pre-change batch run to the alarm or ``cap`` steps, and its truncation count."""
+    if n_reps < 100:
+        raise ValueError("ARLFA estimation needs at least 100 replications")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
+                         nu=None, limit=int(cap), stop_enabled=True)
+    return batch, int((~batch.stopped).sum())
 
 
 def estimate_arlfa(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs: int = 1
@@ -139,30 +173,23 @@ def estimate_arlfa(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs:
     and surfaced through ``truncated_reps``; pick cap large enough, about
     100x the expected run length.
     """
-    if n_reps < 100:
-        raise ValueError("ARLFA estimation needs at least 100 replications")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
-                         nu=None, limit=int(cap), stop_enabled=True)
-    truncated = int((~batch.stopped).sum())
-    return _reduce(batch.stop_time, seed, truncated)
+    batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
+    return summarize(batch.stop_time, seed, truncated)
 
 
 def pre_change_run(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs: int = 1
                    ) -> PreChangeRun:
-    """ARLFA plus per-alarm feedback and sojourn diagnostics from one batch."""
-    if n_reps < 100:
-        raise ValueError("ARLFA estimation needs at least 100 replications")
-    batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
-                         nu=None, limit=int(cap), stop_enabled=True)
-    truncated = int((~batch.stopped).sum())
+    """ARLFA plus per-alarm feedback and sojourn diagnostics from one batch.
+
+    Replication floor, cap and truncation are those of :func:`estimate_arlfa`.
+    """
+    batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
     stop = batch.stop_time.astype(float)
     return PreChangeRun(
-        arlfa=_reduce(batch.stop_time, seed, truncated),
-        feedback_per_alarm=_reduce(batch.feedback, seed, truncated),
-        feedback_ratio=_reduce(batch.feedback / stop, seed, truncated),
-        frac_time_above_a1=_reduce(batch.time_above / stop, seed, truncated),
+        arlfa=summarize(batch.stop_time, seed, truncated),
+        feedback_per_alarm=summarize(batch.feedback, seed, truncated),
+        feedback_ratio=summarize(batch.feedback / stop, seed, truncated),
+        frac_time_above_a1=summarize(batch.time_above / stop, seed, truncated),
     )
 
 
@@ -171,7 +198,8 @@ def delay_samples(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
     """Per-replication delays (stop_time - nu + 1)^+ and the truncation count.
 
     Replication i always consumes the stream derived from (seed, i), so two
-    detectors sampled with the same arguments are paired rep-by-rep.
+    detectors sampled with the same arguments are paired rep-by-rep, as
+    :func:`paired_gap` needs for its common-random-numbers delay difference.
     """
     if nu < 1:
         raise ValueError("change time nu must be >= 1")
@@ -186,12 +214,7 @@ def delay_samples(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
 def paired_gap(delays_a: np.ndarray, delays_b: np.ndarray, seed: int,
                truncated: int = 0) -> McEstimate:
     """Mean and standard error of the per-replication difference a - b."""
-    return _reduce(delays_a.astype(float) - delays_b.astype(float), seed, truncated)
-
-
-def summarize(values: np.ndarray, seed: int, truncated: int = 0) -> McEstimate:
-    """Reduce raw per-replication values to a Monte Carlo estimate."""
-    return _reduce(values, seed, truncated)
+    return summarize(delays_a.astype(float) - delays_b.astype(float), seed, truncated)
 
 
 def estimate_delay(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
@@ -206,64 +229,18 @@ def estimate_delay(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
     its essential supremum; the unconditional default mixes in favorable
     histories and is reported as such.
     """
-    if nu < 1:
-        raise ValueError("change time nu must be >= 1")
     if n_reps < 2:
         raise ValueError("need at least two replications")
-    limit = int(nu - 1 + cap)
-    if not worst_history or nu == 1:
+    if not worst_history or nu <= 1:  # delay_samples rejects nu < 1
         delays, truncated = delay_samples(detector, pairs, n_reps, seed, nu,
                                           cap=cap, n_jobs=n_jobs)
-        return _reduce(delays, seed, truncated)
-
-    collected = []
-    truncated = 0
-    attempts = 0
-    offset = 0
-    while len(collected) < n_reps:
-        if attempts >= _MAX_ATTEMPT_FACTOR * n_reps:
-            raise InfeasibleError(
-                f"collected {len(collected)}/{n_reps} zero-statistic histories "
-                f"after {attempts} attempts"
-            )
-        batch = _run_chunked(detector, pairs, n_reps, seed, rep_offset=offset,
-                             n_jobs=n_jobs, nu=nu, limit=limit, stop_enabled=True,
-                             require_zero_at=nu - 1)
-        attempts += batch.n_reps
-        offset += batch.n_reps
-        usable = ~batch.rejected
-        for st, stopped in zip(batch.stop_time[usable], batch.stopped[usable]):
-            collected.append(max(int(st) - nu + 1, 0))
-            truncated += 0 if stopped else 1
-            if len(collected) == n_reps:
-                break
-    return _reduce(np.asarray(collected), seed, truncated)
-
-
-@dataclass(frozen=True)
-class DelayGap:
-    """Paired comparison of two detectors' delays on shared observation streams."""
-
-    gap: McEstimate      # mean of (delay_a - delay_b) per replication
-    delay_a: McEstimate
-    delay_b: McEstimate
-
-
-def estimate_delay_gap(detector_a, detector_b, pairs, n_reps: int, seed: int,
-                       nu: int = 1, *, cap: int = 1_000_000, n_jobs: int = 1) -> DelayGap:
-    """Delay difference estimated with common random numbers.
-
-    Both detectors consume identical observation streams (the engine's block
-    schedule is fixed), so the per-replication delay difference averages with
-    a far smaller standard error than two independent runs would give.
-    """
-    da, ta = delay_samples(detector_a, pairs, n_reps, seed, nu, cap=cap, n_jobs=n_jobs)
-    db, tb = delay_samples(detector_b, pairs, n_reps, seed, nu, cap=cap, n_jobs=n_jobs)
-    return DelayGap(
-        gap=paired_gap(da, db, seed, ta + tb),
-        delay_a=_reduce(da, seed, ta),
-        delay_b=_reduce(db, seed, tb),
-    )
+        return summarize(delays, seed, truncated)
+    batch, idx = _resample(
+        detector, pairs, n_reps, seed, n_jobs, lambda b: ~b.rejected,
+        "collected {got}/{n_reps} zero-statistic histories after {attempts} attempts",
+        nu=nu, limit=int(nu - 1 + cap), stop_enabled=True, require_zero_at=nu - 1)
+    delays = np.maximum(batch.stop_time[idx] - nu + 1, 0)
+    return summarize(delays, seed, int((~batch.stopped[idx]).sum()))
 
 
 def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
@@ -273,36 +250,22 @@ def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
         raise ValueError("rate estimation needs a horizon of at least 10^4 slots")
     if n_reps < 2:
         raise ValueError("need at least two replications")
-    pairs_list = pairs if isinstance(pairs, (list, tuple)) else [pairs]
-    denom = float(horizon * len(pairs_list))
+    pairs = as_pairs(pairs)
+    denom = float(horizon * len(pairs))
 
     if mode == "no_stop":
-        batch = _run_chunked(detector, pairs_list, n_reps, seed, n_jobs=n_jobs,
+        batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
                              nu=None, limit=int(horizon), stop_enabled=False)
-        return _reduce(batch.tx / denom, seed)
+        return summarize(batch.tx / denom, seed)
     if mode != "conditional":
         raise ValueError(f"unknown mode {mode!r}")
-
-    rates = []
-    attempts = 0
-    offset = 0
-    while len(rates) < n_reps:
-        if attempts >= _MAX_ATTEMPT_FACTOR * n_reps:
-            raise InfeasibleError(
-                f"collected {len(rates)}/{n_reps} trajectories surviving to the "
-                f"horizon after {attempts} attempts; survival is too rare"
-            )
-        batch = _run_chunked(detector, pairs_list, n_reps, seed, rep_offset=offset,
-                             n_jobs=n_jobs, nu=None, limit=int(horizon),
-                             stop_enabled=True)
-        attempts += batch.n_reps
-        offset += batch.n_reps
-        survived = ~batch.stopped | (batch.stop_time >= horizon)
-        for tx in batch.tx[survived]:
-            rates.append(tx / denom)
-            if len(rates) == n_reps:
-                break
-    return _reduce(np.asarray(rates), seed)
+    batch, idx = _resample(
+        detector, pairs, n_reps, seed, n_jobs,
+        lambda b: ~b.stopped | (b.stop_time >= horizon),
+        "collected {got}/{n_reps} trajectories surviving to the horizon after "
+        "{attempts} attempts; survival is too rare",
+        nu=None, limit=int(horizon), stop_enabled=True)
+    return summarize(batch.tx[idx] / denom, seed)
 
 
 def measure_performance(config: CusumAcConfig, pairs, *, n_reps: int, cap: int,

@@ -38,7 +38,8 @@ import numpy as np
 from ._engine import _rep_rngs
 from .censoring import optimize
 from .detectors import cusum_ac_multi_step, initial_state, two_level
-from .montecarlo import McEstimate, derive_seed, _reduce
+from .model import as_pairs
+from .montecarlo import McEstimate, derive_seed, summarize
 
 __all__ = [
     "CycleStats",
@@ -105,7 +106,7 @@ class EprimeCheck:
 
 def _sensors(pairs, eps1: float, strategy) -> tuple[list, list]:
     """Per-sensor pairs and censoring strategies (optimized, shared or as given)."""
-    pairs = list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
+    pairs = as_pairs(pairs)
     if strategy is None:
         return pairs, [optimize(p, eps1) for p in pairs]
     if not isinstance(strategy, (list, tuple)):
@@ -201,11 +202,11 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
         a1=a1,
         a=a,
         eps1=eps1,
-        eta0=_reduce(eta, seed, capped_eta),
-        eta0_given_return=_reduce(eta[returned], seed),
-        phi_given_return=_reduce(phi, seed, capped_phi),
-        t_a1=_reduce(t_a1, seed, capped_t),
-        p_return=_reduce(returned.astype(float), seed),
+        eta0=summarize(eta, seed, capped_eta),
+        eta0_given_return=summarize(eta[returned], seed),
+        phi_given_return=summarize(phi, seed, capped_phi),
+        t_a1=summarize(t_a1, seed, capped_t),
+        p_return=summarize(returned.astype(float), seed),
         return_value_samples=ret_vals,
         capped_walks=capped_eta + capped_phi + capped_t,
     )
@@ -242,8 +243,8 @@ def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int
                 lengths[i] = cap
                 break
     return DirectCycleStats(
-        cycle_length=_reduce(lengths, seed),
-        p_return=_reduce(returned.astype(float), seed),
+        cycle_length=summarize(lengths, seed),
+        p_return=summarize(returned.astype(float), seed),
     )
 
 

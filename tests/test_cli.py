@@ -1,14 +1,16 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
+import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
 import cusumac
-from cusumac import montecarlo
+from cusumac import cli, montecarlo
 from cusumac.cli import (
     RESULT_COLUMNS,
     TRACE_COLUMNS,
@@ -118,6 +120,23 @@ class TestParsing:
         assert main(["--config", str(cfg), "--out", str(out), "--threads", str(threads)]) == 2
         assert main(["--reproduce", "fig5", "--seed", "1", "--out", str(out),
                      "--threads", str(threads)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, where", [
+        (BASE.format(name="a", kind="arlfa", body="detector = cusum\na = 3.0\nn_reps = 1.5"),
+         "[experiment:a] n_reps"),
+        (BASE.format(name="s", kind="delay_vs_arlfa",
+                     body="zeta_grid = 100 abc\na1 = 0.78\neps1 = 0.63\nn_reps = 200"),
+         "[experiment:s] zeta_grid"),
+        ("[meta]\nseed = abc\n", "[meta] seed"),
+        ("[meta]\nseed = 3\nthreads = two\n", "[meta] threads"),
+    ], ids=["experiment_scalar", "grid_token", "meta_seed", "meta_threads"])
+    def test_malformed_number_names_its_key(self, tmp_path, text, where):
+        cfg = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_meta_reps_is_unknown(self, tmp_path):
@@ -336,6 +355,107 @@ class TestCanned:
 
     def test_reproduce_requires_seed(self, tmp_path):
         assert main(["--reproduce", "fig5", "--out", str(tmp_path)]) == 2
+
+    def test_reproduce_rejects_zero_reps(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the canned experiment was run")
+
+        monkeypatch.setattr(cli, "_run_all", no_run)
+        out = tmp_path / "out"
+        assert main(["--reproduce", "fig5", "--seed", "1", "--reps", "0",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+# One experiment of each estimator route, small enough to run in seconds.
+GOLDEN_CONFIG = """
+[meta]
+seed = 20261018
+
+[experiment:cusum_arlfa]
+kind = arlfa
+detector = cusum
+a = 3.0
+n_reps = 300
+
+[experiment:ac_arlfa]
+kind = arlfa
+detector = cusum_ac
+a = 3.5
+a1 = 0.78
+eps1 = 0.63
+n_reps = 300
+
+[experiment:ac_worst_delay]
+kind = delay
+detector = cusum_ac
+a = 4.0
+a1 = 0.78
+eps1 = 0.63
+nu = 10
+worst_history = true
+n_reps = 200
+
+[experiment:ac_conditional_rate]
+kind = rate
+detector = cusum_ac
+a = 7.0
+a1 = 0.78
+eps1 = 0.63
+mode = conditional
+n_reps = 20
+
+[experiment:sweep_arlfa]
+kind = delay_vs_arlfa
+zeta_grid = 100 200
+a1 = 0.78
+eps1 = 0.63
+epsilon = 0.7
+n_reps = 200
+tolerance = 0.2
+
+[experiment:sweep_rate]
+kind = delay_vs_rate
+m = 3
+zeta = 200
+epsilon_grid = 0.4
+n_reps = 200
+tolerance = 0.2
+
+[experiment:search]
+kind = calibrate
+zeta = 200
+epsilon = 0.8
+a1_grid = 0.78
+eps1_grid = 0.63 0.9
+n_reps = 200
+tolerance = 0.2
+"""
+
+# sha256 of every result CSV of GOLDEN_CONFIG.  The worst-history delay and
+# the conditional rate both resample (about 65% and 33% of their
+# replications are unusable), and eps1 = 0.9 fails the search's rate screen.
+GOLDEN_DIGESTS = {
+    "ac_arlfa.csv": "fbf260cb7a5897968b0a2a3ccd01e0e227a711c238efe3d65daf783ee77b6bba",
+    "ac_conditional_rate.csv":
+        "815431b541c124194b9f7ee0699e44d62a0d2202c96159985bfae802006a2e58",
+    "ac_worst_delay.csv": "ca4fe7e5f31542d633241c5da1b5e638d0b48e45f8fcf560a59e2901334f80ee",
+    "cusum_arlfa.csv": "3e5d42f7c088558873382bdec3dec922762a2bd1ba6a09a2a9532d1b588478a2",
+    "search.csv": "9ac79af79e68164d9e8a9e658ab80c5600dc349cfc545db4243e069df2470edb",
+    "search_trace.csv": "ec9e5d5a70ce4de3a57ec8485bc1c0ae66295483035879e20fce3e1b1fbb1d49",
+    "sweep_arlfa.csv": "d7d36c72081f523cfb0f264d4970d95a6c2fd57b3eb7ef90d54e8ac716ea93db",
+    "sweep_rate.csv": "f985547f5523256112ad439af2e29a4f55dd4dd08a9eee31e6f78047afcaa815",
+}
+
+
+def test_result_csvs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, GOLDEN_CONFIG)), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.csv"))}
+    assert digests == GOLDEN_DIGESTS
+    trace = read_csv(out / "search_trace.csv")
+    assert [r["note"] for r in trace] == ["", "rate screen failed"]
 
 
 # Runs in a fresh interpreter where any import of scipy fails.

@@ -12,10 +12,10 @@ from cusumac.montecarlo import (
     estimate_arlfa,
     estimate_comm_rate,
     estimate_delay,
-    estimate_delay_gap,
     paired_gap,
     pre_change_run,
     measure_performance,
+    summarize,
 )
 
 # Analytic oracles for the zero-threshold degenerate detectors: the run
@@ -43,6 +43,11 @@ class TestArlfa:
     def test_replication_floor(self, pair):
         with pytest.raises(ValueError, match="100"):
             estimate_arlfa(CusumSpec(1.0), pair, 50, cap=100, seed=3)
+
+    @pytest.mark.parametrize("run", [estimate_arlfa, pre_change_run])
+    def test_cap_must_be_positive(self, pair, run):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            run(CusumSpec(1.0), pair, 100, cap=0, seed=3)
 
     def test_calibration_self_consistency(self, pair):
         cal = calibrate_threshold(lambda a: CusumSpec(a), pair, 500.0, seed=4,
@@ -98,11 +103,13 @@ class TestDelay:
         assert plain.mean < worst.mean - three_se(plain, worst) / 3
 
     def test_paired_gap_reduces_variance(self, pair):
-        g = estimate_delay_gap(CusumSpec(4.6), CusumSpec(4.5), pair, 1500, seed=12)
-        assert g.gap.mean == pytest.approx(g.delay_a.mean - g.delay_b.mean, abs=1e-9)
-        assert g.gap.std_error < 0.5 * math.hypot(g.delay_a.std_error,
-                                                  g.delay_b.std_error)
-        assert g.gap.mean > 0  # higher threshold stops later on shared streams
+        da, ta = delay_samples(CusumSpec(4.6), pair, 1500, seed=12)
+        db, tb = delay_samples(CusumSpec(4.5), pair, 1500, seed=12)
+        gap = paired_gap(da, db, 12, ta + tb)
+        delay_a, delay_b = summarize(da, 12, ta), summarize(db, 12, tb)
+        assert gap.mean == pytest.approx(delay_a.mean - delay_b.mean, abs=1e-9)
+        assert gap.std_error < 0.5 * math.hypot(delay_a.std_error, delay_b.std_error)
+        assert gap.mean > 0  # higher threshold stops later on shared streams
 
 
 class TestCommRate:
