@@ -9,8 +9,7 @@ acceptance only from a full-budget probe.  The grid search screens each
 candidate by its communication rate first (the rate does not depend on the
 alarm threshold, so infeasible candidates never pay for a calibration),
 calibrates the survivors, and returns the admissible candidate with the
-smallest delay; slow-regime membership is recorded as advisory, and can be
-made binding with ``require_membership``.
+smallest delay; slow-regime membership is recorded as advisory.
 """
 
 from __future__ import annotations
@@ -234,7 +233,6 @@ def search_two_level(
     seed: int = 0,
     rate_horizon: int = 10_000,
     cycle_reps: int = 4000,
-    require_membership: bool = False,
     n_jobs: int = 1,
 ) -> CalibrationResult:
     """Brute-force search over (a1, eps1) minimizing delay under the constraints.
@@ -261,7 +259,6 @@ def search_two_level(
     strategy_cache = {
         eps1: [optimize(p, eps1) for p in pairs] for eps1 in sorted(set(eps1_grid))
     }
-    rate_reps = max(100, n_reps // 10)
     screen_reps = max(20, n_reps // 100)
 
     trace: list[CandidateRecord] = []
@@ -290,7 +287,7 @@ def search_two_level(
                 continue
             warm_a = cal.a
             config = config_of(cal.a)
-            rate = estimate_comm_rate(config, pairs, rate_horizon, rate_reps,
+            rate = estimate_comm_rate(config, pairs, rate_horizon, max(100, n_reps // 10),
                                       derive_seed(seed, 23), n_jobs=n_jobs)
             delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
@@ -300,7 +297,6 @@ def search_two_level(
             admissible = (
                 cal.arlfa.mean >= target.zeta * (1.0 - target.tolerance)
                 and rate.mean <= target.epsilon + 3.0 * rate.std_error
-                and (not require_membership or eprime.is_member)
             )
             rec = CandidateRecord(
                 a1=a1, eps1=eps1, a=cal.a,
@@ -322,8 +318,7 @@ def search_two_level(
     report = measure_performance(
         best_cfg, pairs, n_reps=n_reps,
         cap=max(int(CAP_MULT * target.zeta), 100), horizon=rate_horizon,
-        seed=derive_seed(seed, 99), nu=target.nu,
-        rate_reps=rate_reps, n_jobs=n_jobs)
+        seed=derive_seed(seed, 99), nu=target.nu, n_jobs=n_jobs)
     return CalibrationResult(
         config=best_cfg,
         report=report,

@@ -13,7 +13,11 @@ the single recorded seed.
 false-alarm level for the adaptive-censoring detector against plain CuSum at
 communication budgets 0.7 (fig4) and 0.4 (fig5), and delay versus
 communication rate at ARLFA 10^4 against the random-transmission baseline
-(fig6).
+(fig6).  Both entry paths share one seed rule: ``--seed`` or ``[meta] seed``
+is required, with ``0 <= seed < 2**64``.  A ``delay_vs_arlfa`` sweep needs
+``a1 < ln(min(zeta_grid))``: each increment's exponential has mean one before
+the change and the clamp at a1 only delays the alarm, so every threshold
+a > a1 has ARLFA >= e^a > zeta.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -33,6 +38,7 @@ from .calibration import (
     DEFAULT_A1_GRID,
     DEFAULT_EPS1_GRID,
     CalibrationTarget,
+    CandidateRecord,
     calibrate_threshold,
     search_two_level,
 )
@@ -52,8 +58,6 @@ from .montecarlo import (
 
 __all__ = ["main", "run", "reproduce", "ExperimentSpec", "parse_config",
            "REFERENCE_TWO_LEVEL_PARAMS"]
-
-KINDS = ("trace", "arlfa", "delay", "rate", "delay_vs_arlfa", "delay_vs_rate", "calibrate")
 
 # Reference (a1, eps1) operating points for the delay-vs-rate sweep at
 # ARLFA 10^4 with three identical Gaussian sensors: the admissible
@@ -81,9 +85,7 @@ RESULT_COLUMNS = [
     "metric", "mean", "std_error", "n_reps", "truncated_reps", "seed",
 ]
 TRACE_COLUMNS = ["k", "s", "level", "sent", "stopped"]
-SEARCH_COLUMNS = ["a1", "eps1", "a", "arlfa_mean", "arlfa_se", "rate_mean", "rate_se",
-                  "delay_mean", "delay_se", "eprime_verdict", "eprime_margin",
-                  "admissible", "note"]
+SEARCH_COLUMNS = [f.name for f in fields(CandidateRecord)]
 
 
 class ConfigError(ValueError):
@@ -128,21 +130,6 @@ _FIELD_PARSERS = {
 }
 _GRID_FIELDS = ("zeta_grid", "epsilon_grid", "a1_grid", "eps1_grid")
 _BOOL_FIELDS = ("worst_history",)
-
-_KEYS_COMMON = {"kind", "mu0", "mu1", "sigma", "m", "seed"}
-_KEYS_BY_KIND = {
-    "trace": _KEYS_COMMON | {"detector", "a", "a1", "eps1", "epsilon", "nu", "horizon"},
-    "arlfa": _KEYS_COMMON | {"detector", "a", "a1", "eps1", "epsilon", "n_reps", "cap"},
-    "delay": _KEYS_COMMON | {"detector", "a", "a1", "eps1", "epsilon", "n_reps", "nu",
-                             "cap", "worst_history"},
-    "rate": _KEYS_COMMON | {"detector", "a", "a1", "eps1", "epsilon", "n_reps",
-                            "horizon", "mode"},
-    "delay_vs_arlfa": _KEYS_COMMON | {"zeta_grid", "a1", "eps1", "epsilon", "n_reps",
-                                      "tolerance"},
-    "delay_vs_rate": _KEYS_COMMON | {"zeta", "epsilon_grid", "n_reps", "tolerance"},
-    "calibrate": _KEYS_COMMON | {"zeta", "epsilon", "a1_grid", "eps1_grid", "n_reps",
-                                 "nu", "tolerance", "horizon"},
-}
 
 
 def _parse_scalar(parse, text: str, where: str):
@@ -195,9 +182,9 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
                 raise ConfigError("experiment section needs a name")
             items = dict(parser.items(section))
             kind = items.get("kind")
-            if kind not in KINDS:
+            if kind not in _KINDS:
                 raise ConfigError(f"experiment {name!r}: unknown kind {kind!r}")
-            allowed = _KEYS_BY_KIND[kind]
+            allowed = _KINDS[kind][0]
             spec = ExperimentSpec(name=name, kind=kind)
             for key, value in items.items():
                 if key == "kind":
@@ -224,6 +211,14 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _require_levels(spec: ExperimentSpec, ceiling: float, ceiling_name: str):
+    """CuSum-AC's levels: a1 and eps1 given, 0 < a1 < ceiling, eps1 in (1e-3, 1]."""
+    _require(spec.a1 is not None and spec.eps1 is not None,
+             f"{spec.name}: cusum_ac needs a1 and eps1")
+    _require(0 < spec.a1 < ceiling, f"{spec.name}: need 0 < a1 < {ceiling_name}")
+    _require(1e-3 < spec.eps1 <= 1, f"{spec.name}: eps1 must lie in (1e-3, 1]")
+
+
 def _validate_spec(spec: ExperimentSpec):
     _require(spec.sigma > 0, f"{spec.name}: sigma must be positive")
     _require(spec.mu0 != spec.mu1, f"{spec.name}: mu0 and mu1 must differ")
@@ -236,10 +231,7 @@ def _validate_spec(spec: ExperimentSpec):
         _require(spec.a is not None and spec.a >= 0,
                  f"{spec.name}: threshold a is required and must be nonnegative")
         if spec.detector == "cusum_ac":
-            _require(spec.a1 is not None and spec.eps1 is not None,
-                     f"{spec.name}: cusum_ac needs a1 and eps1")
-            _require(0 < spec.a1 < spec.a, f"{spec.name}: need 0 < a1 < a")
-            _require(1e-3 < spec.eps1 <= 1, f"{spec.name}: eps1 must lie in (1e-3, 1]")
+            _require_levels(spec, spec.a, "a")
         if spec.detector == "random_tx":
             _require(spec.epsilon is not None and 0 <= spec.epsilon <= 1,
                      f"{spec.name}: random_tx needs epsilon in [0, 1]")
@@ -257,14 +249,13 @@ def _validate_spec(spec: ExperimentSpec):
     if spec.kind == "delay_vs_arlfa":
         _require(bool(spec.zeta_grid), f"{spec.name}: zeta_grid is required")
         _require(all(z >= 1 for z in spec.zeta_grid), f"{spec.name}: zeta values must be >= 1")
-        _require(spec.a1 is not None and spec.eps1 is not None,
-                 f"{spec.name}: a1 and eps1 are required")
-        _require(spec.a1 > 0, f"{spec.name}: a1 must be positive")
-        _require(1e-3 < spec.eps1 <= 1, f"{spec.name}: eps1 must lie in (1e-3, 1]")
+        ln_zeta = math.log(min(spec.zeta_grid))
+        _require_levels(spec, ln_zeta, f"ln(min(zeta_grid)) = {ln_zeta:g}")
         _require(spec.epsilon is None or 0 < spec.epsilon <= 1,
                  f"{spec.name}: epsilon must lie in (0, 1]")
-    if spec.kind == "delay_vs_rate":
+    if spec.kind in ("delay_vs_rate", "calibrate"):
         _require(spec.zeta is not None and spec.zeta >= 1, f"{spec.name}: zeta >= 1 required")
+    if spec.kind == "delay_vs_rate":
         _require(bool(spec.epsilon_grid), f"{spec.name}: epsilon_grid is required")
         for eps in spec.epsilon_grid:
             _require(0 < eps < 1, f"{spec.name}: epsilon grid values must lie in (0, 1)")
@@ -272,7 +263,6 @@ def _validate_spec(spec: ExperimentSpec):
                      f"{spec.name}: no reference (a1, eps1) for epsilon={eps}; "
                      f"available: {sorted(REFERENCE_TWO_LEVEL_PARAMS)}")
     if spec.kind == "calibrate":
-        _require(spec.zeta is not None and spec.zeta >= 1, f"{spec.name}: zeta >= 1 required")
         _require(spec.epsilon is not None and 0 < spec.epsilon <= 1,
                  f"{spec.name}: epsilon in (0, 1] required")
         for e in spec.eps1_grid:
@@ -284,10 +274,10 @@ def _validate_spec(spec: ExperimentSpec):
 
 def _spec_to_items(spec: ExperimentSpec) -> dict:
     """Fully resolved key/value view of a spec (manifest form)."""
-    out = {"kind": spec.kind}
-    allowed = _KEYS_BY_KIND[spec.kind]
+    out = {}
+    allowed = _KINDS[spec.kind][0]
     for f in fields(ExperimentSpec):
-        if f.name in ("name", "kind") or f.name not in allowed:
+        if f.name not in allowed:
             continue
         value = getattr(spec, f.name)
         if value is None or value == () :
@@ -316,12 +306,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns, rows):
+def _write_csv(path: Path, columns, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(row.get(col)) for col in columns])
+    return path
 
 
 class _RowSink:
@@ -345,14 +336,7 @@ class _RowSink:
 
     def write(self, out_dir: Path, columns=RESULT_COLUMNS) -> Path:
         """Write the rows to ``<experiment name>.csv`` in ``out_dir``."""
-        path = out_dir / f"{self.spec.name}.csv"
-        _write_csv(path, columns, self.rows)
-        return path
-
-
-def _pairs_of(spec: ExperimentSpec):
-    pair = gaussian_mean_shift(spec.mu0, spec.mu1, spec.sigma)
-    return pair, [pair] * spec.m
+        return _write_csv(out_dir / f"{self.spec.name}.csv", columns, self.rows)
 
 
 def _detector_of(spec: ExperimentSpec, pairs):
@@ -375,33 +359,21 @@ def run(spec: ExperimentSpec, out_dir: Path, seed: int, n_jobs: int = 1) -> list
     else:
         exp_seed = derive_seed(seed, int.from_bytes(
             hashlib.sha256(spec.name.encode()).digest()[:4], "big"))
-    handler = {
-        "trace": _run_trace,
-        "arlfa": _run_arlfa,
-        "delay": _run_delay,
-        "rate": _run_rate,
-        "delay_vs_arlfa": _run_delay_vs_arlfa,
-        "delay_vs_rate": _run_delay_vs_rate,
-        "calibrate": _run_calibrate,
-    }[spec.kind]
-    return handler(spec, out_dir, exp_seed, n_jobs)
+    pairs = [gaussian_mean_shift(spec.mu0, spec.mu1, spec.sigma)] * spec.m
+    return _KINDS[spec.kind][1](spec, pairs, out_dir, exp_seed, n_jobs)
 
 
-def _run_trace(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_trace(spec, pairs, out_dir, seed, n_jobs):
     detector = _detector_of(spec, pairs)
-    rows = simulate_trace(detector, pair, spec.nu, spec.horizon, seed)
-    path = out_dir / f"{spec.name}.csv"
-    _write_csv(path, TRACE_COLUMNS, rows)
-    return [path]
+    rows = simulate_trace(detector, pairs[0], spec.nu, spec.horizon, seed)
+    return [_write_csv(out_dir / f"{spec.name}.csv", TRACE_COLUMNS, rows)]
 
 
 def _detector_extra(spec) -> dict:
     return {"a": spec.a, "a1": spec.a1, "eps1": spec.eps1, "epsilon": spec.epsilon}
 
 
-def _run_arlfa(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_arlfa(spec, pairs, out_dir, seed, n_jobs):
     detector = _detector_of(spec, pairs)
     cap = spec.cap if spec.cap is not None else 1_000_000
     if spec.detector == "cusum_ac":
@@ -417,8 +389,7 @@ def _run_arlfa(spec, out_dir, seed, n_jobs):
     return [sink.write(out_dir, RESULT_COLUMNS + ["cap"])]
 
 
-def _run_delay(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_delay(spec, pairs, out_dir, seed, n_jobs):
     detector = _detector_of(spec, pairs)
     est = estimate_delay(detector, pairs, spec.n_reps, seed, nu=spec.nu,
                          cap=spec.cap if spec.cap is not None else 1_000_000,
@@ -428,8 +399,7 @@ def _run_delay(spec, out_dir, seed, n_jobs):
     return [sink.write(out_dir)]
 
 
-def _run_rate(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_rate(spec, pairs, out_dir, seed, n_jobs):
     detector = _detector_of(spec, pairs)
     est = estimate_comm_rate(detector, pairs, spec.horizon, spec.n_reps, seed,
                              mode=spec.mode, n_jobs=n_jobs)
@@ -439,106 +409,96 @@ def _run_rate(spec, out_dir, seed, n_jobs):
     return [sink.write(out_dir)]
 
 
-def _run_delay_vs_arlfa(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
-    strategies = [optimize(pair, spec.eps1)] * spec.m  # the sensors are copies of one pair
+def _calibrate(spec, pairs, make_detector, zeta, seed, salt, n_jobs, warm=None):
+    """The sweep's threshold for ``zeta``, calibrated on stream ``salt`` of ``seed``."""
+    return calibrate_threshold(make_detector, pairs, zeta, derive_seed(seed, salt),
+                               n_reps=spec.n_reps, tolerance=spec.tolerance,
+                               initial=warm, n_jobs=n_jobs)
+
+
+def _measure(sink, pairs, name, make_detector, cal, delay_seed, extra, n_jobs):
+    """Add a calibrated detector's ``arlfa`` and ``delay`` rows; return its delays.
+
+    The (samples, truncated) pair is drawn from ``delay_seed``, shared by the sweep point.
+    """
+    samples, truncated = delay_samples(make_detector(cal.a), pairs, sink.spec.n_reps,
+                                       delay_seed, nu=sink.spec.nu, n_jobs=n_jobs)
+    sink.add(name, "arlfa", cal.arlfa, **extra)
+    sink.add(name, "delay", summarize(samples, delay_seed, truncated), **extra)
+    return samples, truncated
+
+
+def _add_gap(sink, name, metric, mine, other, delay_seed, extra):
+    """Add ``mine`` minus ``other`` as row ``metric``, paired rep-by-rep on ``delay_seed``."""
+    sink.add(name, metric, paired_gap(mine[0], other[0], delay_seed, mine[1] + other[1]),
+             **extra)
+
+
+def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
+    strategies = [optimize(pairs[0], spec.eps1)] * spec.m  # the sensors are copies of one pair
+    ac_of = lambda a: two_level(pairs, a, spec.a1, spec.eps1, strategies=strategies)
     sink = _RowSink(spec, seed)
     warm_c = warm_ac = None
     for i, zeta in enumerate(spec.zeta_grid):
-        cal_c = calibrate_threshold(lambda a: CusumSpec(a), pairs, zeta,
-                                    derive_seed(seed, 10 + i), n_reps=spec.n_reps,
-                                    tolerance=spec.tolerance, initial=warm_c,
-                                    n_jobs=n_jobs)
-        ac_of = lambda a: two_level(pairs, a, spec.a1, spec.eps1, strategies=strategies)
-        cal_ac = calibrate_threshold(ac_of, pairs, zeta, derive_seed(seed, 40 + i),
-                                     n_reps=spec.n_reps, tolerance=spec.tolerance,
-                                     initial=warm_ac, n_jobs=n_jobs)
+        cal_c = _calibrate(spec, pairs, CusumSpec, zeta, seed, 10 + i, n_jobs, warm_c)
+        cal_ac = _calibrate(spec, pairs, ac_of, zeta, seed, 40 + i, n_jobs, warm_ac)
         warm_c, warm_ac = cal_c.a, cal_ac.a
         delay_seed = derive_seed(seed, 70 + i)
-        # Both detectors consume identical observation streams, so the gap row
-        # is a paired estimate with a far smaller standard error.
-        samp_c, trunc_c = delay_samples(CusumSpec(cal_c.a), pairs, spec.n_reps,
-                                        delay_seed, nu=spec.nu, n_jobs=n_jobs)
-        samp_ac, trunc_ac = delay_samples(ac_of(cal_ac.a), pairs, spec.n_reps,
-                                          delay_seed, nu=spec.nu, n_jobs=n_jobs)
-        rate = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
-                                  max(100, spec.n_reps // 10),
-                                  derive_seed(seed, 100 + i), n_jobs=n_jobs)
         c_extra = {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}
         ac_extra = {"a": cal_ac.a, "a1": spec.a1, "eps1": spec.eps1,
                     "epsilon": spec.epsilon, "zeta_target": zeta}
-        sink.add("cusum", "arlfa", cal_c.arlfa, **c_extra)
-        sink.add("cusum", "delay", summarize(samp_c, delay_seed, trunc_c), **c_extra)
-        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, **ac_extra)
-        sink.add("cusum_ac", "delay", summarize(samp_ac, delay_seed, trunc_ac), **ac_extra)
-        sink.add("cusum_ac", "delay_gap_vs_cusum",
-                 paired_gap(samp_ac, samp_c, delay_seed, trunc_c + trunc_ac), **ac_extra)
+        c = _measure(sink, pairs, "cusum", CusumSpec, cal_c, delay_seed, c_extra, n_jobs)
+        ac = _measure(sink, pairs, "cusum_ac", ac_of, cal_ac, delay_seed, ac_extra, n_jobs)
+        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
+        rate = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
+                                  max(100, spec.n_reps // 10),
+                                  derive_seed(seed, 100 + i), n_jobs=n_jobs)
         sink.add("cusum_ac", "comm_rate", rate, **ac_extra)
     return [sink.write(out_dir)]
 
 
-def _run_delay_vs_rate(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_delay_vs_rate(spec, pairs, out_dir, seed, n_jobs):
     sink = _RowSink(spec, seed)
     zeta = spec.zeta
-    cal_c = calibrate_threshold(lambda a: CusumSpec(a), pairs, zeta,
-                                derive_seed(seed, 7), n_reps=spec.n_reps,
-                                tolerance=spec.tolerance, n_jobs=n_jobs)
+    cal_c = _calibrate(spec, pairs, CusumSpec, zeta, seed, 7, n_jobs)
     # One shared delay seed pairs every detector rep-by-rep at each grid point.
     delay_seed = derive_seed(seed, 8)
-    samp_c, trunc_c = delay_samples(CusumSpec(cal_c.a), pairs, spec.n_reps,
-                                    delay_seed, nu=spec.nu, n_jobs=n_jobs)
-    c_extra = {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}
-    sink.add("cusum", "arlfa", cal_c.arlfa, **c_extra)
-    sink.add("cusum", "delay", summarize(samp_c, delay_seed, trunc_c), **c_extra)
+    c = _measure(sink, pairs, "cusum", CusumSpec, cal_c, delay_seed,
+                 {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}, n_jobs)
 
     warm_ac = None
     for i, eps in enumerate(spec.epsilon_grid):
         a1, eps1 = REFERENCE_TWO_LEVEL_PARAMS[round(eps, 2)]
-        strategies = [optimize(pair, eps1)] * spec.m
+        strategies = [optimize(pairs[0], eps1)] * spec.m
         ac_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
             pairs, a, a1, eps1, strategies=st)
-        cal_ac = calibrate_threshold(ac_of, pairs, zeta, derive_seed(seed, 20 + i),
-                                     n_reps=spec.n_reps, tolerance=spec.tolerance,
-                                     initial=warm_ac, n_jobs=n_jobs)
+        cal_ac = _calibrate(spec, pairs, ac_of, zeta, seed, 20 + i, n_jobs, warm_ac)
         warm_ac = cal_ac.a
-        cal_rtx = calibrate_threshold(lambda a, eps=eps: RandomTxSpec(a, eps), pairs,
-                                      zeta, derive_seed(seed, 50 + i),
-                                      n_reps=spec.n_reps, tolerance=spec.tolerance,
-                                      n_jobs=n_jobs)
-        samp_ac, trunc_ac = delay_samples(ac_of(cal_ac.a), pairs, spec.n_reps,
-                                          delay_seed, nu=spec.nu, n_jobs=n_jobs)
-        samp_rtx, trunc_rtx = delay_samples(RandomTxSpec(cal_rtx.a, eps), pairs,
-                                            spec.n_reps, delay_seed, nu=spec.nu,
-                                            n_jobs=n_jobs)
+        rtx_of = lambda a, eps=eps: RandomTxSpec(a, eps)
+        cal_rtx = _calibrate(spec, pairs, rtx_of, zeta, seed, 50 + i, n_jobs)
+        ac_extra = {"a": cal_ac.a, "a1": a1, "eps1": eps1, "epsilon": eps, "zeta_target": zeta}
+        rtx_extra = {"a": cal_rtx.a, "epsilon": eps, "zeta_target": zeta}
+        ac = _measure(sink, pairs, "cusum_ac", ac_of, cal_ac, delay_seed, ac_extra, n_jobs)
+        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
         rate_ac = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
                                      max(100, spec.n_reps // 10),
                                      derive_seed(seed, 80 + i), n_jobs=n_jobs)
-        ac_extra = {"a": cal_ac.a, "a1": a1, "eps1": eps1, "epsilon": eps, "zeta_target": zeta}
-        rtx_extra = {"a": cal_rtx.a, "epsilon": eps, "zeta_target": zeta}
-        sink.add("cusum_ac", "arlfa", cal_ac.arlfa, **ac_extra)
-        sink.add("cusum_ac", "delay", summarize(samp_ac, delay_seed, trunc_ac), **ac_extra)
-        sink.add("cusum_ac", "delay_gap_vs_cusum",
-                 paired_gap(samp_ac, samp_c, delay_seed, trunc_ac + trunc_c), **ac_extra)
         sink.add("cusum_ac", "comm_rate", rate_ac, **ac_extra)
-        sink.add("random_tx", "arlfa", cal_rtx.arlfa, **rtx_extra)
-        sink.add("random_tx", "delay", summarize(samp_rtx, delay_seed, trunc_rtx),
-                 **rtx_extra)
-        sink.add("random_tx", "delay_gap_vs_cusum_ac",
-                 paired_gap(samp_rtx, samp_ac, delay_seed, trunc_rtx + trunc_ac), **rtx_extra)
+        rtx = _measure(sink, pairs, "random_tx", rtx_of, cal_rtx, delay_seed, rtx_extra,
+                       n_jobs)
+        _add_gap(sink, "random_tx", "delay_gap_vs_cusum_ac", rtx, ac, delay_seed, rtx_extra)
     return [sink.write(out_dir)]
 
 
-def _run_calibrate(spec, out_dir, seed, n_jobs):
-    pair, pairs = _pairs_of(spec)
+def _run_calibrate(spec, pairs, out_dir, seed, n_jobs):
     target = CalibrationTarget(zeta=spec.zeta, epsilon=spec.epsilon, nu=spec.nu,
                                tolerance=spec.tolerance)
     a1_grid = spec.a1_grid or DEFAULT_A1_GRID
     eps1_grid = spec.eps1_grid or DEFAULT_EPS1_GRID
     result = search_two_level(pairs, target, a1_grid, eps1_grid, n_reps=spec.n_reps,
                               seed=seed, rate_horizon=spec.horizon, n_jobs=n_jobs)
-    trace_path = out_dir / f"{spec.name}_trace.csv"
-    _write_csv(trace_path, SEARCH_COLUMNS, [rec.to_record() for rec in result.search_trace])
+    trace_path = _write_csv(out_dir / f"{spec.name}_trace.csv", SEARCH_COLUMNS,
+                            [rec.to_record() for rec in result.search_trace])
     sink = _RowSink(spec, seed)
     if result.config is not None:
         cfg = result.config
@@ -551,6 +511,23 @@ def _run_calibrate(spec, out_dir, seed, n_jobs):
         print(f"warning: {spec.name}: no admissible candidate; best effort written",
               file=sys.stderr)
     return [path, trace_path]
+
+
+_KEYS_COMMON = {"kind", "mu0", "mu1", "sigma", "m", "seed"}
+_KEYS_DETECTOR = _KEYS_COMMON | {"detector", "a", "a1", "eps1", "epsilon"}
+# kind -> (config keys it accepts, handler(spec, pairs, out_dir, seed, n_jobs))
+_KINDS = {
+    "trace": (_KEYS_DETECTOR | {"nu", "horizon"}, _run_trace),
+    "arlfa": (_KEYS_DETECTOR | {"n_reps", "cap"}, _run_arlfa),
+    "delay": (_KEYS_DETECTOR | {"n_reps", "nu", "cap", "worst_history"}, _run_delay),
+    "rate": (_KEYS_DETECTOR | {"n_reps", "horizon", "mode"}, _run_rate),
+    "delay_vs_arlfa": (_KEYS_COMMON | {"zeta_grid", "a1", "eps1", "epsilon", "n_reps",
+                                       "tolerance"}, _run_delay_vs_arlfa),
+    "delay_vs_rate": (_KEYS_COMMON | {"zeta", "epsilon_grid", "n_reps", "tolerance"},
+                      _run_delay_vs_rate),
+    "calibrate": (_KEYS_COMMON | {"zeta", "epsilon", "a1_grid", "eps1_grid", "n_reps",
+                                  "nu", "tolerance", "horizon"}, _run_calibrate),
+}
 
 
 def _canned_specs(figure: str, n_reps: int) -> list[ExperimentSpec]:
@@ -575,8 +552,7 @@ def _canned_specs(figure: str, n_reps: int) -> list[ExperimentSpec]:
 def reproduce(figure: str, out_dir, seed: int, n_reps: int = 2000, n_jobs: int = 1
               ) -> list[Path]:
     """Run one canned experiment and write its CSV plus the manifest."""
-    specs = _canned_specs(figure, n_reps)
-    return _run_all(specs, {"seed": seed}, Path(out_dir), seed, n_jobs)
+    return _run_all(_canned_specs(figure, n_reps), {}, Path(out_dir), seed, n_jobs)
 
 
 def _write_manifest(path: Path, meta: dict, specs: list[ExperimentSpec], wall: float):
@@ -590,7 +566,13 @@ def _write_manifest(path: Path, meta: dict, specs: list[ExperimentSpec], wall: f
         parser.write(fh)
 
 
-def _run_all(specs, meta, out_dir: Path, seed: int, n_jobs: int) -> list[Path]:
+def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> list[Path]:
+    """Run every spec under master ``seed`` and write the manifest; the one seed check."""
+    _require(seed is not None, "a seed is required (give --seed or [meta] seed); "
+                               "wall-clock seeding is not supported")
+    _require(0 <= seed < 2**64, "seed must fit in 64 bits")
+    if not specs:
+        return []
     t0 = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -618,29 +600,18 @@ def main(argv=None) -> int:
     try:
         _require(args.threads is None or args.threads >= 1, "--threads must be at least 1")
         if args.reproduce:
-            if args.seed is None:
-                raise ConfigError("--seed is required (runs must be reproducible)")
-            reproduce(args.reproduce, args.out, args.seed,
-                      n_reps=args.reps if args.reps is not None else 2000,
-                      n_jobs=args.threads if args.threads is not None else 1)
-            return 0
-        if not args.config:
+            meta, specs = {}, _canned_specs(args.reproduce, 2000)
+        elif args.config:
+            meta, specs = parse_config(args.config)
+        else:
             parser.print_usage(sys.stderr)
             print("error: --config or --reproduce is required", file=sys.stderr)
             return 2
-        meta, specs = parse_config(args.config)
-        seed = args.seed if args.seed is not None else meta.get("seed")
-        if seed is None:
-            raise ConfigError("a seed is required (give --seed or [meta] seed); "
-                              "wall-clock seeding is not supported")
-        if not (0 <= seed < 2**64):
-            raise ConfigError("seed must fit in 64 bits")
         if args.reps is not None:
             for spec in specs:
                 spec.n_reps = args.reps
                 _validate_spec(spec)
-        if not specs:
-            return 0
+        seed = args.seed if args.seed is not None else meta.get("seed")
         threads = args.threads if args.threads is not None else meta.get("threads", 1)
         _run_all(specs, meta, args.out, seed, threads)
         return 0

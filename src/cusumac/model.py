@@ -222,12 +222,12 @@ def _kl_by_quadrature(pair) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def kl_divergence(pair, zero_tol: float = 1e-12) -> KlReport:
+def kl_divergence(pair) -> KlReport:
     """Compute I(f1||f0) and I(f0||f1) for an admitted pair.
 
     Uses the pair's closed form when it provides one, otherwise adaptive
-    quadrature with absolute tolerance 1e-8.  Non-finite or (numerically)
-    zero divergences violate the finiteness assumption and are rejected.
+    quadrature with absolute tolerance 1e-8.  Non-finite or numerically zero
+    (<= 1e-12) divergences break the finiteness assumption and are rejected.
     """
     if hasattr(pair, "closed_form_kl"):
         i10, i01 = pair.closed_form_kl()
@@ -238,7 +238,7 @@ def kl_divergence(pair, zero_tol: float = 1e-12) -> KlReport:
     for name, value in (("I(f1||f0)", i10), ("I(f0||f1)", i01)):
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite; pair violates the divergence assumption")
-        if value <= zero_tol:
+        if value <= 1e-12:
             raise ValueError(
                 f"{name} = {value:g} is not strictly positive; pair is inadmissible"
             )

@@ -269,14 +269,12 @@ def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
 
 
 def measure_performance(config: CusumAcConfig, pairs, *, n_reps: int, cap: int,
-                        horizon: int, seed: int, nu: int = 1, rate_reps: int | None = None,
-                        n_jobs: int = 1) -> PerfReport:
+                        horizon: int, seed: int, nu: int = 1, n_jobs: int = 1) -> PerfReport:
     """Full performance report of one adaptive-censoring configuration."""
     pre = pre_change_run(config, pairs, n_reps, cap, derive_seed(seed, 1), n_jobs=n_jobs)
     delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 2), nu=nu,
                            n_jobs=n_jobs)
-    rate = estimate_comm_rate(config, pairs, horizon,
-                              rate_reps if rate_reps is not None else max(100, n_reps // 10),
+    rate = estimate_comm_rate(config, pairs, horizon, max(100, n_reps // 10),
                               derive_seed(seed, 3), n_jobs=n_jobs)
     return PerfReport(
         arlfa=pre.arlfa,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import _rep_rngs
+from ._engine import _draw_obs, _rep_rngs
 from .censoring import optimize
 from .detectors import cusum_ac_multi_step, initial_state, two_level
 from .model import as_pairs
@@ -143,10 +143,7 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
     k = 0
     while act.size and k < cap:
         B = min(_WALK_BLOCK, max(_WALK_FIRST, k), cap - k)
-        x = np.empty((act.size, len(pairs), B))
-        for row, rid in enumerate(act):
-            for m, p in enumerate(pairs):
-                x[row, m] = p.sample0(rngs[rid], B)
+        x = _draw_obs(rngs, act, pairs, k, B, None)
         inc = np.zeros((act.size, B))
         for m, p in enumerate(pairs):
             llr = np.asarray(p.llr(x[:, m]))
@@ -266,7 +263,7 @@ def check_eprime_membership(stats: CycleStats) -> EprimeCheck:
     return EprimeCheck(verdict=verdict, margin=float(margin))
 
 
-def rate_upper_bound(stats: CycleStats, eps1: float | None = None) -> float:
+def rate_upper_bound(stats: CycleStats) -> float:
     """Alternating-renewal upper bound on the pre-change communication rate.
 
     Every cycle alternates a full-rate leg (mean eta, conditioned on return
@@ -274,13 +271,12 @@ def rate_upper_bound(stats: CycleStats, eps1: float | None = None) -> float:
     rate eps1); the long-run send fraction is bounded by the time-weighted
     mix of the two rates.
     """
-    e1 = stats.eps1 if eps1 is None else eps1
     eta = stats.eta0_given_return.mean
     phi = stats.phi_given_return.mean
-    return (eta + e1 * phi) / (eta + phi)
+    return (eta + stats.eps1 * phi) / (eta + phi)
 
 
-def feedback_expectation(stats: CycleStats, resolution: float | None = None) -> float:
+def feedback_expectation(stats: CycleStats) -> float:
     """Expected strategy announcements per alarm, 2 / (1 - p_return).
 
     Each SPRT leg costs two announcements (the switch into the censored mode
@@ -290,7 +286,6 @@ def feedback_expectation(stats: CycleStats, resolution: float | None = None) -> 
     count, reported as infinity.
     """
     p = stats.p_return.mean
-    tol = resolution if resolution is not None else max(stats.p_return.std_error, 1e-12)
-    if p >= 1.0 - tol:
+    if p >= 1.0 - max(stats.p_return.std_error, 1e-12):
         return math.inf
     return 2.0 / (1.0 - p)

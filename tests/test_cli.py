@@ -82,7 +82,10 @@ class TestParsing:
         ("arlfa", "detector = cusum\na = 3.0\ncap = 0", "cap"),
         ("delay", "detector = cusum\na = 3.0\ncap = 0", "cap"),
         ("delay_vs_arlfa", "zeta_grid = 1000\na1 = 0.79\neps1 = 0.27\nepsilon = 7", "epsilon"),
-    ], ids=["negative_a1", "arlfa_cap_zero", "delay_cap_zero", "epsilon_above_one"])
+        # Every threshold above a1 = 20 has ARLFA >= e^20, so none calibrates to 1000.
+        ("delay_vs_arlfa", "zeta_grid = 1000 5000\na1 = 20\neps1 = 0.27", r"a1 < ln"),
+    ], ids=["negative_a1", "arlfa_cap_zero", "delay_cap_zero", "epsilon_above_one",
+            "a1_unreachable"])
     def test_out_of_range_inputs_rejected_before_running(self, tmp_path, kind, body, key):
         cfg = write(tmp_path, BASE.format(name="x", kind=kind, body=body + "\nn_reps = 200"))
         with pytest.raises(ConfigError, match=key):
@@ -338,6 +341,10 @@ n_reps = 150
         assert rows[0]["n_reps"] == "250"
 
 
+def no_run(*args, **kwargs):
+    raise AssertionError("an experiment was run")
+
+
 class TestCanned:
     def test_canned_specs_match_reported_setups(self):
         fig4 = _canned_specs("fig4", 2000)[0]
@@ -357,14 +364,30 @@ class TestCanned:
         assert main(["--reproduce", "fig5", "--out", str(tmp_path)]) == 2
 
     def test_reproduce_rejects_zero_reps(self, tmp_path, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the canned experiment was run")
-
         monkeypatch.setattr(cli, "_run_all", no_run)
         out = tmp_path / "out"
         assert main(["--reproduce", "fig5", "--seed", "1", "--reps", "0",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_reproduce_checks_the_seed_like_config(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setattr(cli, "run", no_run)
+        out = tmp_path / "out"
+        assert main(["--reproduce", "fig5", "--seed", seed, "--out", str(out)]) == 2
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="64 bits"):
+            cli.reproduce("fig5", out, seed=int(seed))
+        assert not out.exists()
+
+    def test_reproduce_manifest_is_a_valid_config(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: [])
+        out = tmp_path / "out"
+        assert main(["--reproduce", "fig5", "--seed", "5", "--reps", "100",
+                     "--out", str(out)]) == 0
+        meta, specs = parse_config(out / "manifest.ini")
+        assert meta == {"seed": 5}
+        assert specs == _canned_specs("fig5", 100)
 
 
 # One experiment of each estimator route, small enough to run in seconds.
@@ -456,6 +479,43 @@ def test_result_csvs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
     trace = read_csv(out / "search_trace.csv")
     assert [r["note"] for r in trace] == ["", "rate screen failed"]
+
+
+# The routes GOLDEN_CONFIG leaves out: a CuSum-AC trace (which both sends and
+# censors at both levels) and the random-transmission ARLFA.
+GOLDEN_CONFIG_2 = """
+[meta]
+seed = 20261018
+
+[experiment:ac_trace]
+kind = trace
+detector = cusum_ac
+a = 4.5
+a1 = 0.78
+eps1 = 0.63
+nu = 60
+horizon = 300
+
+[experiment:rtx_arlfa]
+kind = arlfa
+detector = random_tx
+a = 3.0
+epsilon = 0.5
+n_reps = 300
+"""
+
+GOLDEN_DIGESTS_2 = {
+    "ac_trace.csv": "3dd1b362a1fa684af81426f306347e8754294107ddc7c9daac4c0d496e47904e",
+    "rtx_arlfa.csv": "a600a61b907b65fd1fe2ef4c2b1a7d9e9baf7dca7cd2347aa59c4ab5ec07190f",
+}
+
+
+def test_trace_and_random_tx_csvs_match_golden_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, GOLDEN_CONFIG_2)), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.csv"))}
+    assert digests == GOLDEN_DIGESTS_2
 
 
 # Runs in a fresh interpreter where any import of scipy fails.
