@@ -3,14 +3,20 @@
 
 For each communication budget the script runs ``calibration.search_two_level``
 once over a small candidate grid: it screens each candidate by measured
-network rate, calibrates the survivors to the target ARLFA, and keeps the
+network rate, calibrates each survivor's threshold on its own renewal ARLFA
+curve (at the default tolerance of ``CalibrationTarget``, 0.05: the curve's
+relative standard error at the threshold is at most 0.05 / 6), and keeps the
 admissible candidate (rate within three standard errors of the budget) with
-the smallest delay.  It prints every candidate of the search trace, then the
-winning table, which is frozen into cusumac.cli as REFERENCE_TWO_LEVEL_PARAMS;
-re-run this script to regenerate it (it takes tens of minutes at the default
-budgets).
+the smallest delay.  ``--reps`` sizes the delay and rate batches of each
+candidate and the winner's direct re-measurement; it plays no part in the
+calibration.  A candidate whose ARLFA just above a1 already exceeds the
+target is listed as ``calibration failed``.  The script prints every
+candidate of the search trace (``arlfa`` there is the in-sample curve value),
+then the winning table, which is frozen into cusumac.cli as
+REFERENCE_TWO_LEVEL_PARAMS; re-run this script to regenerate it.
 
 Usage: python scripts/derive_reference_params.py [--zeta 10000] [--sensors 3]
+           [--reps 600] [--seed 20240501]
 """
 
 import argparse
@@ -28,11 +34,12 @@ EPS1_FRACTIONS = [0.45, 0.6, 0.75, 0.9]
 
 
 def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--zeta", type=float, default=10_000.0)
-    ap.add_argument("--sensors", type=int, default=3)
-    ap.add_argument("--reps", type=int, default=600)
-    ap.add_argument("--seed", type=int, default=20240501)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--zeta", type=float, default=10_000.0, help="ARLFA target")
+    ap.add_argument("--sensors", type=int, default=3, help="identical Gaussian sensors")
+    ap.add_argument("--reps", type=int, default=600,
+                    help="replications of each delay batch (rate batches use a tenth)")
+    ap.add_argument("--seed", type=int, default=20240501, help="master seed")
     args = ap.parse_args()
 
     pairs = [gaussian_mean_shift(0.0, 0.5, 1.0)] * args.sensors

@@ -1,22 +1,27 @@
 """Parameter calibration: thresholds for an ARLFA target, and the grid search
 over (a1, eps1) that meets a communication budget while minimizing delay.
 
-Threshold calibration exploits the near-affine relation between the alarm
-threshold and the log of the run length: probes are placed by a log-space
-secant clipped into a maintained bracket, starting from the asymptotic
-``ln(zeta)`` rule, with early probes at a tenth of the replication budget and
-acceptance only from a full-budget probe.  The grid search screens each
-candidate by its communication rate first (the rate does not depend on the
-alarm threshold, so infeasible candidates never pay for a calibration),
-calibrates the survivors, and returns the admissible candidate with the
-smallest delay; slow-regime membership is recorded as advisory.
+Every threshold comes from one renewal ARLFA curve per detector
+(:func:`cusumac.renewal.arlfa_curve`): :func:`threshold_curve` lays a grid
+from the detector's lowest threshold (0, or just above a1 for CuSum-AC) up
+to ln(max zeta), which is a proven upper bracket because every detector
+here has ARLFA(a) >= e^a.  It grows the curve's legs until the relative
+standard error at each calibrated threshold is at most ``tolerance / 6``;
+:func:`calibrate_threshold` then interpolates ln ARLFA = ln zeta between the
+bracketing grid points.  The grid search screens each candidate by its
+communication rate first (the rate does not depend on the alarm threshold,
+so infeasible candidates never pay for a calibration), calibrates the
+survivors, and returns the admissible candidate with the smallest delay;
+slow-regime membership is recorded as advisory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .censoring import optimize
 from .detectors import CusumAcConfig, two_level
@@ -25,12 +30,17 @@ from .montecarlo import (
     McEstimate,
     PerfReport,
     derive_seed,
-    estimate_arlfa,
     estimate_comm_rate,
     estimate_delay,
     measure_performance,
 )
-from .renewal import EprimeCheck, check_eprime_membership, estimate_cycle
+from .renewal import (
+    ArlfaCurve,
+    EprimeCheck,
+    arlfa_curve,
+    check_eprime_membership,
+    estimate_cycle,
+)
 
 __all__ = [
     "CalibrationTarget",
@@ -39,6 +49,7 @@ __all__ = [
     "ProbeRecord",
     "CandidateRecord",
     "CalibrationResult",
+    "threshold_curve",
     "calibrate_threshold",
     "search_two_level",
     "DEFAULT_A1_GRID",
@@ -48,12 +59,15 @@ __all__ = [
 # Default grids bracket the operating points used by the canned experiments.
 DEFAULT_A1_GRID = tuple(round(0.2 * i, 1) for i in range(1, 11))       # 0.2 .. 2.0
 DEFAULT_EPS1_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))     # 0.1 .. 0.9
-# Full-budget ARLFA runs are capped at max(CAP_MULT * zeta, 100) steps.
+# The winner's direct ARLFA runs are capped at max(CAP_MULT * zeta, 100) steps.
 CAP_MULT = 100
+_GRID_STEP = 0.1        # threshold spacing of a calibration curve
+_PILOT_LEGS = 1000      # legs of a curve before it grows to its tolerance
+_MAX_LEGS = 4_000_000   # a tolerance needing more legs is refused
 
 
 class CalibrationError(RuntimeError):
-    """Raised when threshold bracketing fails; carries the probe trace."""
+    """Raised when no threshold can be calibrated; carries the curve points consulted."""
 
     def __init__(self, message: str, probes=()):
         super().__init__(message)
@@ -82,6 +96,8 @@ class CalibrationTarget:
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One curve point consulted by a calibration."""
+
     a: float
     arlfa_mean: float
     arlfa_se: float
@@ -90,94 +106,88 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class ThresholdCalibration:
+    """A calibrated threshold, the curve's ARLFA there, and its bracketing points."""
+
     a: float
     arlfa: McEstimate
     probes: tuple[ProbeRecord, ...]
 
 
-def calibrate_threshold(
-    make_detector: Callable[[float], object],
-    pairs,
-    zeta: float,
-    seed: int,
-    *,
-    n_reps: int = 2000,
-    tolerance: float = 0.05,
-    max_probes: int = 40,
-    initial: Optional[float] = None,
-    n_jobs: int = 1,
-) -> ThresholdCalibration:
-    """Find a threshold whose estimated ARLFA matches ``zeta`` within tolerance.
+def threshold_curve(detector, pairs, zetas: Sequence[float], seed: int,
+                    tolerance: float) -> ArlfaCurve:
+    """One ARLFA curve (:func:`cusumac.renewal.arlfa_curve`) that calibrates every target.
 
-    ``make_detector(a)`` must build the detector at threshold ``a``.  ln(ARLFA)
-    is close to affine in the threshold with slope near one for CuSum-family
-    detectors, so the search takes log-space secant steps with a fitted slope:
-    cheap screen probes (a tenth of the budget, run-length cap 8 * zeta so a
-    badly placed probe stays cheap) locate the threshold, then full-budget
-    probes (run-length cap ``CAP_MULT * zeta``) confirm.  The first probe
-    sits at the asymptotic ln(zeta) rule unless ``initial`` is given.
+    The thresholds run in steps of 0.1 from the family's lowest (0, or just
+    above a1 for CuSum-AC) to at least ln(max zetas).  Starting from 1000
+    legs, the curve grows until its relative standard error at every
+    reachable target's bracketing points is at most ``tolerance / 6``; a
+    tolerance that would need more than 4 million legs raises
+    :class:`CalibrationError`.
+    """
+    floor = detector.a1 if isinstance(detector, CusumAcConfig) else 0.0
+    n_steps = max(1, math.ceil((math.log(max(zetas)) - floor) / _GRID_STEP))
+    lowest = np.nextafter(floor, math.inf) if floor else 0.0
+    grid = [lowest] + [floor + _GRID_STEP * k for k in range(1, n_steps + 1)]
+    curve = arlfa_curve(detector, pairs, grid, _PILOT_LEGS, seed)
+    target = tolerance / 6.0
+    while True:
+        rel_se = [p.arlfa_se / p.arlfa_mean for zeta in zetas if zeta >= curve.mean[0]
+                  for p in _bracket(curve, zeta)[1]]
+        worst = max(rel_se, default=0.0)
+        if worst <= target:
+            return curve
+        need = math.ceil(curve.n_legs * (worst / target) ** 2)
+        if need > _MAX_LEGS:
+            raise CalibrationError(f"a relative SE of {target:.3g} needs about {need} legs, "
+                                   f"more than {_MAX_LEGS}; raise the tolerance")
+        curve = curve.grown(max(need, curve.n_legs + _PILOT_LEGS))
+
+
+def _point(curve: ArlfaCurve, i: int) -> ProbeRecord:
+    return ProbeRecord(a=float(curve.a[i]), arlfa_mean=float(curve.mean[i]),
+                       arlfa_se=float(curve.std_error[i]), n_reps=curve.n_legs)
+
+
+def _bracket(curve: ArlfaCurve, zeta: float) -> tuple[float, tuple[ProbeRecord, ...]]:
+    """The threshold where ln ARLFA = ln zeta on ``curve``, and the points bracketing it."""
+    mean = curve.mean
+    if zeta <= 1.0 or zeta == mean[0]:
+        return float(curve.a[0]), (_point(curve, 0),)  # zeta = 1: every run lasts a step
+    if zeta < mean[0]:
+        raise CalibrationError(f"no threshold reaches ARLFA {zeta:g}: the lowest, "
+                               f"{curve.a[0]:g}, already gives {mean[0]:.4g}",
+                               [_point(curve, 0)])
+    hi = int(np.searchsorted(mean, zeta))  # the first point at or above zeta
+    if hi == mean.size:
+        raise CalibrationError(f"the curve tops out at ARLFA {mean[-1]:.4g} < {zeta:g}",
+                               [_point(curve, -1)])
+    lo, hi = _point(curve, hi - 1), _point(curve, hi)
+    frac = math.log(zeta / lo.arlfa_mean) / math.log(hi.arlfa_mean / lo.arlfa_mean)
+    return lo.a + frac * (hi.a - lo.a), (lo, hi)
+
+
+def calibrate_threshold(curve: ArlfaCurve, zeta: float) -> ThresholdCalibration:
+    """The threshold whose ARLFA on ``curve`` is ``zeta``.
+
+    ln ARLFA is interpolated linearly in the threshold between the two curve
+    points that bracket ``zeta`` (the curve is near-affine there, slope about
+    one); they are returned as ``probes``.  ``arlfa`` is the in-sample curve
+    value there, which is ``zeta``, with the relative standard error
+    interpolated alike; ``n_reps`` counts legs.  zeta = 1 gives the lowest
+    threshold.  A target below the curve's lowest point (for CuSum-AC,
+    ARLFA just above a1 already exceeds it) or above its top raises
+    :class:`CalibrationError`.
     """
     if zeta < 1.0:
         raise ValueError(f"zeta must be >= 1, got {zeta}")
-    probes: list[ProbeRecord] = []
-
-    def probe(a: float, n: int, idx: int, cap: int) -> McEstimate:
-        try:
-            detector = make_detector(a)
-        except ValueError as err:
-            # e.g. a probe at or below a two-level detector's switching threshold
-            raise CalibrationError(f"no detector at threshold {a:g}: {err}", probes) from err
-        est = estimate_arlfa(detector, pairs, n, cap=cap,
-                             seed=derive_seed(seed, idx), n_jobs=n_jobs)
-        probes.append(ProbeRecord(a=a, arlfa_mean=est.mean, arlfa_se=est.std_error,
-                                  n_reps=est.n_reps))
-        return est
-
-    full_cap = max(int(CAP_MULT * zeta), 100)
-    if zeta <= 1.0:
-        # Any nonnegative threshold satisfies E[T] >= 1; zero is the smallest.
-        est = probe(0.0, max(100, n_reps // 10), 0, full_cap)
-        return ThresholdCalibration(a=0.0, arlfa=est, probes=tuple(probes))
-
-    log_target = math.log(zeta)
-    lo_bracket = log_target / 4.0
-    hi_bracket = 4.0 * log_target
-    n_screen = max(100, n_reps // 10)
-    screen_cap = max(int(8 * zeta), 100)
-
-    def clamp(a: float) -> float:
-        return min(max(a, lo_bracket), hi_bracket)
-
-    a_cur = clamp(initial if initial is not None else log_target)
-    slope = 1.0  # d(a) / d(ln ARLFA), refined from probe pairs
-    prev: Optional[tuple[float, float]] = None
-
-    for idx in range(max_probes):
-        # Screen until the expected miss is small, then confirm at full budget.
-        near = prev is not None and abs(prev[1] - log_target) <= max(3.0 * tolerance, 0.15)
-        full = near or n_screen >= n_reps or idx >= max_probes - 2
-        est = probe(a_cur, n_reps if full else n_screen, idx,
-                    full_cap if full else screen_cap)
-        mean = max(est.mean, 1.0)
-        log_mean = math.log(mean)
-        if full and abs(mean - zeta) <= tolerance * zeta:
-            return ThresholdCalibration(a=a_cur, arlfa=est, probes=tuple(probes))
-        if prev is not None and abs(log_mean - prev[1]) > 0.05 and a_cur != prev[0]:
-            fitted = (a_cur - prev[0]) / (log_mean - prev[1])
-            if 0.25 <= fitted <= 4.0:
-                slope = fitted
-        prev = (a_cur, log_mean)
-        step = (log_target - log_mean) * slope
-        step = min(max(step, -1.5), 1.5)  # capped runs understate distance; iterate
-        a_next = clamp(a_cur + step)
-        if a_next == a_cur:
-            a_next = clamp(a_cur + (0.01 if mean < zeta else -0.01))
-        a_cur = a_next
-
-    raise CalibrationError(
-        f"no threshold with ARLFA within {tolerance:.0%} of {zeta:g} after "
-        f"{max_probes} probes", probes,
-    )
+    a, probes = _bracket(curve, zeta)
+    lo, hi = probes[0], probes[-1]
+    frac = (a - lo.a) / (hi.a - lo.a) if hi.a > lo.a else 0.0
+    rel_se = (1 - frac) * lo.arlfa_se / lo.arlfa_mean + frac * hi.arlfa_se / hi.arlfa_mean
+    mean = max(zeta, lo.arlfa_mean)  # zeta, or the lowest point's ARLFA for zeta = 1
+    arlfa = McEstimate(mean=mean, std_error=rel_se * mean, n_reps=curve.n_legs,
+                       seed=curve.seed, truncated_reps=curve.capped)
+    return ThresholdCalibration(a=a, arlfa=arlfa, probes=probes)
 
 
 @dataclass(frozen=True)
@@ -238,11 +248,15 @@ def search_two_level(
     """Brute-force search over (a1, eps1) minimizing delay under the constraints.
 
     Every candidate is screened by its (threshold-independent) communication
-    rate, then calibrated to the ARLFA target and measured.  Admissibility
-    means the calibrated ARLFA reaches zeta within tolerance and the rate does
-    not exceed the budget by more than three standard errors.  The rate is
-    measured in ``no_stop`` mode.  The winner's final report is measured on
-    a fresh seed, with its ARLFA runs capped at ``CAP_MULT * zeta`` steps.
+    rate, then calibrated to the ARLFA target on its own renewal curve
+    (:func:`threshold_curve` at ``target.tolerance``) and measured; a
+    candidate whose ARLFA just above a1 already exceeds zeta is recorded as
+    ``calibration failed``.  The trace's ``arlfa_mean`` is the in-sample
+    curve value at the calibrated threshold.  Admissibility means the rate
+    does not exceed the budget by more than three standard errors; it is
+    measured in ``no_stop`` mode.  ``n_reps`` sizes the delay and rate
+    batches.  The winner's final report is measured directly on a fresh
+    seed, with its ARLFA runs capped at ``CAP_MULT * zeta`` steps.
     Slow-regime membership is judged on the renewal cycle of the fused
     statistic of all sensors, with each sensor's strategy at ``eps1``.
     When no candidate is admissible the best-effort candidate is still
@@ -263,29 +277,28 @@ def search_two_level(
 
     trace: list[CandidateRecord] = []
     candidates: list[tuple[CandidateRecord, CusumAcConfig]] = []
-    warm_a: Optional[float] = None
 
     for a1 in a1_grid:
         for eps1 in eps1_grid:
             strategies = strategy_cache[eps1]
             config_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
                 pairs, a, a1, eps1, strategies=st)
-            # The rate ignores the alarm threshold, so screen before calibrating.
+            # The rate ignores the alarm threshold, so screen before calibrating;
+            # the screened detector also names the family of the ARLFA curve.
+            family = config_of(a1 + 100.0)
             rate_screen = estimate_comm_rate(
-                config_of(a1 + 100.0), pairs, rate_horizon, screen_reps,
-                derive_seed(seed, 21), n_jobs=n_jobs)
+                family, pairs, rate_horizon, screen_reps, derive_seed(seed, 21),
+                n_jobs=n_jobs)
             if rate_screen.mean - 3.0 * rate_screen.std_error > target.epsilon:
                 trace.append(_skipped(a1, eps1, rate_screen, "rate screen failed"))
                 continue
             try:
-                cal = calibrate_threshold(
-                    config_of, pairs, target.zeta, derive_seed(seed, 22),
-                    n_reps=n_reps, tolerance=target.tolerance, initial=warm_a,
-                    n_jobs=n_jobs)
+                curve = threshold_curve(family, pairs, [target.zeta],
+                                        derive_seed(seed, 22), target.tolerance)
+                cal = calibrate_threshold(curve, target.zeta)
             except CalibrationError as err:
                 trace.append(_skipped(a1, eps1, rate_screen, f"calibration failed: {err}"))
                 continue
-            warm_a = cal.a
             config = config_of(cal.a)
             rate = estimate_comm_rate(config, pairs, rate_horizon, max(100, n_reps // 10),
                                       derive_seed(seed, 23), n_jobs=n_jobs)
@@ -294,10 +307,7 @@ def search_two_level(
             cycle = estimate_cycle(pairs, a1, math.inf, eps1, cycle_reps,
                                    derive_seed(seed, 25), strategy=strategies)
             eprime: EprimeCheck = check_eprime_membership(cycle)
-            admissible = (
-                cal.arlfa.mean >= target.zeta * (1.0 - target.tolerance)
-                and rate.mean <= target.epsilon + 3.0 * rate.std_error
-            )
+            admissible = rate.mean <= target.epsilon + 3.0 * rate.std_error
             rec = CandidateRecord(
                 a1=a1, eps1=eps1, a=cal.a,
                 arlfa_mean=cal.arlfa.mean, arlfa_se=cal.arlfa.std_error,

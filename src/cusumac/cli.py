@@ -41,6 +41,7 @@ from .calibration import (
     CandidateRecord,
     calibrate_threshold,
     search_two_level,
+    threshold_curve,
 )
 from .censoring import optimize
 from .detectors import CusumSpec, RandomTxSpec, simulate_trace, two_level
@@ -55,6 +56,7 @@ from .montecarlo import (
     pre_change_run,
     summarize,
 )
+from .renewal import arlfa_curve
 
 __all__ = ["main", "run", "reproduce", "ExperimentSpec", "parse_config",
            "REFERENCE_TWO_LEVEL_PARAMS"]
@@ -409,21 +411,29 @@ def _run_rate(spec, pairs, out_dir, seed, n_jobs):
     return [sink.write(out_dir)]
 
 
-def _calibrate(spec, pairs, make_detector, zeta, seed, salt, n_jobs, warm=None):
-    """The sweep's threshold for ``zeta``, calibrated on stream ``salt`` of ``seed``."""
-    return calibrate_threshold(make_detector, pairs, zeta, derive_seed(seed, salt),
-                               n_reps=spec.n_reps, tolerance=spec.tolerance,
-                               initial=warm, n_jobs=n_jobs)
+def _calibrate(spec, pairs, detector, zetas, seed, salt) -> list:
+    """(threshold, ARLFA row) for each of ``zetas``, calibrated on stream ``salt`` of ``seed``.
+
+    The thresholds come from one renewal curve of the ``detector`` family.
+    Each row is a second curve with as many legs on stream ``salt + 1000``,
+    evaluated only at the chosen thresholds, so it is not the estimate the
+    calibration selected on.
+    """
+    curve = threshold_curve(detector, pairs, zetas, derive_seed(seed, salt), spec.tolerance)
+    chosen = [calibrate_threshold(curve, zeta).a for zeta in zetas]
+    grid = sorted(set(chosen))
+    fresh = arlfa_curve(detector, pairs, grid, curve.n_legs, derive_seed(seed, salt + 1000))
+    return [(a, fresh.estimate(grid.index(a))) for a in chosen]
 
 
-def _measure(sink, pairs, name, make_detector, cal, delay_seed, extra, n_jobs):
+def _measure(sink, pairs, name, detector, arlfa, delay_seed, extra, n_jobs):
     """Add a calibrated detector's ``arlfa`` and ``delay`` rows; return its delays.
 
     The (samples, truncated) pair is drawn from ``delay_seed``, shared by the sweep point.
     """
-    samples, truncated = delay_samples(make_detector(cal.a), pairs, sink.spec.n_reps,
+    samples, truncated = delay_samples(detector, pairs, sink.spec.n_reps,
                                        delay_seed, nu=sink.spec.nu, n_jobs=n_jobs)
-    sink.add(name, "arlfa", cal.arlfa, **extra)
+    sink.add(name, "arlfa", arlfa, **extra)
     sink.add(name, "delay", summarize(samples, delay_seed, truncated), **extra)
     return samples, truncated
 
@@ -437,20 +447,20 @@ def _add_gap(sink, name, metric, mine, other, delay_seed, extra):
 def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
     strategies = [optimize(pairs[0], spec.eps1)] * spec.m  # the sensors are copies of one pair
     ac_of = lambda a: two_level(pairs, a, spec.a1, spec.eps1, strategies=strategies)
+    zetas = spec.zeta_grid
+    cusum = _calibrate(spec, pairs, CusumSpec(0.0), zetas, seed, 10)
+    adaptive = _calibrate(spec, pairs, ac_of(math.inf), zetas, seed, 40)
     sink = _RowSink(spec, seed)
-    warm_c = warm_ac = None
-    for i, zeta in enumerate(spec.zeta_grid):
-        cal_c = _calibrate(spec, pairs, CusumSpec, zeta, seed, 10 + i, n_jobs, warm_c)
-        cal_ac = _calibrate(spec, pairs, ac_of, zeta, seed, 40 + i, n_jobs, warm_ac)
-        warm_c, warm_ac = cal_c.a, cal_ac.a
+    for i, (zeta, (a_c, arl_c), (a_ac, arl_ac)) in enumerate(zip(zetas, cusum, adaptive)):
         delay_seed = derive_seed(seed, 70 + i)
-        c_extra = {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}
-        ac_extra = {"a": cal_ac.a, "a1": spec.a1, "eps1": spec.eps1,
+        c_extra = {"a": a_c, "epsilon": 1.0, "zeta_target": zeta}
+        ac_extra = {"a": a_ac, "a1": spec.a1, "eps1": spec.eps1,
                     "epsilon": spec.epsilon, "zeta_target": zeta}
-        c = _measure(sink, pairs, "cusum", CusumSpec, cal_c, delay_seed, c_extra, n_jobs)
-        ac = _measure(sink, pairs, "cusum_ac", ac_of, cal_ac, delay_seed, ac_extra, n_jobs)
+        c = _measure(sink, pairs, "cusum", CusumSpec(a_c), arl_c, delay_seed, c_extra, n_jobs)
+        ac = _measure(sink, pairs, "cusum_ac", ac_of(a_ac), arl_ac, delay_seed, ac_extra,
+                      n_jobs)
         _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
-        rate = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
+        rate = estimate_comm_rate(ac_of(a_ac), pairs, 10_000,
                                   max(100, spec.n_reps // 10),
                                   derive_seed(seed, 100 + i), n_jobs=n_jobs)
         sink.add("cusum_ac", "comm_rate", rate, **ac_extra)
@@ -460,32 +470,30 @@ def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
 def _run_delay_vs_rate(spec, pairs, out_dir, seed, n_jobs):
     sink = _RowSink(spec, seed)
     zeta = spec.zeta
-    cal_c = _calibrate(spec, pairs, CusumSpec, zeta, seed, 7, n_jobs)
+    [(a_c, arl_c)] = _calibrate(spec, pairs, CusumSpec(0.0), [zeta], seed, 7)
     # One shared delay seed pairs every detector rep-by-rep at each grid point.
     delay_seed = derive_seed(seed, 8)
-    c = _measure(sink, pairs, "cusum", CusumSpec, cal_c, delay_seed,
-                 {"a": cal_c.a, "epsilon": 1.0, "zeta_target": zeta}, n_jobs)
+    c = _measure(sink, pairs, "cusum", CusumSpec(a_c), arl_c, delay_seed,
+                 {"a": a_c, "epsilon": 1.0, "zeta_target": zeta}, n_jobs)
 
-    warm_ac = None
     for i, eps in enumerate(spec.epsilon_grid):
         a1, eps1 = REFERENCE_TWO_LEVEL_PARAMS[round(eps, 2)]
         strategies = [optimize(pairs[0], eps1)] * spec.m
-        ac_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
-            pairs, a, a1, eps1, strategies=st)
-        cal_ac = _calibrate(spec, pairs, ac_of, zeta, seed, 20 + i, n_jobs, warm_ac)
-        warm_ac = cal_ac.a
-        rtx_of = lambda a, eps=eps: RandomTxSpec(a, eps)
-        cal_rtx = _calibrate(spec, pairs, rtx_of, zeta, seed, 50 + i, n_jobs)
-        ac_extra = {"a": cal_ac.a, "a1": a1, "eps1": eps1, "epsilon": eps, "zeta_target": zeta}
-        rtx_extra = {"a": cal_rtx.a, "epsilon": eps, "zeta_target": zeta}
-        ac = _measure(sink, pairs, "cusum_ac", ac_of, cal_ac, delay_seed, ac_extra, n_jobs)
+        ac_of = lambda a: two_level(pairs, a, a1, eps1, strategies=strategies)
+        [(a_ac, arl_ac)] = _calibrate(spec, pairs, ac_of(math.inf), [zeta], seed, 20 + i)
+        [(a_rtx, arl_rtx)] = _calibrate(spec, pairs, RandomTxSpec(0.0, eps), [zeta], seed,
+                                        50 + i)
+        ac_extra = {"a": a_ac, "a1": a1, "eps1": eps1, "epsilon": eps, "zeta_target": zeta}
+        rtx_extra = {"a": a_rtx, "epsilon": eps, "zeta_target": zeta}
+        ac = _measure(sink, pairs, "cusum_ac", ac_of(a_ac), arl_ac, delay_seed, ac_extra,
+                      n_jobs)
         _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
-        rate_ac = estimate_comm_rate(ac_of(cal_ac.a), pairs, 10_000,
+        rate_ac = estimate_comm_rate(ac_of(a_ac), pairs, 10_000,
                                      max(100, spec.n_reps // 10),
                                      derive_seed(seed, 80 + i), n_jobs=n_jobs)
         sink.add("cusum_ac", "comm_rate", rate_ac, **ac_extra)
-        rtx = _measure(sink, pairs, "random_tx", rtx_of, cal_rtx, delay_seed, rtx_extra,
-                       n_jobs)
+        rtx = _measure(sink, pairs, "random_tx", RandomTxSpec(a_rtx, eps), arl_rtx,
+                       delay_seed, rtx_extra, n_jobs)
         _add_gap(sink, "random_tx", "delay_gap_vs_cusum_ac", rtx, ac, delay_seed, rtx_extra)
     return [sink.write(out_dir)]
 
@@ -537,12 +545,12 @@ def _canned_specs(figure: str, n_reps: int) -> list[ExperimentSpec]:
         spec = ExperimentSpec(
             name=figure, kind="delay_vs_arlfa", m=3,
             zeta_grid=(2000.0, 5000.0, 10000.0),
-            a1=a1, eps1=eps1, epsilon=budget, n_reps=n_reps, tolerance=0.015)
+            a1=a1, eps1=eps1, epsilon=budget, n_reps=n_reps, tolerance=0.05)
     elif figure == "fig6":
         spec = ExperimentSpec(
             name=figure, kind="delay_vs_rate", m=3, zeta=10_000.0,
             epsilon_grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-            n_reps=n_reps, tolerance=0.015)
+            n_reps=n_reps, tolerance=0.05)
     else:
         raise ConfigError(f"unknown canned experiment {figure!r}")
     _validate_spec(spec)
@@ -555,19 +563,26 @@ def reproduce(figure: str, out_dir, seed: int, n_reps: int = 2000, n_jobs: int =
     return _run_all(_canned_specs(figure, n_reps), {}, Path(out_dir), seed, n_jobs)
 
 
-def _write_manifest(path: Path, meta: dict, specs: list[ExperimentSpec], wall: float):
+def _write_manifest(path: Path, meta: dict, specs: list[ExperimentSpec], status: str,
+                    wall: float):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser["meta"] = {k: str(v) for k, v in meta.items()}
     for spec in specs:
         parser[f"experiment:{spec.name}"] = _spec_to_items(spec)
-    parser["provenance"] = {"version": __version__, "wall_time_s": f"{wall:.1f}"}
+    parser["provenance"] = {"version": __version__, "status": status,
+                            "wall_time_s": f"{wall:.1f}"}
     with open(path, "w") as fh:
         parser.write(fh)
 
 
 def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> list[Path]:
-    """Run every spec under master ``seed`` and write the manifest; the one seed check."""
+    """Run every spec under master ``seed`` and write the manifest; the one seed check.
+
+    The manifest is written before the first experiment with ``status =
+    running`` and rewritten at the end as ``complete``, or ``failed`` when an
+    experiment raised, so a partial run still records its seed and config.
+    """
     _require(seed is not None, "a seed is required (give --seed or [meta] seed); "
                                "wall-clock seeding is not supported")
     _require(0 <= seed < 2**64, "seed must fit in 64 bits")
@@ -575,13 +590,18 @@ def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> li
         return []
     t0 = time.time()
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for spec in specs:
-        written.extend(run(spec, out_dir, seed, n_jobs))
     manifest = out_dir / "manifest.ini"
-    _write_manifest(manifest, {**meta, "seed": seed}, specs, time.time() - t0)
-    written.append(manifest)
-    return written
+    meta = {**meta, "seed": seed}
+    _write_manifest(manifest, meta, specs, "running", 0.0)
+    written = []
+    try:
+        for spec in specs:
+            written.extend(run(spec, out_dir, seed, n_jobs))
+    except BaseException:
+        _write_manifest(manifest, meta, specs, "failed", time.time() - t0)
+        raise
+    _write_manifest(manifest, meta, specs, "complete", time.time() - t0)
+    return written + [manifest]
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ the expected per-alarm feedback count.
 
 Every leg, and the plain CuSum run t_a1, is one call of a single walker: the
 reflected fused statistic stepped from a start value until it leaves
-[lower, upper).  Within a leg the censoring level never changes, so the
+(lower, upper).  Within a leg the censoring level never changes, so the
 increments are i.i.d. and a block of steps reduces to a cumulative sum
 against a running minimum.  The walker does not use the engine's fixed
 ``OBS_BLOCK``, which the paired delay comparisons rely on: legs last a few to
@@ -21,23 +21,37 @@ replication and doubles each later block up to ``_WALK_BLOCK``.  The
 schedule depends only on the step count, so results do not depend on
 batching.  With M > 1 sensors it is part of the walker's stream, since a
 block is drawn sensor by sensor; with M = 1 the draws are one sequence
-whatever the block sizes.
+whatever the block sizes (random transmission's send uniforms, which follow
+each block's observations, aside).
 
 ``estimate_cycle_direct`` measures whole cycles through the scalar detector
 step function instead, giving an independent route for the composition
 identity E[cycle] = E[eta] + p_return * E[phi | return].
+
+``arlfa_curve`` turns the same decomposition into the mean time to false
+alarm of all three detector families at every threshold of a grid, with the
+rare alarm probability estimated by importance sampling; calibration reads
+its thresholds off that curve.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import _draw_obs, _rep_rngs
+from ._engine import _draw_obs, _draw_uniforms, _rep_rngs
 from .censoring import optimize
-from .detectors import cusum_ac_multi_step, initial_state, two_level
+from .detectors import (
+    CusumAcConfig,
+    CusumSpec,
+    RandomTxSpec,
+    cusum_ac_multi_step,
+    initial_state,
+    two_level,
+)
 from .model import as_pairs
 from .montecarlo import McEstimate, derive_seed, summarize
 
@@ -47,6 +61,8 @@ __all__ = [
     "EprimeCheck",
     "estimate_cycle",
     "estimate_cycle_direct",
+    "ArlfaCurve",
+    "arlfa_curve",
     "check_eprime_membership",
     "rate_upper_bound",
     "feedback_expectation",
@@ -55,6 +71,7 @@ __all__ = [
 _WALK_CAP = 10_000_000  # hard step cap for open-band walks; hits are flagged, never silent
 _WALK_FIRST = 16   # steps in a walk's first block; blocks then double
 _WALK_BLOCK = 256  # largest block
+_LEG_BATCH = 1000  # legs of an ARLFA curve walked together
 
 
 @dataclass(frozen=True)
@@ -117,33 +134,43 @@ def _sensors(pairs, eps1: float, strategy) -> tuple[list, list]:
 
 
 def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
-          seed: int, cap: int):
-    """Step the reflected fused statistic from ``starts`` until it leaves [lower, upper).
+          seed: int, cap: int, *, rep_offset: int = 0, substream: int = 0,
+          post_change: bool = False, send_prob=None, levels=None):
+    """Step the reflected fused statistic from ``starts`` until it leaves (lower, upper).
 
-    Replication i draws from stream [seed, i, 0] in blocks of 16, 16, 32,
-    64, ... steps, doubling up to ``_WALK_BLOCK``, sensor by sensor within a
-    block.  The schedule depends only on the step count; it is part of the
-    stream at M > 1, and at M = 1 gives the same draws as any other
-    schedule.  A sensor's increment is its raw LLR, or with ``strategies``
-    its censored LLR: the constant inside the no-send interval.  Sensors are
-    added in order onto 0.0, as the scalar step does.  With c_0 the start
-    and W the unreflected walk from 0, the reflected statistic is
-    c_k = W_k - min(-c_0, min_{j<=k} W_j).
+    Replication i draws from stream [seed, rep_offset + i, substream] in
+    blocks of 16, 16, 32, 64, ... steps, doubling up to ``_WALK_BLOCK``,
+    sensor by sensor within a block, from the post-change law if
+    ``post_change``.  The schedule depends only on the step count; it is
+    part of the stream at M > 1, and at M = 1 gives the same draws as any
+    other schedule.  A sensor's increment is its raw LLR, or with
+    ``strategies`` its censored LLR: the constant inside the no-send
+    interval.  With ``send_prob`` a sensor sends with that probability (a
+    block's uniforms follow its observations on the stream) and an unsent
+    slot adds zero.  Sensors are added in order onto 0.0, as the scalar step
+    does.  With c_0 the start and W the unreflected walk from 0, the
+    reflected statistic is c_k = W_k - min(-c_0, min_{j<=k} W_j).
 
     Returns (durations, exit values, n_capped); a capped walk has duration
-    ``cap`` and exit value NaN.
+    ``cap`` and exit value NaN.  With nondecreasing ``levels`` it also
+    returns (times, values), each (n, len(levels)): the step at which the
+    statistic first reached each level (0 if never) and its value there.
     """
     n = starts.size
-    rngs = _rep_rngs(seed, 0, n, 0)
+    rngs = _rep_rngs(seed, rep_offset, n, substream)
     act = np.arange(n)
     w = np.zeros(n)
     w_min = -starts
     dur = np.full(n, cap, dtype=np.int64)
     exit_s = np.full(n, np.nan)
+    if levels is not None:
+        times, values = np.zeros((n, levels.size), dtype=np.int64), np.zeros((n, levels.size))
     k = 0
     while act.size and k < cap:
         B = min(_WALK_BLOCK, max(_WALK_FIRST, k), cap - k)
-        x = _draw_obs(rngs, act, pairs, k, B, None)
+        x = _draw_obs(rngs, act, pairs, k, B, 1 if post_change else None)
+        if send_prob is not None:
+            sent = _draw_uniforms(rngs, act, len(pairs), B) < send_prob
         inc = np.zeros((act.size, B))
         for m, p in enumerate(pairs):
             llr = np.asarray(p.llr(x[:, m]))
@@ -151,20 +178,36 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
                 st = strategies[m]
                 inside = (x[:, m] >= st.nosend_x_lo) & (x[:, m] <= st.nosend_x_hi)
                 llr = np.where(inside, st.llr_censored, llr)
+            if send_prob is not None:
+                llr = np.where(sent[:, :, m], llr, 0.0)
             inc += llr
         path = np.cumsum(inc, axis=1) + w[:, None]
         path_min = np.minimum(np.minimum.accumulate(path, axis=1), w_min[:, None])
         s = path - path_min
-        out = (s < lower) | (s >= upper)
+        out = (s <= lower) | (s >= upper)
         found = out.any(axis=1)
+        last = np.where(found, out.argmax(axis=1), B - 1)
         rows = np.nonzero(found)[0]
-        idx = out[rows].argmax(axis=1)
-        dur[act[rows]] = k + idx + 1
-        exit_s[act[rows]] = s[rows, idx]
+        dur[act[rows]] = k + last[rows] + 1
+        exit_s[act[rows]] = s[rows, last[rows]]
+        if levels is not None:
+            # at[i, j]: the first column where walk i has reached level j, or B.
+            # Row i's count of levels reached never decreases, so offsetting it
+            # by i * (len(levels) + 1) makes one sorted array for all rows.
+            run = np.maximum.accumulate(np.where(np.arange(B) <= last[:, None], s, -np.inf), 1)
+            row = np.arange(act.size)[:, None]
+            count = np.searchsorted(levels, run, side="right") + row * (levels.size + 1)
+            at = np.searchsorted(count.ravel(), row * (levels.size + 1) + np.arange(levels.size),
+                                 side="right") - row * B
+            r, j = np.nonzero((at < B) & (times[act] == 0))
+            times[act[r], j] = k + 1 + at[r, j]
+            values[act[r], j] = s[r, at[r, j]]
         keep = ~found
         act, w, w_min = act[keep], path[keep, -1], path_min[keep, -1]
         k += B
-    return dur, exit_s, int(act.size)
+    if levels is None:
+        return dur, exit_s, int(act.size)
+    return dur, exit_s, int(act.size), (times, values)
 
 
 def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: int, *,
@@ -186,7 +229,8 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
         raise ValueError("cycle estimation needs at least 100 replications")
     pairs, strategies = _sensors(pairs, eps1, strategy)
 
-    eta, shat, capped_eta = _walk(pairs, None, np.full(n_reps, a1), a1, a,
+    eta, shat, capped_eta = _walk(pairs, None, np.full(n_reps, a1),
+                                  np.nextafter(a1, -math.inf), a,
                                   derive_seed(seed, 11), cap)
     returned = shat < a1
     ret_vals = shat[returned]
@@ -243,6 +287,131 @@ def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int
         cycle_length=summarize(lengths, seed),
         p_return=summarize(returned.astype(float), seed),
     )
+
+
+@dataclass(frozen=True)
+class ArlfaCurve:
+    """ARLFA estimates at the thresholds ``a`` from ``n_legs`` legs of each kind.
+
+    ``sums`` holds per threshold the sums over legs of y, y^2, q, q^2, z and
+    z^2 (see :func:`arlfa_curve`); ``capped`` walks hit the step cap.
+    """
+
+    detector: object
+    pairs: tuple
+    a: np.ndarray
+    seed: int
+    n_legs: int
+    sums: np.ndarray
+    capped: int
+
+    @property
+    def mean(self) -> np.ndarray:
+        y, q, z = self.sums[0::2] / self.n_legs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return z + y / q
+
+    @property
+    def std_error(self) -> np.ndarray:
+        """Delta-method standard error of :attr:`mean`; the leg kinds are independent."""
+        n = self.n_legs
+        y, q, z = means = self.sums[0::2] / n
+        var_y, var_q, var_z = np.maximum(self.sums[1::2] / n - means**2, 0.0) / (n - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sqrt(var_z + var_y / q**2 + y**2 * var_q / q**4)
+
+    def estimate(self, i: int) -> McEstimate:
+        """The curve at threshold ``a[i]``; ``n_reps`` counts legs."""
+        return McEstimate(mean=float(self.mean[i]), std_error=float(self.std_error[i]),
+                          n_reps=self.n_legs, seed=self.seed, truncated_reps=self.capped)
+
+    def grown(self, n_legs: int) -> "ArlfaCurve":
+        """This curve grown to ``n_legs`` legs, walked in batches of ``_LEG_BATCH``.
+
+        The sums fold in one leg at a time, so growing in steps gives the
+        curve built at once, bit for bit.
+        """
+        sums, capped = self.sums.copy(), self.capped
+        for start in range(self.n_legs, n_legs, _LEG_BATCH):
+            y, q, z, n_capped = _curve_legs(self, start, min(_LEG_BATCH, n_legs - start))
+            for row, v in enumerate((y, y * y, q, q * q, z, z * z)):
+                sums[row] = np.add.accumulate(np.concatenate([sums[row][None], v]))[-1]
+            capped += n_capped
+        return dataclasses.replace(self, n_legs=max(n_legs, self.n_legs), sums=sums,
+                                   capped=capped)
+
+
+def _regeneration(detector) -> tuple:
+    """(regeneration level r, censored-climb strategies, send probability) of a family."""
+    if isinstance(detector, CusumAcConfig) and len(detector.levels) == 1:
+        return detector.a1, detector.strategies[0], None
+    if isinstance(detector, (CusumSpec, RandomTxSpec)):
+        return 0.0, None, getattr(detector, "epsilon", None)
+    raise ValueError("the ARLFA curve covers plain CuSum, random transmission and "
+                     "two-level CuSum-AC")
+
+
+def _curve_legs(curve: ArlfaCurve, start: int, n: int):
+    """y, q and z per threshold of legs ``start`` .. ``start + n - 1``, and capped walks."""
+    r, strategies, send_prob = _regeneration(curve.detector)
+    pairs, ac = list(curve.pairs), strategies is not None
+    # CuSum-AC alarms at s >= a, the others at s > a; a leg returns below a1 or to 0.
+    levels = curve.a if ac else np.nextafter(curve.a, math.inf)
+    lower = np.nextafter(r, -math.inf) if ac else 0.0
+    kw = dict(seed=curve.seed, cap=_WALK_CAP, rep_offset=start)
+    leg = dict(kw, pairs=pairs, strategies=None, starts=np.full(n, r), lower=lower,
+               upper=levels[-1], send_prob=send_prob, levels=levels)
+    dur, exit_s, capped, (t0, _) = _walk(**leg)
+    _, _, capped_1, (t1, v1) = _walk(**leg, substream=1, post_change=True)
+    tail, z = dur.astype(float), np.zeros(n)
+    if ac:
+        returned = exit_s <= lower
+        phi, _, capped_phi = _walk(pairs, strategies, np.where(returned, exit_s, 0.0),
+                                   -math.inf, r, substream=2, **kw)
+        z, _, capped_z = _walk(pairs, strategies, np.zeros(n), -math.inf, r, substream=3, **kw)
+        tail += np.where(returned, phi, 0)
+        capped += capped_phi + capped_z
+    y = np.where(t0 > 0, t0, tail[:, None])
+    q = np.where(t1 > 0, np.exp(r - v1), 0.0)
+    return y, q, np.broadcast_to(z[:, None], y.shape).astype(float), capped + capped_1
+
+
+def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
+    """Renewal importance-sampling estimate of ARLFA(a) at every ``a`` in ``a_grid``.
+
+    ``detector`` names the family (plain CuSum, random transmission, or
+    two-level CuSum-AC with its a1 and strategies); its own threshold plays
+    no part.  Every such detector regenerates at a level r: 0 for plain
+    CuSum and random transmission, a1 for CuSum-AC, whose upward crossings
+    clamp there.  So ARLFA(a) = E[z] + E[y(a)] / E[q(a)] over legs, where
+    y is the full-rate leg from r until it reaches a or returns below r,
+    plus for CuSum-AC the censored climb back to a1 after a return; q is the
+    leg's indicator of reaching a; and z is the censored climb from 0 to a1
+    (zero for the other families).  The path does not depend on a, only
+    where it stops, so one walk to the top of the grid serves every
+    threshold.  Reaching a is rare, so q is estimated by importance
+    sampling (Siegmund, Ann. Statist. 1976): a second set of legs walks
+    under the post-change law, and a passage with value s counts
+    exp(-(s - r)), the exact likelihood ratio of a path that has not
+    reflected.
+
+    Leg i draws from streams [seed, i, k]: k = 0 for its pre-change leg, 1
+    for its post-change leg, 2 for the climb after the pre-change leg and 3
+    for the first climb, so the curve does not depend on batching.
+    Thresholds must be finite and nondecreasing, at least 0, and above a1
+    for CuSum-AC.
+    """
+    r, strategies, _ = _regeneration(detector)
+    a = np.asarray(a_grid, dtype=float)
+    if a.ndim != 1 or not a.size or not np.isfinite(a).all() or (np.diff(a) < 0).any():
+        raise ValueError("a_grid must be a nonempty nondecreasing sequence of finite reals")
+    if not (a[0] > r if strategies is not None else a[0] >= 0.0):
+        raise ValueError("thresholds must be nonnegative, and above a1 for CuSum-AC")
+    if n_legs < 2:
+        raise ValueError("an ARLFA curve needs at least two legs")
+    empty = ArlfaCurve(detector=detector, pairs=tuple(as_pairs(pairs)), a=a, seed=seed,
+                       n_legs=0, sums=np.zeros((6, a.size)), capped=0)
+    return empty.grown(n_legs)
 
 
 def check_eprime_membership(stats: CycleStats) -> EprimeCheck:

@@ -7,23 +7,28 @@ from cusumac.calibration import (
     CalibrationTarget,
     calibrate_threshold,
     search_two_level,
+    threshold_curve,
 )
 from cusumac.detectors import CusumSpec, two_level
 from cusumac.montecarlo import derive_seed, estimate_comm_rate, estimate_delay
 from cusumac.renewal import check_eprime_membership, estimate_cycle
 
 
+def calibrated(detector, pairs, zeta, seed, tolerance=0.05):
+    """The threshold for ``zeta`` from the detector family's own curve."""
+    curve = threshold_curve(detector, pairs, [zeta], seed, tolerance)
+    return calibrate_threshold(curve, zeta)
+
+
 class TestCalibrateThreshold:
     def test_degenerate_target_returns_zero(self, pair):
-        cal = calibrate_threshold(lambda a: CusumSpec(a), pair, 1.0, seed=1,
-                                  n_reps=1000)
+        cal = calibrated(CusumSpec(0.0), pair, 1.0, seed=1)
         assert cal.a == 0.0
         assert cal.arlfa.mean >= 1.0  # any run length satisfies zeta = 1
 
     def test_found_threshold_near_log_zeta(self, pair):
         zeta = 1000.0
-        cal = calibrate_threshold(lambda a: CusumSpec(a), pair, zeta, seed=2,
-                                  n_reps=1000, tolerance=0.05)
+        cal = calibrated(CusumSpec(0.0), pair, zeta, seed=2, tolerance=0.05)
         assert abs(cal.arlfa.mean - zeta) <= 0.05 * zeta
         # the asymptotic rule is a guide, not the answer (offset ~2.6 here)
         assert abs(cal.a - math.log(zeta)) < 3.0
@@ -31,32 +36,37 @@ class TestCalibrateThreshold:
         assert len(cal.probes) >= 1
 
     def test_threshold_nondecreasing_in_zeta(self, pair):
-        found = []
-        warm = None
-        for zeta in (100.0, 1000.0, 10000.0):
-            cal = calibrate_threshold(lambda a: CusumSpec(a), pair, zeta, seed=3,
-                                      n_reps=600, tolerance=0.05, initial=warm)
-            warm = cal.a + 1.0
-            found.append(cal.a)
+        zetas = (100.0, 1000.0, 10000.0)
+        curve = threshold_curve(CusumSpec(0.0), pair, zetas, seed=3, tolerance=0.05)
+        found = [calibrate_threshold(curve, zeta).a for zeta in zetas]
         assert found[0] < found[1] < found[2]
 
-    def test_bracket_failure_carries_trace(self, pair):
-        with pytest.raises(CalibrationError) as err:
-            calibrate_threshold(lambda a: CusumSpec(a), pair, 1000.0, seed=4,
-                                n_reps=200, tolerance=1e-6, max_probes=4)
-        assert len(err.value.probes) == 4
+    def test_probes_bracket_the_target(self, pair):
+        curve = threshold_curve(CusumSpec(0.0), pair, [1000.0], seed=4, tolerance=0.2)
+        cal = calibrate_threshold(curve, 1000.0)
+        lo, hi = cal.probes
+        assert lo.a < cal.a <= hi.a and hi.a - lo.a == pytest.approx(0.1)
+        assert lo.arlfa_mean < 1000.0 <= hi.arlfa_mean
+        assert cal.arlfa.n_reps == lo.n_reps == curve.n_legs
+        # the relative SE target is tolerance / 6 at both bracketing points
+        assert max(p.arlfa_se / p.arlfa_mean for p in cal.probes) <= 0.2 / 6
 
-    def test_unbuildable_detector_is_a_calibration_error(self, pair):
-        # A probe at or below a1 cannot build the two-level detector.
-        with pytest.raises(CalibrationError, match="must lie below") as err:
-            calibrate_threshold(lambda a: two_level(pair, a, 2.0, 0.5), pair, 50.0,
-                                seed=5, n_reps=100, tolerance=0.2)
-        assert isinstance(err.value.__cause__, ValueError)
-        assert all(p.a > 2.0 for p in err.value.probes)
+    def test_unreachable_target_is_a_calibration_error(self, pair):
+        # ARLFA just above a1 = 2 already exceeds 50, so no threshold matches.
+        with pytest.raises(CalibrationError, match="no threshold reaches") as err:
+            calibrated(two_level(pair, math.inf, 2.0, 0.5), pair, 50.0, seed=5,
+                       tolerance=0.2)
+        (point,) = err.value.probes
+        assert 2.0 < point.a < 2.0 + 1e-12 and point.arlfa_mean > 50.0
+
+    def test_tolerance_beyond_the_leg_cap_is_refused(self, pair):
+        with pytest.raises(CalibrationError, match="legs"):
+            threshold_curve(CusumSpec(0.0), pair, [1000.0], seed=5, tolerance=1e-6)
 
     def test_zeta_below_one_rejected(self, pair):
+        curve = threshold_curve(CusumSpec(0.0), pair, [10.0], seed=5, tolerance=0.2)
         with pytest.raises(ValueError):
-            calibrate_threshold(lambda a: CusumSpec(a), pair, 0.5, seed=5)
+            calibrate_threshold(curve, 0.5)
 
 
 class TestTarget:
@@ -80,8 +90,7 @@ class TestSearchTwoLevel:
         # 0.402 open-band and 0.4015 under survive-to-horizon conditioning).
         cfg_of = lambda a: two_level(pairs3, a, 0.79, 0.27,
                                      strategies=[strategy_cache(0.27)] * 3)
-        cal = calibrate_threshold(cfg_of, pairs3, 2000.0, seed=6, n_reps=600,
-                                  tolerance=0.05)
+        cal = calibrated(cfg_of(math.inf), pairs3, 2000.0, seed=6, tolerance=0.05)
         assert abs(cal.arlfa.mean - 2000.0) <= 100.0
         rate = estimate_comm_rate(cfg_of(cal.a), pairs3, 10_000, 100, seed=60)
         assert rate.mean <= 0.40 + 0.005
@@ -94,8 +103,7 @@ class TestSearchTwoLevel:
         # admissibility.
         cfg_of = lambda a: two_level(pairs3, a, 0.78, 0.63,
                                      strategies=[strategy_cache(0.63)] * 3)
-        cal = calibrate_threshold(cfg_of, pairs3, 2000.0, seed=7, n_reps=600,
-                                  tolerance=0.05)
+        cal = calibrated(cfg_of(math.inf), pairs3, 2000.0, seed=7, tolerance=0.05)
         assert abs(cal.arlfa.mean - 2000.0) <= 100.0
         rate = estimate_comm_rate(cfg_of(cal.a), pairs3, 10_000, 100, seed=8)
         assert rate.mean <= 0.70 + 0.01
@@ -105,8 +113,7 @@ class TestSearchTwoLevel:
         result = search_two_level(pair, target, a1_grid=[0.78], eps1_grid=[1.0],
                                   n_reps=800, seed=9, cycle_reps=1500)
         assert result.feasible
-        cal = calibrate_threshold(lambda a: CusumSpec(a), pair, 500.0, seed=10,
-                                  n_reps=800, tolerance=0.05)
+        cal = calibrated(CusumSpec(0.0), pair, 500.0, seed=10, tolerance=0.05)
         d_c = estimate_delay(CusumSpec(cal.a), pair, 2000, seed=11)
         d_ac = result.report.delay
         assert abs(d_ac.mean - d_c.mean) <= 3 * math.hypot(d_ac.std_error,
@@ -138,13 +145,14 @@ class TestSearchTwoLevel:
         assert r1.config == r2.config
 
     def test_unbuildable_probe_fails_only_its_candidate(self, pairs3):
-        # The secant probes below a1 = 1.6 here; the search used to abort.
+        # ARLFA just above a1 = 1.6 already exceeds 50: no threshold reaches
+        # the target, and the search records it on this candidate only.
         result = search_two_level(pairs3, CalibrationTarget(zeta=50, epsilon=0.7),
                                   a1_grid=(1.6,), eps1_grid=(0.63,), n_reps=100, seed=1)
         assert not result.feasible and result.config is None
         (rec,) = result.search_trace
         assert rec.note.startswith("calibration failed: ")
-        assert "must lie below the alarm threshold" in rec.note
+        assert "no threshold reaches ARLFA 50" in rec.note
 
     def test_grid_validation(self, pair):
         target = CalibrationTarget(zeta=300.0, epsilon=0.8)

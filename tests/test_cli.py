@@ -1,3 +1,4 @@
+import configparser
 import csv
 import hashlib
 import os
@@ -320,6 +321,45 @@ n_reps = 150
         for name in ("t1.csv", "d1.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_failed_run_leaves_a_manifest(self, tmp_path):
+        # The second experiment raises at run time: plain CuSum at a = 0.5
+        # never survives to the horizon of a conditional rate.
+        cfg = write(tmp_path, """
+[meta]
+seed = 77
+
+[experiment:d1]
+kind = delay
+detector = cusum
+a = 3.0
+n_reps = 150
+
+[experiment:r2]
+kind = rate
+detector = cusum
+a = 0.5
+mode = conditional
+n_reps = 2
+""")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert manifest["meta"]["seed"] == "77"
+        assert manifest["provenance"]["status"] == "failed"
+        assert (out / "d1.csv").exists() and not (out / "r2.csv").exists()
+        meta, specs = parse_config(out / "manifest.ini")
+        assert meta == {"seed": 77} and [s.name for s in specs] == ["d1", "r2"]
+
+    def test_completed_run_marks_its_manifest(self, tmp_path):
+        cfg = write(tmp_path, BASE.format(name="d", kind="delay",
+                                          body="detector = cusum\na = 3.0\nn_reps = 150"))
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert manifest["provenance"]["status"] == "complete"
+
     def test_worst_history_delay_kind(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="wh", kind="delay",
@@ -464,10 +504,10 @@ GOLDEN_DIGESTS = {
         "815431b541c124194b9f7ee0699e44d62a0d2202c96159985bfae802006a2e58",
     "ac_worst_delay.csv": "ca4fe7e5f31542d633241c5da1b5e638d0b48e45f8fcf560a59e2901334f80ee",
     "cusum_arlfa.csv": "3e5d42f7c088558873382bdec3dec922762a2bd1ba6a09a2a9532d1b588478a2",
-    "search.csv": "9ac79af79e68164d9e8a9e658ab80c5600dc349cfc545db4243e069df2470edb",
-    "search_trace.csv": "ec9e5d5a70ce4de3a57ec8485bc1c0ae66295483035879e20fce3e1b1fbb1d49",
-    "sweep_arlfa.csv": "d7d36c72081f523cfb0f264d4970d95a6c2fd57b3eb7ef90d54e8ac716ea93db",
-    "sweep_rate.csv": "f985547f5523256112ad439af2e29a4f55dd4dd08a9eee31e6f78047afcaa815",
+    "search.csv": "a5ba4f5fc1af2d7118e30399f546d5724314a26723cb369e9de7650511120435",
+    "search_trace.csv": "5b2f5d4cd036ef7912cc6cfdadd797be8e7ca78356e9bd510364d6b000bb58f0",
+    "sweep_arlfa.csv": "8575ace4fb10a3e3a0bd7948e64f792090972935f34ed910543ee9cf65691f8d",
+    "sweep_rate.csv": "0f7ef6d8ff8fded28e98fe77ba70a53ac2cdc5fede345f9a3752edfd655952e6",
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cusumac import _engine as eng
-from cusumac.calibration import calibrate_threshold
+from cusumac.calibration import calibrate_threshold, threshold_curve
 from cusumac.detectors import CusumSpec, RandomTxSpec, two_level
 from cusumac.montecarlo import (
     InfeasibleError,
@@ -50,8 +50,8 @@ class TestArlfa:
             run(CusumSpec(1.0), pair, 100, cap=0, seed=3)
 
     def test_calibration_self_consistency(self, pair):
-        cal = calibrate_threshold(lambda a: CusumSpec(a), pair, 500.0, seed=4,
-                                  n_reps=1000, tolerance=0.05)
+        curve = threshold_curve(CusumSpec(0.0), pair, [500.0], seed=4, tolerance=0.05)
+        cal = calibrate_threshold(curve, 500.0)
         est = estimate_arlfa(CusumSpec(cal.a), pair, 2000, cap=50_000, seed=5)
         assert abs(est.mean - 500.0) <= max(3 * est.std_error, 0.05 * 500.0)
 
@@ -232,10 +232,9 @@ class TestOrderings:
         zeta = 500.0
         delays = {}
         for eps1 in (0.3, 0.8, 1.0):
+            family = two_level(pair, math.inf, 0.78, eps1, strategies=[strategy_cache(eps1)])
             cal = calibrate_threshold(
-                lambda a, e=eps1: two_level(pair, a, 0.78, e,
-                                            strategies=[strategy_cache(e)]),
-                pair, zeta, seed=30, n_reps=800, tolerance=0.04)
+                threshold_curve(family, pair, [zeta], seed=30, tolerance=0.04), zeta)
             cfg = two_level(pair, cal.a, 0.78, eps1,
                             strategies=[strategy_cache(eps1)])
             delays[eps1] = estimate_delay(cfg, pair, 2000, seed=31)
@@ -246,12 +245,12 @@ class TestOrderings:
         # Matched ARLFA and matched rate budget 0.5: the adaptive detector
         # must be faster with at least three-standard-error separation.
         zeta = 500.0
+        family = two_level(pair, math.inf, 0.78, 0.4, strategies=[strategy_cache(0.4)])
         cal_ac = calibrate_threshold(
-            lambda a: two_level(pair, a, 0.78, 0.4,
-                                strategies=[strategy_cache(0.4)]),
-            pair, zeta, seed=32, n_reps=800, tolerance=0.04)
-        cal_rtx = calibrate_threshold(lambda a: RandomTxSpec(a, 0.5), pair, zeta,
-                                      seed=33, n_reps=800, tolerance=0.04)
+            threshold_curve(family, pair, [zeta], seed=32, tolerance=0.04), zeta)
+        cal_rtx = calibrate_threshold(
+            threshold_curve(RandomTxSpec(0.0, 0.5), pair, [zeta], seed=33, tolerance=0.04),
+            zeta)
         cfg = two_level(pair, cal_ac.a, 0.78, 0.4, strategies=[strategy_cache(0.4)])
         samp_ac, t_ac = delay_samples(cfg, pair, 2500, seed=34)
         samp_rtx, t_rtx = delay_samples(RandomTxSpec(cal_rtx.a, 0.5), pair, 2500,
