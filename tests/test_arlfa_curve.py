@@ -7,6 +7,7 @@ represented by their midpoints, and the expected run length from 0 solves
 so the chain is exact up to the discretization, whose error falls as 1/n^2.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -91,7 +92,29 @@ class TestAgainstEngine:
         assert abs(est.mean - direct.mean) <= band, (est, direct)
 
 
+# sha256 of ArlfaCurve.sums for three sensors, 1500 legs (two leg batches),
+# seed 46, generated before the walker stepped the engine's step table.
+GOLDEN_SUMS = {
+    "cusum": "bdba3108b4706ccc53ce4461ffda34fa320f4bace42cbea2163122c66c9fe0c8",
+    "random_tx": "f8ac677240df6158b19ecd85c41227055b9cd2ee26594c5463d05f64ebd98f87",
+    "cusum_ac": "7bcc7427c9798bcda2246f871a97f27c1ed126655d14fa25904f1210f261172c",
+}
+
+
 class TestCurve:
+    @pytest.mark.parametrize("family", sorted(GOLDEN_SUMS))
+    def test_three_sensor_sums_golden(self, pairs3, strategy_cache, family):
+        if family == "cusum_ac":
+            detector = two_level(pairs3, math.inf, 0.79, 0.27,
+                                 strategies=[strategy_cache(0.27)] * 3)
+            grid = [0.8, 2.0, 4.0, 6.0]
+        else:
+            detector = CusumSpec(0.0) if family == "cusum" else RandomTxSpec(0.0, 0.4)
+            grid = [0.0, 2.0, 4.0, 6.0]
+        curve = arlfa_curve(detector, pairs3, grid, 1500, seed=46)
+        assert hashlib.sha256(curve.sums.tobytes()).hexdigest() == GOLDEN_SUMS[family]
+        assert curve.capped == 0
+
     def test_growing_in_steps_equals_one_build(self, pair, strategy_cache):
         family = two_level(pair, math.inf, 0.78, 0.63, strategies=[strategy_cache(0.63)])
         grid = [0.9, 2.0, 3.5, 5.0]

@@ -32,6 +32,14 @@ GOLDEN_M1 = [
      (1.0, 1.0, 11.318030050083472, 12.3485, 0.599), 0),
 ]
 
+# The same means and capped_walks for three sensors sharing one strategy,
+# 2000 reps, generated before the walker stepped the engine's step table.
+GOLDEN_M3 = [
+    ((0.78, 4.5, 0.63, 34),
+     (2.0865, 2.0544354838709675, 8.23991935483871, 8.9745, 0.992), 0),
+    ((0.79, math.inf, 0.27, 35), (2.0845, 2.0845, 9.366, 8.92, 1.0), 0),
+]
+
 
 def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0):
     def est(v):
@@ -76,6 +84,16 @@ class TestCycleEstimation:
         a1, a, eps1, seed = config
         stats = estimate_cycle(pair, a1, a, eps1, n_reps=2000, seed=seed,
                                strategy=strategy_cache(eps1))
+        got = (stats.eta0.mean, stats.eta0_given_return.mean,
+               stats.phi_given_return.mean, stats.t_a1.mean, stats.p_return.mean)
+        assert got == means
+        assert stats.capped_walks == capped
+
+    @pytest.mark.parametrize("config, means, capped", GOLDEN_M3)
+    def test_three_sensor_golden(self, pairs3, strategy_cache, config, means, capped):
+        a1, a, eps1, seed = config
+        stats = estimate_cycle(pairs3, a1, a, eps1, n_reps=2000, seed=seed,
+                               strategy=[strategy_cache(eps1)] * 3)
         got = (stats.eta0.mean, stats.eta0_given_return.mean,
                stats.phi_given_return.mean, stats.t_a1.mean, stats.p_return.mean)
         assert got == means
