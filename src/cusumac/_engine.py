@@ -11,30 +11,32 @@ block.  The fixed block schedule means two detectors simulated under the
 same seed see identical observation sequences, which the paired delay
 comparisons rely on.
 
-Every batch of all three detectors runs on one chunked kernel.  Plain CuSum
-and random transmission are its case without censoring levels: their strict
-alarm ``S > a`` is the kernel's inclusive test against ``nextafter(a, inf)``,
-and random transmission masks the full-rate increment with its Bernoulli
-send flags.  The censoring level depends only on the statistic, so for each
-chunk of ``CHUNK`` steps the fused increment and send count of every level
-are computed in bulk first.  Only the sequential step that follows has two
-forms.  A batch without censoring levels and without ``record`` has i.i.d.
-increments, so the reflected statistic is the closed form
-``c_k = w_k - min(-c_0, min_{j<=k} w_j)`` of their random walk w, a
-cumulative sum against a running minimum carried across chunks.  Every other
-batch (CuSum-AC, or any recorded run) takes the per-step recursion, which
+A detector's step is described once, by :class:`_StepTables`, which the
+kernel here and the renewal walker of :mod:`cusumac.renewal` both step: the
+fused increment and send count of every censoring level, random
+transmission's send mask, the regeneration level, and the alarm test.  Plain
+CuSum and random transmission are its case without censoring levels; the
+table turns their strict alarm ``S > a`` into the inclusive test against
+``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
+
+Every batch runs on one chunked kernel.  The censoring level depends only
+on the statistic, so for each chunk of ``CHUNK`` steps the increments of
+every level are computed in bulk first.  Only the sequential step that
+follows has two forms.  Without censoring levels and without ``record`` the
+increments are i.i.d., and the reflected statistic is the closed form of
+:func:`_reflected`.  Every other batch takes the per-step recursion, which
 carries only the statistic and its level count: select the current level's
 increment, reflect at zero, clamp an upward crossing to the highest
 threshold crossed; recorded trajectories therefore replay bit for bit
 through the scalar step functions of :mod:`cusumac.detectors`.  Alarms,
-``require_zero_at`` conditioning, counters and trajectories are derived
-from the chunk's statistic, and a batch whose replications have all ended
-stops at that chunk instead of finishing its observation block.
+``require_zero_at`` conditioning, counters and trajectories are derived from
+the chunk's statistic, and a batch whose replications have all ended stops
+at that chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -68,17 +70,9 @@ class BatchResult:
 def concat_results(parts: Sequence[BatchResult]) -> BatchResult:
     if len(parts) == 1:
         return parts[0]
-    return BatchResult(
-        stop_time=np.concatenate([p.stop_time for p in parts]),
-        stopped=np.concatenate([p.stopped for p in parts]),
-        tx=np.concatenate([p.tx for p in parts]),
-        feedback=np.concatenate([p.feedback for p in parts]),
-        time_above=np.concatenate([p.time_above for p in parts]),
-        time_below=np.concatenate([p.time_below for p in parts]),
-        rejected=np.concatenate([p.rejected for p in parts]),
-        n_sensors=parts[0].n_sensors,
-        records=None,
-    )
+    arrays = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
+              for f in fields(BatchResult) if f.name not in ("n_sensors", "records")}
+    return BatchResult(**arrays, n_sensors=parts[0].n_sensors)
 
 
 def _llr_fns(pairs) -> list:
@@ -218,13 +212,6 @@ def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int]) -> n
     return out
 
 
-def _draw_uniforms(aux_rngs, rep_ids, M: int, B: int) -> np.ndarray:
-    out = np.empty((len(rep_ids), B, M))
-    for row, rid in enumerate(rep_ids):
-        out[row] = aux_rngs[rid].random((B, M))
-    return out
-
-
 def _new_result(n_reps: int, limit: int, M: int) -> BatchResult:
     return BatchResult(
         stop_time=np.full(n_reps, limit, dtype=np.int64),
@@ -267,37 +254,54 @@ def run_batch(
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
-    pairs = as_pairs(pairs)
-    if isinstance(detector, CusumAcConfig):
-        if detector.n_sensors != len(pairs):
-            raise ValueError(
-                f"config has {detector.n_sensors} sensors, got {len(pairs)} pairs"
-            )
-    elif not isinstance(detector, (CusumSpec, RandomTxSpec)):
-        raise TypeError(f"unsupported detector {detector!r}")
-    return _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
+    return _run_kernel(_StepTables(detector, pairs), n_reps, seed, rep_offset, nu, limit,
                        stop_enabled, require_zero_at, record)
 
 
+def _reflected(inc: np.ndarray, w: np.ndarray, w_min: np.ndarray) -> tuple:
+    """The reflected statistic c_k = w_k - min(-c_0, min_{j<=k} w_j) over ``inc`` (n, C).
+
+    ``w`` carries each lane's walk and ``w_min`` its running minimum (from
+    -c_0); returns the statistic and both carries after the last column.
+    """
+    walk = np.cumsum(inc, axis=1) + w[:, None]
+    walk_min = np.minimum(np.minimum.accumulate(walk, axis=1), w_min[:, None])
+    return walk - walk_min, walk[:, -1], walk_min[:, -1]
+
+
 class _StepTables:
-    """Per-level step tables of one detector, indexed by ``cnt`` (thresholds <= s).
+    """The step of one detector on its sensors, tabulated by ``cnt`` (thresholds <= s).
 
     Row ``cnt`` describes level ``L - cnt``: its no-send interval and the
     censored LLR of a no-send slot.  Row ``L`` is the full-rate region, whose
-    interval is empty.  Plain CuSum and random transmission have no levels
-    (L = 0); their strict alarm ``S > a`` is the inclusive ``S >= nextafter(a,
-    inf)``, and they never count time above a level.
+    interval is empty; random transmission masks it with Bernoulli send flags
+    of probability ``send_prob``.  Plain CuSum and random transmission have
+    no levels (L = 0); their strict alarm ``S > a`` is the inclusive
+    ``S >= nextafter(a, inf)`` (see :meth:`inclusive`), and they never count
+    time above a level.  ``clamp[-1]`` is the level the statistic
+    regenerates at: a1 for CuSum-AC, whose upward crossings clamp there, and
+    0 for the others.
     """
 
     def __init__(self, detector, pairs):
+        pairs = as_pairs(pairs)
         M = len(pairs)
-        is_ac = isinstance(detector, CusumAcConfig)
-        L = len(detector.levels) if is_ac else 0
+        if isinstance(detector, CusumAcConfig):
+            if detector.n_sensors != M:
+                raise ValueError(f"config has {detector.n_sensors} sensors, got {M} pairs")
+            levels = detector.thresholds()
+        elif isinstance(detector, (CusumSpec, RandomTxSpec)):
+            levels = ()
+        else:
+            raise TypeError(f"unsupported detector {detector!r}")
+        L = len(levels)
+        self.pairs = pairs
         self.n_levels = L
         self.llr_fns = _llr_fns(pairs)
-        self.a = detector.a if is_ac else np.nextafter(detector.a, np.inf)
-        self.a1 = detector.a1 if is_ac else np.inf
-        self.asc = np.array(detector.thresholds()[::-1] if is_ac else [])
+        self.send_prob = detector.epsilon if isinstance(detector, RandomTxSpec) else None
+        self.a = self.inclusive(detector.a)
+        self.a1 = levels[0] if L else np.inf
+        self.asc = np.array(levels[::-1])
         # clamp[cnt]: the threshold a statistic crossing upward into cnt is clamped to
         self.clamp = np.concatenate(([0.0], self.asc))
         self.lo = np.full((L + 1, M), np.inf)
@@ -313,48 +317,66 @@ class _StepTables:
                 self.hi[cnt, m] = strat.nosend_x_hi
                 self.llrc[cnt, m] = strat.llr_censored
 
-    def increments(self, x, mask=None):
-        """Fused increment and send count of every level count over a chunk.
+    def send_mask(self, rngs, rep_ids, B: int):
+        """Random transmission's send flags (n, M, B), from one (B, M) draw each; else None."""
+        if self.send_prob is None:
+            return None
+        u = np.empty((len(rep_ids), B, len(self.pairs)))
+        for row, rid in enumerate(rep_ids):
+            u[row] = rngs[rid].random((B, len(self.pairs)))
+        return (u < self.send_prob).transpose(0, 2, 1)
+
+    def inclusive(self, a):
+        """Thresholds ``a`` as the test ``S >= inclusive(a)``: ``S > a`` unless CuSum-AC."""
+        return a if self.n_levels else np.nextafter(a, np.inf)
+
+    def increments(self, x, mask=None, rows=None):
+        """Fused increment and send count of the level counts ``rows`` over a chunk.
 
         ``x`` is (n, M, C), as is ``mask``, the random-transmission send
-        flags applied to the full-rate row; both results are (n, C, L+1).
-        Sensors are added in order onto 0.0, as the scalar step function does.
+        flags applied to the full-rate row; both results are (n, C,
+        len(rows)), every row by default.  Sensors are added in order onto
+        0.0, as the scalar step function does.
         """
         n, M, C = x.shape
         L = self.n_levels
-        fused = np.zeros((n, C, L + 1))
-        n_sent = np.full((n, C, L + 1), M, dtype=np.int64)
+        rows = range(L + 1) if rows is None else rows
+        fused = np.zeros((n, C, len(rows)))
+        n_sent = np.full((n, C, len(rows)), M, dtype=np.int64)
         for m, llr in enumerate(self.llr_fns):
             xm = x[:, m]
             raw = llr(xm)
-            if mask is None:
-                fused[..., L] += raw
-            else:
-                fused[..., L] += raw * mask[:, m]
-                n_sent[..., L] -= ~mask[:, m]
-            for cnt in range(L):
-                inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
-                fused[..., cnt] += np.where(inside, self.llrc[cnt, m], raw)
-                n_sent[..., cnt] -= inside
+            for i, cnt in enumerate(rows):
+                if cnt < L:
+                    inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
+                    fused[..., i] += np.where(inside, self.llrc[cnt, m], raw)
+                    n_sent[..., i] -= inside
+                elif mask is None:
+                    fused[..., i] += raw
+                else:
+                    fused[..., i] += raw * mask[:, m]
+                    n_sent[..., i] -= ~mask[:, m]
         return fused, n_sent
 
     def sent(self, xt, cnt, mask=None):
-        """Send flags (C, n, M) of observations ``xt`` at level counts ``cnt`` (C, n)."""
+        """Send flags (C, n, M) of observations ``xt`` at level counts ``cnt`` (C, n).
+
+        ``mask`` holds random transmission's send flags, (n, M, C) as in :meth:`increments`.
+        """
         flags = (xt < self.lo[cnt]) | (xt > self.hi[cnt])
-        return flags if mask is None else flags & mask
+        return flags if mask is None else flags & mask.transpose(2, 0, 1)
 
 
-def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
+def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 stop_enabled, require_zero_at, record) -> BatchResult:
+    pairs = tab.pairs
     M = len(pairs)
-    tab = _StepTables(detector, pairs)
     L = tab.n_levels
-    is_rtx = isinstance(detector, RandomTxSpec)
     closed = not L and not record  # i.i.d. increments: the closed-form step
 
     res = _new_result(n_reps, limit, M)
     rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
-    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if is_rtx else None
+    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if tab.send_prob is not None else None
 
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
@@ -370,27 +392,22 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
     while ids.size and k < limit:
         B = min(OBS_BLOCK, limit - k)
         obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu)
-        if is_rtx:  # (n, M, B) send flags, drawn (B, M) per replication
-            gam = (_draw_uniforms(aux_rngs, ids, M, B) < detector.epsilon).transpose(0, 2, 1)
+        gam = tab.send_mask(aux_rngs, ids, B)
         rows = np.arange(ids.size)  # each running replication's row in obs
         for j0 in range(0, B, CHUNK):
             k0 = k + j0
             C = min(CHUNK, B - j0)
             n = ids.size
             x = obs[rows, :, j0:j0 + C]
-            g = gam[rows, :, j0:j0 + C] if is_rtx else None
+            g = None if gam is None else gam[rows, :, j0:j0 + C]
             fused, n_sent = tab.increments(x, g)
 
             # The sequential part.  at[j] + cnt indexes step j of each lane.
             at = np.arange(n) * (C * (L + 1)) + np.arange(C)[:, None] * (L + 1)
             cnt_in = cnt
-            if closed:
-                # With i.i.d. increments the reflected recursion is
-                # c_k = w_k - min(-c_0, min_{j<=k} w_j) for their walk w.
-                walk = np.cumsum(fused[..., 0], axis=1) + w[:, None]
-                walk_min = np.minimum(np.minimum.accumulate(walk, axis=1), w_min[:, None])
-                S = (walk - walk_min).T
-                w, w_min = walk[:, -1], walk_min[:, -1]
+            if closed:  # i.i.d. increments: the reflected walk in closed form
+                S, w, w_min = _reflected(fused[..., 0], w, w_min)
+                S = S.T
             else:
                 # Select the increment of the level in force, reflect at zero,
                 # clamp an upward crossing to the highest threshold crossed.
@@ -423,7 +440,7 @@ def _run_kernel(detector, pairs, n_reps, seed, rep_offset, nu, limit,
             above += ((S >= tab.a1) & live).sum(axis=0)
             if record:
                 xt = x.transpose(2, 0, 1)  # (C, n, M)
-                sent = tab.sent(xt, K_in, g.transpose(2, 0, 1) if is_rtx else None)
+                sent = tab.sent(xt, K_in, g)
                 chunks.append((k0, ids, np.where(live, S, np.nan), np.where(live, L - K, -1),
                                sent & live[..., None], np.where(live[..., None], xt, np.nan)))
 

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._engine import _StepTables
 from .censoring import optimize
 from .detectors import CusumAcConfig, two_level
 from .model import as_pairs
@@ -84,14 +85,21 @@ class CalibrationTarget:
     tolerance: float = 0.05
 
     def __post_init__(self):
-        if not self.zeta >= 1.0:
-            raise ValueError(f"zeta must be >= 1, got {self.zeta}")
+        _check_targets([self.zeta], self.tolerance)
         if not (0.0 < self.epsilon <= 1.0):
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
         if self.nu < 1:
             raise ValueError(f"nu must be >= 1, got {self.nu}")
-        if not (0.0 < self.tolerance < 1.0):
-            raise ValueError(f"tolerance must lie in (0, 1), got {self.tolerance}")
+
+
+def _check_targets(zetas: Sequence[float], tolerance: float):
+    if len(zetas) == 0:
+        raise ValueError("zetas must be nonempty")
+    for zeta in zetas:
+        if not (1.0 <= zeta < math.inf):
+            raise ValueError(f"zeta must be finite and >= 1, got {zeta}")
+    if not (0.0 < tolerance < 1.0):
+        raise ValueError(f"tolerance must lie in (0, 1), got {tolerance}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +130,11 @@ def threshold_curve(detector, pairs, zetas: Sequence[float], seed: int,
     legs, the curve grows until its relative standard error at every
     reachable target's bracketing points is at most ``tolerance / 6``; a
     tolerance that would need more than 4 million legs raises
-    :class:`CalibrationError`.
+    :class:`CalibrationError`.  Targets and tolerance are checked as
+    :class:`CalibrationTarget` checks them, before any leg is walked.
     """
-    floor = detector.a1 if isinstance(detector, CusumAcConfig) else 0.0
+    _check_targets(zetas, tolerance)
+    floor = _StepTables(detector, pairs).clamp[-1]  # the regeneration level: 0 or a1
     n_steps = max(1, math.ceil((math.log(max(zetas)) - floor) / _GRID_STEP))
     lowest = np.nextafter(floor, math.inf) if floor else 0.0
     grid = [lowest] + [floor + _GRID_STEP * k for k in range(1, n_steps + 1)]
@@ -178,7 +188,7 @@ def calibrate_threshold(curve: ArlfaCurve, zeta: float) -> ThresholdCalibration:
     ARLFA just above a1 already exceeds it) or above its top raises
     :class:`CalibrationError`.
     """
-    if zeta < 1.0:
+    if not zeta >= 1.0:
         raise ValueError(f"zeta must be >= 1, got {zeta}")
     a, probes = _bracket(curve, zeta)
     lo, hi = probes[0], probes[-1]

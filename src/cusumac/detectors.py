@@ -184,6 +184,8 @@ def two_level(
         raise ValueError("need one censoring rate per sensor")
     if strategies is None:
         strategies = [optimize(p, r) for p, r in zip(pairs, rates)]
+    elif len(strategies) != len(pairs):
+        raise ValueError(f"got {len(strategies)} strategies for {len(pairs)} sensors")
     rate = rates[0] if len(set(rates)) == 1 else tuple(rates)
     return CusumAcConfig(
         a=a,
@@ -346,8 +348,6 @@ def simulate_trace(detector, pair, nu: Optional[int], horizon: int, seed: int):
     """
     from . import _engine  # _engine imports this module
 
-    if isinstance(detector, CusumAcConfig) and detector.n_sensors != 1:
-        raise ValueError("trace simulation supports a single sensor")
     batch = _engine.run_batch(detector, [pair], n_reps=1, seed=seed, nu=nu, limit=horizon,
                               record=True)
     recs = batch.records

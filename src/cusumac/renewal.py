@@ -10,19 +10,24 @@ membership test (is the censored climb at least as long as a plain CuSum run
 to a1?), the alternating-renewal upper bound on the communication rate, and
 the expected per-alarm feedback count.
 
-Every leg, and the plain CuSum run t_a1, is one call of a single walker: the
-reflected fused statistic stepped from a start value until it leaves
-(lower, upper).  Within a leg the censoring level never changes, so the
-increments are i.i.d. and a block of steps reduces to a cumulative sum
-against a running minimum.  The walker does not use the engine's fixed
-``OBS_BLOCK``, which the paired delay comparisons rely on: legs last a few to
-a few dozen steps, so it draws a first block of ``_WALK_FIRST`` steps per
-replication and doubles each later block up to ``_WALK_BLOCK``.  The
-schedule depends only on the step count, so results do not depend on
-batching.  With M > 1 sensors it is part of the walker's stream, since a
-block is drawn sensor by sensor; with M = 1 the draws are one sequence
-whatever the block sizes (random transmission's send uniforms, which follow
-each block's observations, aside).
+Every leg, and the plain CuSum run t_a1, is one call of a single walker,
+which steps one row of the engine's step table (``_engine._StepTables``)
+from a start value until the statistic leaves (lower, upper): the
+full-rate row for the SPRT leg, t_a1 and every plain CuSum or
+random-transmission leg, the censored row for the climb back to a1.  The
+table decides the increments, random transmission's send mask, the
+regeneration level (a1, or 0) and which alarms are strict, so the walker and
+the engine cannot disagree on the detector they run.  Within a leg the row
+never changes, so the increments are i.i.d. and a block of steps reduces to
+the engine's closed-form reflected walk.  The walker does not use the
+engine's fixed ``OBS_BLOCK``: legs last a few to a few dozen steps, so it
+draws a first block of ``_WALK_FIRST`` steps per replication and doubles
+each later block up to ``_WALK_BLOCK``.  The schedule depends only on the
+step count, so results do not depend on batching.  With M > 1 sensors it is
+part of the walker's stream, since a block is drawn sensor by sensor; with
+M = 1 the draws are one sequence whatever the block sizes (random
+transmission's send uniforms, which follow each block's observations,
+aside).
 
 ``estimate_cycle_direct`` measures whole cycles through the scalar detector
 step function instead, giving an independent route for the composition
@@ -42,16 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import _draw_obs, _draw_uniforms, _rep_rngs
-from .censoring import optimize
-from .detectors import (
-    CusumAcConfig,
-    CusumSpec,
-    RandomTxSpec,
-    cusum_ac_multi_step,
-    initial_state,
-    two_level,
-)
+from ._engine import _draw_obs, _reflected, _rep_rngs, _StepTables
+from .detectors import CusumAcConfig, cusum_ac_multi_step, initial_state, two_level
 from .model import as_pairs
 from .montecarlo import McEstimate, derive_seed, summarize
 
@@ -121,35 +118,29 @@ class EprimeCheck:
         return self.verdict == "member"
 
 
-def _sensors(pairs, eps1: float, strategy) -> tuple[list, list]:
-    """Per-sensor pairs and censoring strategies (optimized, shared or as given)."""
+def _cycle_config(pairs, a1: float, a: float, eps1: float, strategy) -> CusumAcConfig:
+    """The two-level config of a cycle: one shared strategy, one per sensor, or optimized."""
     pairs = as_pairs(pairs)
-    if strategy is None:
-        return pairs, [optimize(p, eps1) for p in pairs]
-    if not isinstance(strategy, (list, tuple)):
-        return pairs, [strategy] * len(pairs)
-    if len(strategy) != len(pairs):
-        raise ValueError(f"got {len(strategy)} strategies for {len(pairs)} sensors")
-    return pairs, list(strategy)
+    if strategy is not None and not isinstance(strategy, (list, tuple)):
+        strategy = [strategy] * len(pairs)
+    return two_level(pairs, a, a1, eps1, strategies=strategy)
 
 
-def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
+def _walk(tab: _StepTables, cnt: int, starts: np.ndarray, lower: float, upper: float,
           seed: int, cap: int, *, rep_offset: int = 0, substream: int = 0,
-          post_change: bool = False, send_prob=None, levels=None):
-    """Step the reflected fused statistic from ``starts`` until it leaves (lower, upper).
+          post_change: bool = False, levels=None):
+    """Step row ``cnt`` of ``tab`` from ``starts`` until the statistic leaves (lower, upper).
 
-    Replication i draws from stream [seed, rep_offset + i, substream] in
-    blocks of 16, 16, 32, 64, ... steps, doubling up to ``_WALK_BLOCK``,
-    sensor by sensor within a block, from the post-change law if
-    ``post_change``.  The schedule depends only on the step count; it is
-    part of the stream at M > 1, and at M = 1 gives the same draws as any
-    other schedule.  A sensor's increment is its raw LLR, or with
-    ``strategies`` its censored LLR: the constant inside the no-send
-    interval.  With ``send_prob`` a sensor sends with that probability (a
-    block's uniforms follow its observations on the stream) and an unsent
-    slot adds zero.  Sensors are added in order onto 0.0, as the scalar step
-    does.  With c_0 the start and W the unreflected walk from 0, the
-    reflected statistic is c_k = W_k - min(-c_0, min_{j<=k} W_j).
+    The fused increment is the table's at level count ``cnt`` throughout:
+    ``tab.n_levels`` for the full-rate region, 0 for the censored level
+    below a1.  Replication i draws from stream [seed, rep_offset + i,
+    substream] in blocks of 16, 16, 32, 64, ... steps, doubling up to
+    ``_WALK_BLOCK``, sensor by sensor within a block, from the post-change
+    law if ``post_change``.  The schedule depends only on the step count; it
+    is part of the stream at M > 1, and at M = 1 gives the same draws as any
+    other schedule.  Random transmission's send uniforms follow each block's
+    observations on the same stream.  The statistic is the closed-form
+    reflected walk of the engine's :func:`_reflected`.
 
     Returns (durations, exit values, n_capped); a capped walk has duration
     ``cap`` and exit value NaN.  With nondecreasing ``levels`` it also
@@ -168,22 +159,9 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
     k = 0
     while act.size and k < cap:
         B = min(_WALK_BLOCK, max(_WALK_FIRST, k), cap - k)
-        x = _draw_obs(rngs, act, pairs, k, B, 1 if post_change else None)
-        if send_prob is not None:
-            sent = _draw_uniforms(rngs, act, len(pairs), B) < send_prob
-        inc = np.zeros((act.size, B))
-        for m, p in enumerate(pairs):
-            llr = np.asarray(p.llr(x[:, m]))
-            if strategies is not None:
-                st = strategies[m]
-                inside = (x[:, m] >= st.nosend_x_lo) & (x[:, m] <= st.nosend_x_hi)
-                llr = np.where(inside, st.llr_censored, llr)
-            if send_prob is not None:
-                llr = np.where(sent[:, :, m], llr, 0.0)
-            inc += llr
-        path = np.cumsum(inc, axis=1) + w[:, None]
-        path_min = np.minimum(np.minimum.accumulate(path, axis=1), w_min[:, None])
-        s = path - path_min
+        x = _draw_obs(rngs, act, tab.pairs, k, B, 1 if post_change else None)
+        fused, _ = tab.increments(x, tab.send_mask(rngs, act, B), rows=(cnt,))
+        s, w, w_min = _reflected(fused[..., 0], w, w_min)
         out = (s <= lower) | (s >= upper)
         found = out.any(axis=1)
         last = np.where(found, out.argmax(axis=1), B - 1)
@@ -203,7 +181,7 @@ def _walk(pairs, strategies, starts: np.ndarray, lower: float, upper: float,
             times[act[r], j] = k + 1 + at[r, j]
             values[act[r], j] = s[r, at[r, j]]
         keep = ~found
-        act, w, w_min = act[keep], path[keep, -1], path_min[keep, -1]
+        act, w, w_min = act[keep], w[keep], w_min[keep]
         k += B
     if levels is None:
         return dur, exit_s, int(act.size)
@@ -227,16 +205,17 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
         raise ValueError(f"eps1 must lie in (1e-3, 1], got {eps1}")
     if n_reps < 100:
         raise ValueError("cycle estimation needs at least 100 replications")
-    pairs, strategies = _sensors(pairs, eps1, strategy)
+    tab = _StepTables(_cycle_config(pairs, a1, a, eps1, strategy), pairs)
+    full = tab.n_levels
 
-    eta, shat, capped_eta = _walk(pairs, None, np.full(n_reps, a1),
+    eta, shat, capped_eta = _walk(tab, full, np.full(n_reps, a1),
                                   np.nextafter(a1, -math.inf), a,
                                   derive_seed(seed, 11), cap)
     returned = shat < a1
     ret_vals = shat[returned]
-    phi, _, capped_phi = _walk(pairs, strategies, ret_vals, -math.inf, a1,
-                               derive_seed(seed, 12), cap)
-    t_a1, _, capped_t = _walk(pairs, None, np.zeros(n_reps), -math.inf,
+    phi, _, capped_phi = _walk(tab, 0, ret_vals, -math.inf, a1, derive_seed(seed, 12), cap)
+    # Plain CuSum's run to a1, whose alarm S > a1 is strict.
+    t_a1, _, capped_t = _walk(tab, full, np.zeros(n_reps), -math.inf,
                               np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
 
     return CycleStats(
@@ -263,8 +242,8 @@ def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int
     this is the independent route the composition identity is checked
     against.
     """
-    pairs, strategies = _sensors(pairs, eps1, strategy)
-    config = two_level(pairs, a=a, a1=a1, eps1=eps1, strategies=strategies)
+    pairs = as_pairs(pairs)
+    config = _cycle_config(pairs, a1, a, eps1, strategy)
     lengths = np.zeros(n_cycles, dtype=np.int64)
     returned = np.zeros(n_cycles, dtype=bool)
     for i, rng in enumerate(_rep_rngs(seed, 0, n_cycles, 0)):
@@ -331,9 +310,10 @@ class ArlfaCurve:
         The sums fold in one leg at a time, so growing in steps gives the
         curve built at once, bit for bit.
         """
+        tab = _StepTables(self.detector, self.pairs)
         sums, capped = self.sums.copy(), self.capped
         for start in range(self.n_legs, n_legs, _LEG_BATCH):
-            y, q, z, n_capped = _curve_legs(self, start, min(_LEG_BATCH, n_legs - start))
+            y, q, z, n_capped = _curve_legs(tab, self, start, min(_LEG_BATCH, n_legs - start))
             for row, v in enumerate((y, y * y, q, q * q, z, z * z)):
                 sums[row] = np.add.accumulate(np.concatenate([sums[row][None], v]))[-1]
             capped += n_capped
@@ -341,34 +321,22 @@ class ArlfaCurve:
                                    capped=capped)
 
 
-def _regeneration(detector) -> tuple:
-    """(regeneration level r, censored-climb strategies, send probability) of a family."""
-    if isinstance(detector, CusumAcConfig) and len(detector.levels) == 1:
-        return detector.a1, detector.strategies[0], None
-    if isinstance(detector, (CusumSpec, RandomTxSpec)):
-        return 0.0, None, getattr(detector, "epsilon", None)
-    raise ValueError("the ARLFA curve covers plain CuSum, random transmission and "
-                     "two-level CuSum-AC")
-
-
-def _curve_legs(curve: ArlfaCurve, start: int, n: int):
+def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int, n: int):
     """y, q and z per threshold of legs ``start`` .. ``start + n - 1``, and capped walks."""
-    r, strategies, send_prob = _regeneration(curve.detector)
-    pairs, ac = list(curve.pairs), strategies is not None
-    # CuSum-AC alarms at s >= a, the others at s > a; a leg returns below a1 or to 0.
-    levels = curve.a if ac else np.nextafter(curve.a, math.inf)
-    lower = np.nextafter(r, -math.inf) if ac else 0.0
+    r = tab.clamp[-1]
+    lower = max(np.nextafter(r, -math.inf), 0.0)  # a leg returns below r, or back to 0
+    levels = tab.inclusive(curve.a)
     kw = dict(seed=curve.seed, cap=_WALK_CAP, rep_offset=start)
-    leg = dict(kw, pairs=pairs, strategies=None, starts=np.full(n, r), lower=lower,
-               upper=levels[-1], send_prob=send_prob, levels=levels)
+    leg = dict(kw, tab=tab, cnt=tab.n_levels, starts=np.full(n, r), lower=lower,
+               upper=levels[-1], levels=levels)
     dur, exit_s, capped, (t0, _) = _walk(**leg)
     _, _, capped_1, (t1, v1) = _walk(**leg, substream=1, post_change=True)
     tail, z = dur.astype(float), np.zeros(n)
-    if ac:
+    if r > 0:  # the censored climbs back to r: after a returned leg, and the first from 0
         returned = exit_s <= lower
-        phi, _, capped_phi = _walk(pairs, strategies, np.where(returned, exit_s, 0.0),
-                                   -math.inf, r, substream=2, **kw)
-        z, _, capped_z = _walk(pairs, strategies, np.zeros(n), -math.inf, r, substream=3, **kw)
+        phi, _, capped_phi = _walk(tab, 0, np.where(returned, exit_s, 0.0), -math.inf, r,
+                                   substream=2, **kw)
+        z, _, capped_z = _walk(tab, 0, np.zeros(n), -math.inf, r, substream=3, **kw)
         tail += np.where(returned, phi, 0)
         capped += capped_phi + capped_z
     y = np.where(t0 > 0, t0, tail[:, None])
@@ -401,15 +369,18 @@ def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
     Thresholds must be finite and nondecreasing, at least 0, and above a1
     for CuSum-AC.
     """
-    r, strategies, _ = _regeneration(detector)
+    tab = _StepTables(detector, pairs)
+    if tab.n_levels > 1:
+        raise ValueError("the ARLFA curve covers plain CuSum, random transmission and "
+                         "two-level CuSum-AC")
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or not a.size or not np.isfinite(a).all() or (np.diff(a) < 0).any():
         raise ValueError("a_grid must be a nonempty nondecreasing sequence of finite reals")
-    if not (a[0] > r if strategies is not None else a[0] >= 0.0):
+    if not tab.inclusive(a[0]) > tab.clamp[-1]:  # every alarm lies above the regeneration
         raise ValueError("thresholds must be nonnegative, and above a1 for CuSum-AC")
     if n_legs < 2:
         raise ValueError("an ARLFA curve needs at least two legs")
-    empty = ArlfaCurve(detector=detector, pairs=tuple(as_pairs(pairs)), a=a, seed=seed,
+    empty = ArlfaCurve(detector=detector, pairs=tuple(tab.pairs), a=a, seed=seed,
                        n_legs=0, sums=np.zeros((6, a.size)), capped=0)
     return empty.grown(n_legs)
 

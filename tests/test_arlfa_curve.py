@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from cusumac.censoring import CensoringStrategy
 from cusumac.detectors import CusumSpec, RandomTxSpec, two_level
 from cusumac.montecarlo import estimate_arlfa
 from cusumac.renewal import arlfa_curve
@@ -143,3 +144,16 @@ class TestCurve:
             arlfa_curve(CusumSpec(0.0), pair, [2.0, 1.0], 100, seed=1)
         with pytest.raises(ValueError, match="nonnegative"):
             arlfa_curve(CusumSpec(0.0), pair, [-1.0, 1.0], 100, seed=1)
+
+    def test_sensor_count_mismatch_is_the_engine_error(self, pair):
+        # A one-sensor config on three pairs would leave sensors 2-3 uncensored.
+        family = two_level(pair, math.inf, 0.78, 0.63)
+        with pytest.raises(ValueError, match="config has 1 sensors, got 3 pairs"):
+            arlfa_curve(family, [pair] * 3, [3.0], 100, seed=1)
+
+    def test_strategies_need_an_observation_interval(self, pair, strategy_cache):
+        record = dict(strategy_cache(0.63).to_record(), monotone=0)
+        family = two_level(pair, math.inf, 0.78, 0.63,
+                           strategies=[CensoringStrategy(**record)])
+        with pytest.raises(NotImplementedError, match="observation-space"):
+            arlfa_curve(family, pair, [3.0], 100, seed=1)

@@ -20,6 +20,10 @@ def calibrated(detector, pairs, zeta, seed, tolerance=0.05):
     return calibrate_threshold(curve, zeta)
 
 
+def _no_walk(*args, **kwargs):
+    raise AssertionError("a leg was walked")
+
+
 class TestCalibrateThreshold:
     def test_degenerate_target_returns_zero(self, pair):
         cal = calibrated(CusumSpec(0.0), pair, 1.0, seed=1)
@@ -63,16 +67,36 @@ class TestCalibrateThreshold:
         with pytest.raises(CalibrationError, match="legs"):
             threshold_curve(CusumSpec(0.0), pair, [1000.0], seed=5, tolerance=1e-6)
 
+    @pytest.mark.parametrize("zetas, tolerance, message", [
+        ([], 0.2, "zetas must be nonempty"),
+        ([0.0], 0.2, "zeta must be"),
+        ([100.0, math.nan], 0.2, "zeta must be"),
+        ([math.inf], 0.2, "zeta must be"),
+        ([100.0], 0.0, "tolerance must lie"),
+        ([100.0], -0.1, "tolerance must lie"),
+        ([100.0], 1.0, "tolerance must lie"),
+        ([100.0], math.nan, "tolerance must lie"),
+    ])
+    def test_bad_curve_input_rejected_before_any_leg(self, pair, monkeypatch, zetas,
+                                                     tolerance, message):
+        monkeypatch.setattr("cusumac.renewal._walk", _no_walk)
+        with pytest.raises(ValueError, match=message):
+            threshold_curve(CusumSpec(0.0), pair, zetas, seed=5, tolerance=tolerance)
+
     def test_zeta_below_one_rejected(self, pair):
         curve = threshold_curve(CusumSpec(0.0), pair, [10.0], seed=5, tolerance=0.2)
         with pytest.raises(ValueError):
             calibrate_threshold(curve, 0.5)
+        with pytest.raises(ValueError):
+            calibrate_threshold(curve, math.nan)
 
 
 class TestTarget:
     def test_validation(self):
         with pytest.raises(ValueError):
             CalibrationTarget(zeta=0.5, epsilon=0.4)
+        with pytest.raises(ValueError):
+            CalibrationTarget(zeta=math.inf, epsilon=0.4)
         with pytest.raises(ValueError):
             CalibrationTarget(zeta=100.0, epsilon=1.5)
         with pytest.raises(ValueError):

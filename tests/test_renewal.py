@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from cusumac._engine import _StepTables
+from cusumac.censoring import CensoringStrategy
 from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
 from cusumac.detectors import CusumSpec, two_level
 from cusumac.renewal import (
@@ -130,6 +132,17 @@ class TestCycleEstimation:
         with pytest.raises(ValueError, match="strategies"):
             estimate_cycle(pairs3, 0.78, 4.0, 0.63, n_reps=200, seed=21,
                            strategy=[strategy_cache(0.63)] * 2)
+        with pytest.raises(ValueError, match="got 1 strategies for 3 sensors"):
+            estimate_cycle_direct(pairs3, 0.78, 4.0, 0.63, n_cycles=200, seed=21,
+                                  strategy=[strategy_cache(0.63)])
+
+    def test_strategy_without_observation_interval_is_refused(self, pair, strategy_cache):
+        # The walker censors on nosend_x_lo/hi, which such a strategy does not
+        # guarantee; the engine refuses it, and so does the walker.
+        record = dict(strategy_cache(0.63).to_record(), monotone=0)
+        with pytest.raises(NotImplementedError, match="observation-space"):
+            estimate_cycle(pair, 0.78, 4.0, 0.63, n_reps=200, seed=1,
+                           strategy=CensoringStrategy(**record))
 
     def test_open_band_walks_stay_finite(self, pair, strategy_cache):
         stats = estimate_cycle(pair, a1=0.78, a=math.inf, eps1=0.63,
@@ -179,8 +192,8 @@ class TestWalkDraws:
     def test_short_leg_draws_one_first_block(self, pair):
         sensors = [_RecordingPair(pair), _RecordingPair(pair)]
         # A vanishing band: every walk leaves it at its first step.
-        dur, _, capped = _walk(sensors, None, np.full(50, 0.78), 0.78, 0.78 + 1e-9,
-                               seed=1, cap=10_000)
+        dur, _, capped = _walk(_StepTables(CusumSpec(0.0), sensors), 0, np.full(50, 0.78),
+                               0.78, 0.78 + 1e-9, seed=1, cap=10_000)
         assert capped == 0 and (dur == 1).all()
         for rec in sensors:
             assert rec.sizes == [_WALK_FIRST] * 50
@@ -189,8 +202,8 @@ class TestWalkDraws:
         rec = _RecordingPair(pair)
         schedule = [16, 16, 32, 64, 128, 256, 256, 100]
         cap = sum(schedule)
-        dur, exit_s, capped = _walk([rec], None, np.zeros(3), -math.inf, math.inf,
-                                    seed=2, cap=cap)
+        dur, exit_s, capped = _walk(_StepTables(CusumSpec(0.0), [rec]), 0, np.zeros(3),
+                                    -math.inf, math.inf, seed=2, cap=cap)
         assert capped == 3 and (dur == cap).all() and np.isnan(exit_s).all()
         assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
         assert rec.sizes == [b for b in schedule for _ in range(3)]
