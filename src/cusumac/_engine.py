@@ -3,13 +3,18 @@
 Replications are advanced in lockstep with numpy across the active set; each
 replication owns RNG streams derived from (seed, replication index, substream)
 so results do not depend on batching, chunk boundaries or worker count.
-Substream 0 carries observations (consumed in fixed blocks of ``OBS_BLOCK``
-steps, pre-change segment first when the change time falls inside a block,
-sensor by sensor within a segment); substream 1 carries the Bernoulli
-uniforms of the random-transmission policy, one ``(OBS_BLOCK, M)`` draw per
-block.  The fixed block schedule means two detectors simulated under the
-same seed see identical observation sequences, which the paired delay
-comparisons rely on.
+Substream 0 carries observations, consumed in blocks that grow from one
+``CHUNK`` of steps and double up to ``OBS_BLOCK`` (:func:`_block_steps`):
+pre-change segment first when the change time falls inside a block, sensor
+by sensor within a segment.  Substream 1 carries the Bernoulli uniforms of
+the random-transmission policy, one ``(B, M)`` draw per block of B steps.
+The block sizes depend only on the step count, so two detectors simulated
+under the same seed see identical observation sequences, which the paired
+delay comparisons rely on, and a delay run that ends within a few dozen
+steps draws one short block instead of a whole ``OBS_BLOCK``.  At M = 1 the
+observations form one sequence whatever the block sizes, and the send
+uniforms are drawn row-major, so only the sensor-major layout at M > 1
+depends on the schedule.
 
 A detector's step is described once, by :class:`_StepTables`, which the
 kernel here and the renewal walker of :mod:`cusumac.renewal` both step: the
@@ -44,7 +49,7 @@ import numpy as np
 from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
 from .model import GaussianPair, as_pairs
 
-OBS_BLOCK = 1024  # steps per observation block; fixed so draw order is reproducible
+OBS_BLOCK = 1024  # steps in the largest observation block; blocks double from one CHUNK
 CHUNK = 128       # kernel steps per chunk of bulk increments and derived outcomes
 
 
@@ -84,6 +89,17 @@ def _llr_fns(pairs) -> list:
         return lambda x: np.asarray(p.llr(x))
 
     return [llr_of(p) for p in pairs]
+
+
+def _block_steps(k: int, limit: int, first: int = CHUNK, largest: int = OBS_BLOCK) -> int:
+    """Steps in the observation block after step ``k`` of a run capped at ``limit``.
+
+    The first block has ``first`` steps and every later one doubles, up to
+    ``largest``: 128, 128, 256, 512, 1024, 1024, ... by default.  The size
+    depends only on ``k``, so every replication draws the same blocks
+    whatever it is batched with.
+    """
+    return min(largest, max(first, k), limit - k)
 
 
 def _pre_steps(k0: int, B: int, nu: Optional[int]) -> int:
@@ -250,7 +266,8 @@ def run_batch(
     keeps full per-step trajectories; intended for small test batches only.
 
     Every batch runs on the one chunked kernel; see the module docstring for
-    the two forms of its sequential step.
+    the growing observation blocks it draws and the two forms of its
+    sequential step.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -390,7 +407,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
 
     k = 0
     while ids.size and k < limit:
-        B = min(OBS_BLOCK, limit - k)
+        B = _block_steps(k, limit)
         obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu)
         gam = tab.send_mask(aux_rngs, ids, B)
         rows = np.arange(ids.size)  # each running replication's row in obs

@@ -19,15 +19,15 @@ table decides the increments, random transmission's send mask, the
 regeneration level (a1, or 0) and which alarms are strict, so the walker and
 the engine cannot disagree on the detector they run.  Within a leg the row
 never changes, so the increments are i.i.d. and a block of steps reduces to
-the engine's closed-form reflected walk.  The walker does not use the
-engine's fixed ``OBS_BLOCK``: legs last a few to a few dozen steps, so it
-draws a first block of ``_WALK_FIRST`` steps per replication and doubles
-each later block up to ``_WALK_BLOCK``.  The schedule depends only on the
-step count, so results do not depend on batching.  With M > 1 sensors it is
-part of the walker's stream, since a block is drawn sensor by sensor; with
-M = 1 the draws are one sequence whatever the block sizes (random
-transmission's send uniforms, which follow each block's observations,
-aside).
+the engine's closed-form reflected walk.  The walker draws on the engine's
+block schedule (``_engine._block_steps``) with its own, smaller bounds: legs
+last a few to a few dozen steps, so its first block has ``_WALK_FIRST``
+steps per replication and each later block doubles up to ``_WALK_BLOCK``.
+The schedule depends only on the step count, so results do not depend on
+batching.  With M > 1 sensors it is part of the walker's stream, since a
+block is drawn sensor by sensor; with M = 1 the draws are one sequence
+whatever the block sizes (random transmission's send uniforms, which follow
+each block's observations, aside).
 
 ``estimate_cycle_direct`` measures whole cycles through the scalar detector
 step function instead, giving an independent route for the composition
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import _draw_obs, _reflected, _rep_rngs, _StepTables
+from ._engine import _block_steps, _draw_obs, _reflected, _rep_rngs, _StepTables
 from .detectors import CusumAcConfig, cusum_ac_multi_step, initial_state, two_level
 from .model import as_pairs
 from .montecarlo import McEstimate, derive_seed, summarize
@@ -158,7 +158,7 @@ def _walk(tab: _StepTables, cnt: int, starts: np.ndarray, lower: float, upper: f
         times, values = np.zeros((n, levels.size), dtype=np.int64), np.zeros((n, levels.size))
     k = 0
     while act.size and k < cap:
-        B = min(_WALK_BLOCK, max(_WALK_FIRST, k), cap - k)
+        B = _block_steps(k, cap, _WALK_FIRST, _WALK_BLOCK)
         x = _draw_obs(rngs, act, tab.pairs, k, B, 1 if post_change else None)
         fused, _ = tab.increments(x, tab.send_mask(rngs, act, B), rows=(cnt,))
         s, w, w_min = _reflected(fused[..., 0], w, w_min)

@@ -498,6 +498,9 @@ tolerance = 0.2
 # sha256 of every result CSV of GOLDEN_CONFIG.  The worst-history delay and
 # the conditional rate both resample (about 65% and 33% of their
 # replications are unusable), and eps1 = 0.9 fails the search's rate screen.
+# sweep_rate.csv (M = 3) was regenerated when the engine's observation blocks
+# grew from one chunk, which reorders sensor-major draws; its thresholds and
+# arlfa rows did not move.
 GOLDEN_DIGESTS = {
     "ac_arlfa.csv": "fbf260cb7a5897968b0a2a3ccd01e0e227a711c238efe3d65daf783ee77b6bba",
     "ac_conditional_rate.csv":
@@ -507,7 +510,7 @@ GOLDEN_DIGESTS = {
     "search.csv": "a5ba4f5fc1af2d7118e30399f546d5724314a26723cb369e9de7650511120435",
     "search_trace.csv": "5b2f5d4cd036ef7912cc6cfdadd797be8e7ca78356e9bd510364d6b000bb58f0",
     "sweep_arlfa.csv": "8575ace4fb10a3e3a0bd7948e64f792090972935f34ed910543ee9cf65691f8d",
-    "sweep_rate.csv": "0f7ef6d8ff8fded28e98fe77ba70a53ac2cdc5fede345f9a3752edfd655952e6",
+    "sweep_rate.csv": "8277249f0f8d20a7d8c8a6cdd8e6e87451ce39d70e2cc19abfab1829fe43722d",
 }
 
 

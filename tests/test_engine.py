@@ -6,6 +6,7 @@ and check every statistic, level, send decision and counter.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cusumac.detectors import (
     two_level,
 )
 from cusumac.model import CustomPair
+from test_renewal import _RecordingPair
 
 
 class _ScriptedRng:
@@ -160,15 +162,17 @@ class TestIidReplay:
             if "require_zero_at" in kwargs:
                 assert fast.rejected.any() and (~fast.rejected).any()
 
-    # sha256 over the BatchResult arrays of conditioned runs, generated by the
-    # per-step i.i.d. loop that preceded the kernel's no-level case.
+    # sha256 over the BatchResult arrays of conditioned runs.  The M = 1 pin
+    # was generated by the per-step i.i.d. loop that preceded the kernel's
+    # no-level case; the M = 3 pin by the kernel, once observation blocks grew
+    # from one chunk, since that schedule reorders the sensor-major draws.
     _GOLDEN_CONDITIONED = {
         "cusum": (CusumSpec(4.0), 1, dict(n_reps=300, seed=52, nu=20, limit=5000,
                                           require_zero_at=19),
                   "2e642dd1245e5d28f8a462e15782a41c0a0a77a126d0aabd9b97312286daed3a"),
         "random_tx": (RandomTxSpec(5.0, 0.5), 3,
                       dict(n_reps=200, seed=53, nu=1101, limit=6000, require_zero_at=1100),
-                      "8ac4297a57d740794039fcd9c129cc6d895eb54fd94201aa10eac6a89cab4ec1"),
+                      "b9ec2cd38da74d2bb672dddce573f6a348826226f1726b379f9835a9cc724f12"),
     }
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN_CONDITIONED))
@@ -178,19 +182,21 @@ class TestIidReplay:
         assert batch.rejected.any() and (~batch.rejected).any()
         assert _digest(batch) == digest
 
-    # sha256 over the BatchResult arrays of unrecorded, unconditioned runs,
-    # generated by the closed-form block body that preceded the single kernel.
+    # sha256 over the BatchResult arrays of unrecorded, unconditioned runs.
+    # The M = 1 pin was generated by the closed-form block body that preceded
+    # the single kernel; the M >= 2 pins by the kernel, once observation
+    # blocks grew from one chunk, since that schedule reorders their draws.
     _GOLDEN_IID = {
         "cusum_m3": (CusumSpec(5.0), 3, dict(n_reps=64, seed=401, limit=6000),
-                     "ca9c70642d941d2f355dbd8569f6c939437402a72e4ad8762ef045ac7915585e"),
+                     "12c6c9b5708547001af1ea9febc6ce3a10b85bf253b967ea934b44c344ddfbd9"),
         "random_tx_m3_delay": (RandomTxSpec(4.0, 0.5), 3,
                                dict(n_reps=48, seed=402, limit=5000, nu=1500),
-                               "8fd74b7774507eca5aa5e38acc6bbe6d1d240f56c711afdcab79385dac381240"),
+                               "7e2498d589bb9f7fb27c88a116605153233ece92eb40282e3cb3e30416d65c34"),
         "cusum_nostop": (CusumSpec(3.0), 1,
                          dict(n_reps=20, seed=403, limit=2500, stop_enabled=False),
                          "fbe366dbcee7c3050b16c689b3bbb010a94cddcba5cddbe3075dfe9de1038194"),
         "random_tx_m2": (RandomTxSpec(5.0, 0.3), 2, dict(n_reps=40, seed=404, limit=6000),
-                         "3c78268629333d75364e5722ad8269a501cab36fbf5bd13e02632c09935ea892"),
+                         "ecf09de8c07a327de3f06fbd9d342bc7803cede1be22f568f152860ba4377f22"),
     }
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN_IID))
@@ -317,15 +323,18 @@ def _golden_case(name, pair):
     }[name]
 
 
-# sha256 over the BatchResult arrays, generated by the per-step engine that
-# preceded the chunked kernel; the kernel must reproduce it bit for bit.
+# sha256 over the BatchResult arrays.  The M = 1 pins were generated by the
+# per-step engine that preceded the chunked kernel, which must reproduce them
+# bit for bit.  The M >= 2 pins (m3, hetero, nostop, delay) were regenerated
+# when observation blocks grew from one chunk: the schedule is part of the
+# sensor-major draw order at M > 1, and the replay tests cross-check it.
 _GOLDEN = {
     "m1": "fd650615a500974b6fbae884eb86af4d05d727aaf096f2ce3bd077b0f863d6cb",
-    "m3": "f2ac1b7ecccbdc80159523d29ee71433766297166226881e1417f8f1f2ac03e8",
-    "hetero": "047b768cb1bf4f72afac95ecb601a35b4c30fc9b35756e3b75f1fb7843a42be1",
+    "m3": "5599a29b7a110751b3d13909a9d6c7121af881dfde6f520196c7446f024168e2",
+    "hetero": "1ece83ef5c8ef932df4cddd2fe74a01bc34945a9b8449d3b6a8b27d153eafc16",
     "three_level": "e0f42838aa6a919d3747108b983b6a2dc29e2afe0de05ca67631256f0b387830",
-    "nostop": "f0f54d3490975101bf1e18c7da6644df0aedd157962acc6f3a8f93130fbd7907",
-    "delay": "8438ca01d80e6807d391ad623d81666a49a654e11508b6097f086ff8821ba702",
+    "nostop": "e5f514cd13bd7ef0e1d4410b3556fd0c9976ac9b0767e0f6c9800f3d7649fccc",
+    "delay": "d5a1d573596097ae8e76ba24e4bc2c77a610e80738c70cb862181a30c89e3167",
     "worst_history": "db1c732c5225f30c286a0739c56662fb76c5544541689b496701d4a59554978e",
     "late_reject": "729a467c39a94f6ba8a45d5e54acb0410333e0d9a3aab4a8d00a951aafab90c1",
 }
@@ -388,3 +397,60 @@ class TestCusumAcKernel:
             assert not np.isnan(recs["s"][:t, i]).any()
             assert np.isnan(recs["s"][t:, i]).all()
             assert recs["stopped"][t - 1:, i].all() and not recs["stopped"][:t - 1, i].any()
+
+
+class TestObservationBlocks:
+    def test_blocks_grow_from_one_chunk(self, pair):
+        rec = _RecordingPair(pair)
+        schedule = [128, 128, 256, 512, 1024, 1024, 300]
+        limit = sum(schedule)
+        batch = eng.run_batch(CusumSpec(3.0), [rec], n_reps=3, seed=1, limit=limit,
+                              stop_enabled=False)
+        assert (batch.stop_time == limit).all()
+        assert schedule[0] == eng.CHUNK and max(schedule) == eng.OBS_BLOCK
+        assert rec.sizes == [b for b in schedule for _ in range(3)]
+
+    @pytest.mark.parametrize("family", ["cusum", "cusum_ac", "random_tx"])
+    def test_short_delay_batch_draws_one_chunk(self, pair, family):
+        detector = {
+            "cusum": CusumSpec(4.0),
+            "cusum_ac": two_level([pair] * 3, 5.0, 0.79, 0.27, [_strategy(0.27)] * 3),
+            "random_tx": RandomTxSpec(4.0, 0.5),
+        }[family]
+        sensors = [_RecordingPair(pair) for _ in range(3)]
+        batch = eng.run_batch(detector, sensors, n_reps=50, seed=2, nu=1, limit=100_000)
+        assert batch.stopped.all() and batch.stop_time.max() <= eng.CHUNK
+        for rec in sensors:
+            assert rec.sizes == [eng.CHUNK] * 50
+
+    @pytest.mark.parametrize("family", ["cusum", "cusum_ac", "random_tx"])
+    def test_single_sensor_results_ignore_the_schedule(self, pair, family, monkeypatch):
+        # At M = 1 the observations are one sequence per replication and
+        # random transmission's (B, M) send uniforms are drawn row-major, so
+        # only the sensor-major layout at M > 1 depends on the block sizes.
+        detector = {
+            "cusum": CusumSpec(5.0),
+            "cusum_ac": two_level(pair, 5.0, 0.78, 0.63, [_strategy(0.63)]),
+            "random_tx": RandomTxSpec(5.0, 0.5),
+        }[family]
+        # The change falls inside a block of either schedule, and runs cross blocks.
+        kwargs = dict(n_reps=60, seed=3, nu=1000, limit=3000)
+        grown = eng.run_batch(detector, [pair], **kwargs)
+        assert (grown.stop_time > kwargs["nu"]).sum() >= 10
+        assert grown.stop_time.max() > eng.OBS_BLOCK
+        monkeypatch.setattr(eng, "_block_steps", lambda k, limit: min(eng.OBS_BLOCK, limit - k))
+        assert _digest(eng.run_batch(detector, [pair], **kwargs)) == _digest(grown)
+
+    def test_short_delay_batch_memory(self, pair):
+        # Runs here end after about 30 steps.  A whole 1024-step block per lane
+        # would hold 49 MB of observations and 49 MB of send uniforms, for a
+        # peak near 108 MB.
+        tracemalloc.start()
+        try:
+            batch = eng.run_batch(RandomTxSpec(5.0, 0.4), [pair] * 3, n_reps=2000, seed=7,
+                                  nu=1, limit=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.stopped.all()
+        assert peak < 50e6

@@ -174,7 +174,7 @@ class TestCycleEstimation:
 
 
 class _RecordingPair:
-    """Delegates to a pair and records the size of every sample0 request."""
+    """Delegates to a pair and records the size of every sample0 and sample1 request."""
 
     def __init__(self, pair):
         self.pair = pair
@@ -183,6 +183,10 @@ class _RecordingPair:
     def sample0(self, rng, size=None):
         self.sizes.append(size)
         return self.pair.sample0(rng, size)
+
+    def sample1(self, rng, size=None):
+        self.sizes.append(size)
+        return self.pair.sample1(rng, size)
 
     def __getattr__(self, name):
         return getattr(self.pair, name)
