@@ -2,13 +2,14 @@
 """Derive the reference (a1, eps1) operating points for the delay-vs-rate sweep.
 
 For each communication budget the script runs ``calibration.search_two_level``
-once over a small candidate grid: it screens each candidate by measured
-network rate, calibrates each survivor's threshold on its own renewal ARLFA
-curve (at the default tolerance of ``CalibrationTarget``, 0.05: the curve's
-relative standard error at the threshold is at most 0.05 / 6), and keeps the
-admissible candidate (rate within three standard errors of the budget) with
-the smallest delay.  ``--reps`` sizes the delay and rate batches of each
-candidate and the winner's direct re-measurement; it plays no part in the
+once over a small candidate grid: it measures each candidate's network rate
+once and drops the inadmissible ones (rate more than three standard errors
+above the budget), calibrates each admissible candidate's threshold on its
+own renewal ARLFA curve (at the default tolerance of ``CalibrationTarget``,
+0.05: the curve's relative standard error at the threshold is at most
+0.05 / 6), and keeps the one with the smallest delay.  ``--reps`` sizes the
+delay and rate batches of each candidate (at least 100 rate replications)
+and the winner's direct re-measurement; it plays no part in the
 calibration.  A candidate whose ARLFA just above a1 already exceeds the
 target is listed as ``calibration failed``.  The script prints every
 candidate of the search trace (``arlfa`` there is the in-sample curve value),
@@ -38,7 +39,7 @@ def main():
     ap.add_argument("--zeta", type=float, default=10_000.0, help="ARLFA target")
     ap.add_argument("--sensors", type=int, default=3, help="identical Gaussian sensors")
     ap.add_argument("--reps", type=int, default=600,
-                    help="replications of each delay batch (rate batches use a tenth)")
+                    help="replications of each delay batch (rate batches: a tenth, at least 100)")
     ap.add_argument("--seed", type=int, default=20240501, help="master seed")
     args = ap.parse_args()
 
@@ -52,7 +53,7 @@ def main():
             eps1_grid=[round(f * eps, 3) for f in EPS1_FRACTIONS],
             n_reps=args.reps, seed=args.seed)
         for rec in result.search_trace:
-            verdict = "admissible" if rec.admissible else (rec.note or "not admissible")
+            verdict = "admissible" if rec.admissible else rec.note
             print(f"  eps={eps} a1={rec.a1} eps1={rec.eps1}: a={rec.a:.3f} "
                   f"arlfa={rec.arlfa_mean:.0f} rate={rec.rate_mean:.3f}+-{rec.rate_se:.3f} "
                   f"delay={rec.delay_mean:.2f}+-{rec.delay_se:.2f} "

@@ -326,10 +326,6 @@ class _StepTables:
         self.llrc = np.zeros((L + 1, M))
         for cnt in range(L):
             for m, strat in enumerate(detector.strategies[L - 1 - cnt]):
-                if not strat.monotone:
-                    raise NotImplementedError(
-                        "batch simulation needs observation-space censoring intervals"
-                    )
                 self.lo[cnt, m] = strat.nosend_x_lo
                 self.hi[cnt, m] = strat.nosend_x_hi
                 self.llrc[cnt, m] = strat.llr_censored

@@ -8,10 +8,10 @@ to ln(max zeta), which is a proven upper bracket because every detector
 here has ARLFA(a) >= e^a.  It grows the curve's legs until the relative
 standard error at each calibrated threshold is at most ``tolerance / 6``;
 :func:`calibrate_threshold` then interpolates ln ARLFA = ln zeta between the
-bracketing grid points.  The grid search screens each candidate by its
-communication rate first (the rate does not depend on the alarm threshold,
-so infeasible candidates never pay for a calibration), calibrates the
-survivors, and returns the admissible candidate with the smallest delay;
+bracketing grid points.  The grid search measures each candidate's
+communication rate once, first (the rate does not depend on the alarm
+threshold, so inadmissible candidates never pay for a calibration),
+calibrates the admissible ones, and returns the one with the smallest delay;
 slow-regime membership is recorded as advisory.
 """
 
@@ -239,8 +239,12 @@ class CalibrationResult:
     report: Optional[PerfReport]
     eprime_verdict: str
     search_trace: tuple[CandidateRecord, ...]
-    feasible: bool
     target: CalibrationTarget
+
+    @property
+    def feasible(self) -> bool:
+        """Whether an admissible candidate was calibrated, so a configuration was selected."""
+        return self.config is not None
 
 
 def search_two_level(
@@ -257,20 +261,22 @@ def search_two_level(
 ) -> CalibrationResult:
     """Brute-force search over (a1, eps1) minimizing delay under the constraints.
 
-    Every candidate is screened by its (threshold-independent) communication
-    rate, then calibrated to the ARLFA target on its own renewal curve
-    (:func:`threshold_curve` at ``target.tolerance``) and measured; a
-    candidate whose ARLFA just above a1 already exceeds zeta is recorded as
-    ``calibration failed``.  The trace's ``arlfa_mean`` is the in-sample
-    curve value at the calibrated threshold.  Admissibility means the rate
-    does not exceed the budget by more than three standard errors; it is
-    measured in ``no_stop`` mode.  ``n_reps`` sizes the delay and rate
-    batches.  The winner's final report is measured directly on a fresh
+    Every candidate's communication rate is measured once, in ``no_stop``
+    mode (which ignores the alarm threshold), on ``max(100, n_reps // 10)``
+    replications.  A candidate is admissible when that rate does not exceed
+    the budget by more than three standard errors; the others are recorded
+    as ``rate screen failed`` and never calibrated.  Admissible candidates
+    are calibrated to the ARLFA target on their own renewal curve
+    (:func:`threshold_curve` at ``target.tolerance``) and their delay is
+    measured on ``n_reps`` replications; a candidate whose ARLFA just above
+    a1 already exceeds zeta is recorded as ``calibration failed``.  The
+    trace's ``arlfa_mean`` is the in-sample curve value at the calibrated
+    threshold.  The winner's final report is measured directly on a fresh
     seed, with its ARLFA runs capped at ``CAP_MULT * zeta`` steps.
     Slow-regime membership is judged on the renewal cycle of the fused
     statistic of all sensors, with each sensor's strategy at ``eps1``.
-    When no candidate is admissible the best-effort candidate is still
-    returned, flagged infeasible.
+    When no candidate is calibrated, ``config`` and ``report`` are None and
+    ``feasible`` is false.
     """
     if not a1_grid or not eps1_grid:
         raise ValueError("grids must be nonempty")
@@ -283,7 +289,6 @@ def search_two_level(
     strategy_cache = {
         eps1: [optimize(p, eps1) for p in pairs] for eps1 in sorted(set(eps1_grid))
     }
-    screen_reps = max(20, n_reps // 100)
 
     trace: list[CandidateRecord] = []
     candidates: list[tuple[CandidateRecord, CusumAcConfig]] = []
@@ -293,48 +298,42 @@ def search_two_level(
             strategies = strategy_cache[eps1]
             config_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
                 pairs, a, a1, eps1, strategies=st)
-            # The rate ignores the alarm threshold, so screen before calibrating;
-            # the screened detector also names the family of the ARLFA curve.
+            # The no_stop rate ignores the alarm threshold, so it is measured once,
+            # before calibrating; the detector also names the ARLFA curve's family.
             family = config_of(a1 + 100.0)
-            rate_screen = estimate_comm_rate(
-                family, pairs, rate_horizon, screen_reps, derive_seed(seed, 21),
-                n_jobs=n_jobs)
-            if rate_screen.mean - 3.0 * rate_screen.std_error > target.epsilon:
-                trace.append(_skipped(a1, eps1, rate_screen, "rate screen failed"))
+            rate = estimate_comm_rate(family, pairs, rate_horizon, max(100, n_reps // 10),
+                                      derive_seed(seed, 23), n_jobs=n_jobs)
+            if not rate.mean <= target.epsilon + 3.0 * rate.std_error:
+                trace.append(_skipped(a1, eps1, rate, "rate screen failed"))
                 continue
             try:
                 curve = threshold_curve(family, pairs, [target.zeta],
                                         derive_seed(seed, 22), target.tolerance)
                 cal = calibrate_threshold(curve, target.zeta)
             except CalibrationError as err:
-                trace.append(_skipped(a1, eps1, rate_screen, f"calibration failed: {err}"))
+                trace.append(_skipped(a1, eps1, rate, f"calibration failed: {err}"))
                 continue
             config = config_of(cal.a)
-            rate = estimate_comm_rate(config, pairs, rate_horizon, max(100, n_reps // 10),
-                                      derive_seed(seed, 23), n_jobs=n_jobs)
             delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
             cycle = estimate_cycle(pairs, a1, math.inf, eps1, cycle_reps,
                                    derive_seed(seed, 25), strategy=strategies)
             eprime: EprimeCheck = check_eprime_membership(cycle)
-            admissible = rate.mean <= target.epsilon + 3.0 * rate.std_error
             rec = CandidateRecord(
                 a1=a1, eps1=eps1, a=cal.a,
                 arlfa_mean=cal.arlfa.mean, arlfa_se=cal.arlfa.std_error,
                 rate_mean=rate.mean, rate_se=rate.std_error,
                 delay_mean=delay.mean, delay_se=delay.std_error,
                 eprime_verdict=eprime.verdict, eprime_margin=eprime.margin,
-                admissible=admissible)
+                admissible=True)
             trace.append(rec)
             candidates.append((rec, config))
 
-    admissible = [(rec, cfg) for rec, cfg in candidates if rec.admissible]
-    pool = admissible if admissible else candidates
-    feasible = bool(admissible)
-    if not pool:
+    if not candidates:
         return CalibrationResult(config=None, report=None, eprime_verdict="skipped",
-                                 search_trace=tuple(trace), feasible=False, target=target)
-    best_rec, best_cfg = min(pool, key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
+                                 search_trace=tuple(trace), target=target)
+    best_rec, best_cfg = min(candidates,
+                             key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
     report = measure_performance(
         best_cfg, pairs, n_reps=n_reps,
         cap=max(int(CAP_MULT * target.zeta), 100), horizon=rate_horizon,
@@ -344,6 +343,5 @@ def search_two_level(
         report=report,
         eprime_verdict=best_rec.eprime_verdict,
         search_trace=tuple(trace),
-        feasible=feasible,
         target=target,
     )

@@ -1,11 +1,11 @@
 """Censoring strategies and the rate-constrained divergence-maximizing optimizer.
 
 A censoring strategy sends an observation only when it falls outside a single
-no-send interval; the interval lives in likelihood-ratio space and, for
-monotone-LLR pairs, equivalently in observation space (which is the cheap
-comparison a sensor actually performs).  ``optimize`` returns, for a given
-pre-change send probability ``epsilon``, the strategy maximizing the
-post-censoring K-L divergence
+closed no-send interval of the observation.  For the monotone-LLR pairs this
+package optimizes and simulates, that interval is the paper's no-send set of
+likelihood ratios, compared in observation space as a sensor would.
+``optimize`` returns, for a given pre-change send probability ``epsilon``,
+the strategy maximizing the post-censoring K-L divergence
 
     E1[censored_llr] = integral of f1*llr over the send region
                        + p1_nosend * ln(p1_nosend / p0_nosend).
@@ -38,104 +38,24 @@ class CensoringStrategy:
     """A send/no-send rule with its rate and information bookkeeping.
 
     ``rate`` is the pre-change send probability.  The no-send region is the
-    closed interval [``nosend_x_lo``, ``nosend_x_hi``] in observation space
-    when ``monotone`` is true (the corresponding LLR-space bounds are stored
-    alongside); otherwise only the LLR-space interval is meaningful and
-    ``apply`` needs the distribution pair to evaluate the LLR.  The empty
-    no-send interval of the full-rate strategy is encoded as (+inf, +inf).
+    closed observation interval [``nosend_x_lo``, ``nosend_x_hi``]; the
+    full-rate strategy's empty interval is encoded as (+inf, +inf).  A no-send
+    slot carries the constant LLR ``llr_censored`` = ln(p1_nosend / p0_nosend).
     """
 
     rate: float
-    nosend_llr_lo: float
-    nosend_llr_hi: float
     nosend_x_lo: float
     nosend_x_hi: float
     llr_censored: float
     p0_nosend: float
     p1_nosend: float
     post_kl: float
-    monotone: bool = True
 
-    @property
-    def is_full_rate(self) -> bool:
-        return self.p0_nosend == 0.0
-
-    def apply(self, x, pair=None):
-        """Send decision for observation(s) ``x``: True means transmit.
-
-        Monotone strategies compare the observation against the interval
-        bounds directly; otherwise the pair's LLR is computed and compared
-        against the LLR-space bounds.
-        """
-        if self.monotone:
-            x = np.asarray(x)
-            inside = (x >= self.nosend_x_lo) & (x <= self.nosend_x_hi)
-        else:
-            if pair is None:
-                raise ValueError(
-                    "strategy has no observation-space interval; pass the pair "
-                    "so the likelihood ratio can be evaluated"
-                )
-            v = np.asarray(pair.llr(x))
-            inside = (v >= self.nosend_llr_lo) & (v <= self.nosend_llr_hi)
-        send = ~inside
+    def apply(self, x):
+        """Send decision for observation(s) ``x``: True means transmit."""
+        x = np.asarray(x)
+        send = ~((x >= self.nosend_x_lo) & (x <= self.nosend_x_hi))
         return bool(send) if send.ndim == 0 else send
-
-    def censored_llr(self, sent: bool, x=None, pair=None) -> float:
-        """LLR increment of a (sent, x) outcome under this strategy.
-
-        A sent observation contributes its raw LLR; a no-send slot
-        contributes the stored constant ``llr_censored``.  Inconsistent
-        combinations (sent without a value, a value without sending, or a
-        sent value inside the no-send region) are rejected.
-        """
-        if sent:
-            if x is None:
-                raise ValueError("sent=True requires the observation value")
-            if pair is None:
-                raise ValueError("sent=True requires the pair to evaluate the raw LLR")
-            if not self.apply(x, pair):
-                raise ValueError(
-                    f"x={x!r} lies inside the no-send region; (sent=True, x) is inconsistent"
-                )
-            return float(pair.llr(x))
-        if x is not None:
-            raise ValueError("sent=False must not carry an observation value")
-        return self.llr_censored
-
-    def post_change_rate(self) -> float:
-        """Send probability after the change, 1 - p1_nosend (diagnostic)."""
-        return 1.0 - self.p1_nosend
-
-    def to_record(self) -> dict:
-        """Flat record for caching; float fields round-trip exactly via repr."""
-        return {
-            "rate": self.rate,
-            "nosend_llr_lo": self.nosend_llr_lo,
-            "nosend_llr_hi": self.nosend_llr_hi,
-            "nosend_x_lo": self.nosend_x_lo,
-            "nosend_x_hi": self.nosend_x_hi,
-            "llr_censored": self.llr_censored,
-            "p0_nosend": self.p0_nosend,
-            "p1_nosend": self.p1_nosend,
-            "post_kl": self.post_kl,
-            "monotone": int(self.monotone),
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "CensoringStrategy":
-        return cls(
-            rate=float(record["rate"]),
-            nosend_llr_lo=float(record["nosend_llr_lo"]),
-            nosend_llr_hi=float(record["nosend_llr_hi"]),
-            nosend_x_lo=float(record["nosend_x_lo"]),
-            nosend_x_hi=float(record["nosend_x_hi"]),
-            llr_censored=float(record["llr_censored"]),
-            p0_nosend=float(record["p0_nosend"]),
-            p1_nosend=float(record["p1_nosend"]),
-            post_kl=float(record["post_kl"]),
-            monotone=bool(int(record["monotone"])),
-        )
 
 
 def full_rate_strategy(pair) -> CensoringStrategy:
@@ -145,15 +65,12 @@ def full_rate_strategy(pair) -> CensoringStrategy:
     kl = kl_divergence(pair)
     return CensoringStrategy(
         rate=1.0,
-        nosend_llr_lo=math.inf,
-        nosend_llr_hi=math.inf,
         nosend_x_lo=math.inf,
         nosend_x_hi=math.inf,
         llr_censored=0.0,
         p0_nosend=0.0,
         p1_nosend=0.0,
         post_kl=kl.i_f1_f0,
-        monotone=True,
     )
 
 
@@ -229,8 +146,9 @@ def optimize(pair, epsilon: float) -> CensoringStrategy:
     is evaluated in closed form when the pair offers ``send_region_kl`` and
     ``quantile0`` (``GaussianPair`` does, with no scipy import); other pairs
     use quadrature and, without ``quantile0``, root finding.  Requires a
-    monotone-LLR pair; epsilon = 1 short-circuits to the full-rate strategy
-    and rates below 1e-3 are rejected as degenerate.
+    monotone-LLR pair, the case where one observation interval is the
+    optimal no-send set; epsilon = 1 short-circuits to the full-rate
+    strategy and rates below 1e-3 are rejected as degenerate.
 
     Results are memoized on ``(pair, epsilon)`` when the pair is hashable
     (``GaussianPair`` and ``CustomPair`` are frozen dataclasses), so a
@@ -260,8 +178,8 @@ def _optimize(pair, epsilon: float) -> CensoringStrategy:
         )
     if not getattr(pair, "monotone_llr", False):
         raise NotImplementedError(
-            "the interval optimizer searches in observation space and needs a "
-            "monotone likelihood ratio; build the strategy manually otherwise"
+            "a censoring strategy is one no-send interval of the observation, "
+            "which is optimal only for pairs with a monotone likelihood ratio"
         )
 
     quantile0 = _quantile0(pair)
@@ -290,17 +208,12 @@ def _optimize(pair, epsilon: float) -> CensoringStrategy:
 
     hi_star = upper_for(lo_star)
     post, p0, p1, llr_c = _evaluate_interval(pair, lo_star, hi_star)
-    llr_at_lo = float(pair.llr(lo_star))
-    llr_at_hi = float(pair.llr(hi_star))
     return CensoringStrategy(
         rate=float(epsilon),
-        nosend_llr_lo=min(llr_at_lo, llr_at_hi),
-        nosend_llr_hi=max(llr_at_lo, llr_at_hi),
         nosend_x_lo=float(lo_star),
         nosend_x_hi=float(hi_star),
         llr_censored=llr_c,
         p0_nosend=p0,
         p1_nosend=p1,
         post_kl=post,
-        monotone=True,
     )

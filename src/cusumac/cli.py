@@ -516,7 +516,7 @@ def _run_calibrate(spec, pairs, out_dir, seed, n_jobs):
             sink.add("cusum_ac", metric, getattr(result.report, metric), **extra)
     path = sink.write(out_dir)
     if not result.feasible:
-        print(f"warning: {spec.name}: no admissible candidate; best effort written",
+        print(f"warning: {spec.name}: no admissible candidate; only the trace written",
               file=sys.stderr)
     return [path, trace_path]
 

@@ -318,7 +318,7 @@ def cusum_ac_multi_step(state: DetectorState, config: CusumAcConfig, xs, pairs
             inc_m = float(pair.llr(x))
         else:
             strat = config.strategy(level, m)
-            sent_m = strat.apply(x, pair)
+            sent_m = strat.apply(x)
             inc_m = float(pair.llr(x)) if sent_m else strat.llr_censored
         sent.append(bool(sent_m))
         fused += inc_m

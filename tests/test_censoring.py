@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.stats import norm
 
 from cusumac import censoring
 from cusumac.censoring import CensoringStrategy, optimize
+from cusumac.detectors import cusum_ac_step, initial_state, two_level
 from cusumac.model import CustomPair, gaussian_mean_shift
 
 # Frozen output of the exhaustive-grid oracle below at eps = 0.5 (2000 grid
@@ -58,7 +60,6 @@ class TestOptimizer:
 
     def test_full_rate_short_circuit(self, pair, strategy_cache):
         strat = strategy_cache(1.0)
-        assert strat.is_full_rate
         assert strat.rate == 1.0
         assert strat.post_kl == pytest.approx(0.125, abs=1e-12)
         assert strat.p0_nosend == 0.0 and strat.p1_nosend == 0.0
@@ -163,44 +164,61 @@ class TestOptimizer:
 class TestStrategyBehavior:
     def test_apply_interval_membership(self):
         strat = CensoringStrategy(
-            rate=0.5, nosend_llr_lo=-0.275, nosend_llr_hi=0.325,
-            nosend_x_lo=-0.3, nosend_x_hi=0.9, llr_censored=-0.1,
+            rate=0.5, nosend_x_lo=-0.3, nosend_x_hi=0.9, llr_censored=-0.1,
             p0_nosend=0.5, p1_nosend=0.45, post_kl=0.1)
         assert strat.apply(0.0) is False
         assert strat.apply(1.5) is True
         assert strat.apply(-0.3) is False  # closed interval
 
-    def test_apply_llr_space_route(self, pair, strategy_cache):
+    def test_strategy_is_one_observation_interval(self, pair, strategy_cache):
+        assert [f.name for f in dataclasses.fields(CensoringStrategy)] == [
+            "rate", "nosend_x_lo", "nosend_x_hi", "llr_censored",
+            "p0_nosend", "p1_nosend", "post_kl"]
+        with pytest.raises(TypeError):
+            strategy_cache(0.5).apply(0.0, pair)
+
+    def test_apply_sends_nan(self, strategy_cache):
+        # NaN lies inside no interval, so it is sent, element-wise as well.
         strat = strategy_cache(0.5)
-        blind = CensoringStrategy(**{**strat.to_record(), "monotone": 0})
+        assert strat.apply(math.nan) is True
+        inside = 0.5 * (strat.nosend_x_lo + strat.nosend_x_hi)
+        np.testing.assert_array_equal(strat.apply(np.array([math.nan, inside])),
+                                      [True, False])
+
+    def test_apply_llr_space_route(self, pair, strategy_cache):
+        # Over a batch, the observation-interval decision is the paper's
+        # no-send set of likelihood ratios (GaussianPair's LLR increases in x).
+        strat = strategy_cache(0.5)
         rng = np.random.default_rng(17)
         x = pair.sample0(rng, 10_000)
-        np.testing.assert_array_equal(strat.apply(x), blind.apply(x, pair))
-
-    def test_apply_llr_route_needs_pair(self, strategy_cache):
-        strat = strategy_cache(0.5)
-        blind = CensoringStrategy(**{**strat.to_record(), "monotone": 0})
-        with pytest.raises(ValueError, match="pass the pair"):
-            blind.apply(0.0)
+        v = pair.llr(x)
+        inside_llr = (v >= pair.llr(strat.nosend_x_lo)) & (v <= pair.llr(strat.nosend_x_hi))
+        sent = strat.apply(x)
+        assert sent.dtype == bool and sent.shape == x.shape
+        np.testing.assert_array_equal(sent, ~inside_llr)
 
     def test_censored_llr_branches(self, pair, strategy_cache):
+        # In the censoring band a sent observation adds its raw LLR and a
+        # no-send slot adds the constant llr_censored.
         strat = strategy_cache(0.5)
+        cfg = two_level(pair, a=9.0, a1=5.0, eps1=0.5, strategies=[strat])
+        st0 = dataclasses.replace(initial_state(cfg), s=2.0, active_level=1)
         outside = strat.nosend_x_hi + 1.0
-        assert strat.censored_llr(True, outside, pair) == pytest.approx(
-            float(pair.llr(outside)), abs=1e-15)
-        assert strat.censored_llr(False) == strat.llr_censored
-        with pytest.raises(ValueError):
-            strat.censored_llr(True)  # sent without a value
-        with pytest.raises(ValueError):
-            strat.censored_llr(False, x=0.0)  # value without sending
+        st1, sent = cusum_ac_step(st0, cfg, outside, pair)
+        assert sent is True
+        assert st1.s == pytest.approx(2.0 + float(pair.llr(outside)), abs=1e-15)
         inside = 0.5 * (strat.nosend_x_lo + strat.nosend_x_hi)
-        with pytest.raises(ValueError, match="inconsistent"):
-            strat.censored_llr(True, inside, pair)
+        st2, sent = cusum_ac_step(st0, cfg, inside, pair)
+        assert sent is False
+        assert st2.s == 2.0 + strat.llr_censored
+        assert (st1.tx_count, st2.tx_count) == (1, 0)
 
     def test_censored_llr_full_rate_branch(self, pair, strategy_cache):
-        strat = strategy_cache(1.0)
-        assert strat.censored_llr(True, -2.2, pair) == pytest.approx(
-            float(pair.llr(-2.2)), abs=1e-15)
+        cfg = two_level(pair, a=9.0, a1=5.0, eps1=1.0, strategies=[strategy_cache(1.0)])
+        st0 = dataclasses.replace(initial_state(cfg), s=3.0, active_level=1)
+        st1, sent = cusum_ac_step(st0, cfg, -2.2, pair)
+        assert sent is True
+        assert st1.s == pytest.approx(3.0 + float(pair.llr(-2.2)), abs=1e-15)
 
     def test_censored_value_matches_cdf_ratio(self, pair, strategy_cache):
         # ln[(Phi(u - 0.5) - Phi(l - 0.5)) / (Phi(u) - Phi(l))] evaluated
@@ -213,26 +231,22 @@ class TestStrategyBehavior:
         assert strat.llr_censored == pytest.approx(
             math.log(strat.p1_nosend / strat.p0_nosend), abs=1e-12)
 
-    def test_post_change_rate(self, pair, strategy_cache):
-        assert strategy_cache(1.0).post_change_rate() == 1.0
+    def test_post_change_rate(self, strategy_cache):
+        # After the change a sensor sends with probability 1 - p1_nosend.
+        assert 1.0 - strategy_cache(1.0).p1_nosend == 1.0
         strat = strategy_cache(0.4)
         expected = 1.0 - (norm.cdf(strat.nosend_x_hi - 0.5)
                           - norm.cdf(strat.nosend_x_lo - 0.5))
-        assert strat.post_change_rate() == pytest.approx(expected, abs=1e-9)
-        assert 0.4 < strat.post_change_rate() < 1.0
-
-    def test_post_change_rate_symmetric_degenerate(self):
-        strat = CensoringStrategy(
-            rate=0.6, nosend_llr_lo=-0.1, nosend_llr_hi=0.1,
-            nosend_x_lo=-0.5, nosend_x_hi=0.5, llr_censored=0.0,
-            p0_nosend=0.4, p1_nosend=0.4, post_kl=0.0)
-        assert strat.post_change_rate() == strat.rate
+        assert 1.0 - strat.p1_nosend == pytest.approx(expected, abs=1e-9)
+        assert 0.4 < 1.0 - strat.p1_nosend < 1.0
 
     def test_record_round_trip_exact(self, strategy_cache):
+        # Every field is a plain float that its repr carries exactly, the
+        # full-rate strategy's infinite interval included.
         for eps in (0.3, 1.0):
             strat = strategy_cache(eps)
-            as_text = {k: repr(v) for k, v in strat.to_record().items()}
-            back = CensoringStrategy.from_record(as_text)
+            as_text = {k: repr(v) for k, v in dataclasses.asdict(strat).items()}
+            back = CensoringStrategy(**{k: float(v) for k, v in as_text.items()})
             assert back == strat
 
 
@@ -242,6 +256,7 @@ def test_interval_and_llr_decisions_agree(x, pair, strategy_cache):
     for eps in (0.2, 0.5, 0.8):
         strat = strategy_cache(eps)
         by_interval = strat.apply(x)
-        v = float(pair.llr(x))
-        inside_llr = strat.nosend_llr_lo <= v <= strat.nosend_llr_hi
+        # GaussianPair's LLR increases in x, so these are the LLR-space bounds.
+        llr_lo, llr_hi = pair.llr(strat.nosend_x_lo), pair.llr(strat.nosend_x_hi)
+        inside_llr = llr_lo <= float(pair.llr(x)) <= llr_hi
         assert by_interval == (not inside_llr)

@@ -500,7 +500,9 @@ tolerance = 0.2
 # replications are unusable), and eps1 = 0.9 fails the search's rate screen.
 # sweep_rate.csv (M = 3) was regenerated when the engine's observation blocks
 # grew from one chunk, which reorders sensor-major draws; its thresholds and
-# arlfa rows did not move.
+# arlfa rows did not move.  search_trace.csv was regenerated when the search
+# came to measure each candidate's rate once, on the admissibility batch:
+# only the screened eps1 = 0.9 row moved (rate 0.923875 -> 0.924921).
 GOLDEN_DIGESTS = {
     "ac_arlfa.csv": "fbf260cb7a5897968b0a2a3ccd01e0e227a711c238efe3d65daf783ee77b6bba",
     "ac_conditional_rate.csv":
@@ -508,7 +510,7 @@ GOLDEN_DIGESTS = {
     "ac_worst_delay.csv": "ca4fe7e5f31542d633241c5da1b5e638d0b48e45f8fcf560a59e2901334f80ee",
     "cusum_arlfa.csv": "3e5d42f7c088558873382bdec3dec922762a2bd1ba6a09a2a9532d1b588478a2",
     "search.csv": "a5ba4f5fc1af2d7118e30399f546d5724314a26723cb369e9de7650511120435",
-    "search_trace.csv": "5b2f5d4cd036ef7912cc6cfdadd797be8e7ca78356e9bd510364d6b000bb58f0",
+    "search_trace.csv": "c4e1b0cb2682e478177daeecc2580e933a526e2dc11b6c6fac4f85043b0b359d",
     "sweep_arlfa.csv": "8575ace4fb10a3e3a0bd7948e64f792090972935f34ed910543ee9cf65691f8d",
     "sweep_rate.csv": "8277249f0f8d20a7d8c8a6cdd8e6e87451ce39d70e2cc19abfab1829fe43722d",
 }
@@ -522,6 +524,35 @@ def test_result_csvs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
     trace = read_csv(out / "search_trace.csv")
     assert [r["note"] for r in trace] == ["", "rate screen failed"]
+
+
+SEARCH_CONFIG = """
+[experiment:search]
+kind = calibrate
+m = 3
+zeta = 1000
+epsilon = 0.4
+a1_grid = 0.8 1.2
+eps1_grid = 0.27
+n_reps = 200
+tolerance = 0.2
+"""
+
+
+def test_screen_and_admissibility_share_one_rate(tmp_path):
+    # At this seed a 20-replication screen read (0.8, 0.27) at 0.4056 +- 0.0015
+    # and dropped it, though the 100-replication rate (0.4008 +- 0.0007) makes
+    # it admissible and it has the smaller delay.
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, SEARCH_CONFIG)), "--out", str(out),
+                 "--seed", "2715458577585998325"]) == 0
+    trace = {(float(r["a1"]), float(r["eps1"])): r for r in read_csv(out / "search_trace.csv")}
+    chosen = trace[(0.8, 0.27)]
+    assert chosen["note"] == "" and chosen["admissible"] == "1"
+    assert float(chosen["rate_mean"]) <= 0.4 + 3 * float(chosen["rate_se"])
+    rows = read_csv(out / "search.csv")
+    assert {(float(r["a1"]), float(r["eps1"])) for r in rows} == {(0.8, 0.27)}
+    assert {float(r["a"]) for r in rows} == {float(chosen["a"])}
 
 
 # The routes GOLDEN_CONFIG leaves out: a CuSum-AC trace (which both sends and

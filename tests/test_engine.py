@@ -295,10 +295,9 @@ def _strategy(rate):
     lo, hi, llr_c = _STRATEGIES[rate]
     # The engine reads only the observation-space interval and the censored
     # LLR; the remaining fields are placeholders.
-    return CensoringStrategy(rate=rate, nosend_llr_lo=0.5 * lo - 0.125,
-                             nosend_llr_hi=0.5 * hi - 0.125, nosend_x_lo=lo,
-                             nosend_x_hi=hi, llr_censored=llr_c,
-                             p0_nosend=1.0 - rate, p1_nosend=0.5, post_kl=0.1)
+    return CensoringStrategy(rate=rate, nosend_x_lo=lo, nosend_x_hi=hi,
+                             llr_censored=llr_c, p0_nosend=1.0 - rate,
+                             p1_nosend=0.5, post_kl=0.1)
 
 
 def _golden_case(name, pair):

@@ -177,6 +177,18 @@ class TestCommRate:
             estimate_comm_rate(CusumSpec(2.0), pair, 10_000, 10, seed=23,
                                mode="conditional")
 
+    def test_no_stop_rate_ignores_the_alarm_threshold(self, pairs3, strategy_cache):
+        # The grid search measures a candidate's rate before calibrating its
+        # threshold, so the no_stop rate must be the same at every threshold.
+        def ac(a):
+            return two_level(pairs3, a, 0.78, 0.27, strategies=[strategy_cache(0.27)] * 3)
+
+        def rate(det):
+            return estimate_comm_rate(det, pairs3, 10_000, 20, seed=25)
+
+        assert rate(ac(2.0)) == rate(ac(50.0))
+        assert rate(RandomTxSpec(2.0, 0.4)) == rate(RandomTxSpec(50.0, 0.4))
+
     def test_horizon_floor(self, pair):
         with pytest.raises(ValueError, match="10\\^4|10000"):
             estimate_comm_rate(CusumSpec(5.0), pair, 500, 10, seed=24)

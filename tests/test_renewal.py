@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cusumac._engine import _StepTables
-from cusumac.censoring import CensoringStrategy
 from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
 from cusumac.detectors import CusumSpec, two_level
 from cusumac.renewal import (
@@ -135,14 +134,6 @@ class TestCycleEstimation:
         with pytest.raises(ValueError, match="got 1 strategies for 3 sensors"):
             estimate_cycle_direct(pairs3, 0.78, 4.0, 0.63, n_cycles=200, seed=21,
                                   strategy=[strategy_cache(0.63)])
-
-    def test_strategy_without_observation_interval_is_refused(self, pair, strategy_cache):
-        # The walker censors on nosend_x_lo/hi, which such a strategy does not
-        # guarantee; the engine refuses it, and so does the walker.
-        record = dict(strategy_cache(0.63).to_record(), monotone=0)
-        with pytest.raises(NotImplementedError, match="observation-space"):
-            estimate_cycle(pair, 0.78, 4.0, 0.63, n_reps=200, seed=1,
-                           strategy=CensoringStrategy(**record))
 
     def test_open_band_walks_stay_finite(self, pair, strategy_cache):
         stats = estimate_cycle(pair, a1=0.78, a=math.inf, eps1=0.63,
