@@ -62,8 +62,8 @@ def main():
             print(f"eps={eps}: NO ADMISSIBLE CANDIDATE")
             continue
         cfg, report = result.config, result.report
-        table[eps] = (cfg.a1, cfg.levels[0].rate, cfg.a)
-        print(f"eps={eps}: chose a1={cfg.a1} eps1={cfg.levels[0].rate} (a={cfg.a:.3f}, "
+        table[eps] = (cfg.a1, cfg.strategies[0].rate, cfg.a)
+        print(f"eps={eps}: chose a1={cfg.a1} eps1={cfg.strategies[0].rate} (a={cfg.a:.3f}, "
               f"rate={report.comm_rate.mean:.3f}, delay={report.delay.mean:.2f}) "
               f"[{time.time() - t0:.0f}s]")
 

@@ -13,13 +13,11 @@ from .detectors import (
     CusumAcConfig,
     CusumSpec,
     DetectorState,
-    Level,
     RandomTxSpec,
     cusum_ac_multi_step,
     cusum_ac_step,
     cusum_step,
     initial_state,
-    n_level,
     random_tx_cusum_step,
     simulate_trace,
     two_level,
@@ -46,7 +44,6 @@ __all__ = [
     "GaussianPair",
     "InfeasibleError",
     "KlReport",
-    "Level",
     "McEstimate",
     "PerfReport",
     "RandomTxSpec",
@@ -61,7 +58,6 @@ __all__ = [
     "initial_state",
     "kl_divergence",
     "measure_performance",
-    "n_level",
     "optimize",
     "pre_change_run",
     "random_tx_cusum_step",

@@ -18,25 +18,25 @@ depends on the schedule.
 
 A detector's step is described once, by :class:`_StepTables`, which the
 kernel here and the renewal walker of :mod:`cusumac.renewal` both step: the
-fused increment and send count of every censoring level, random
-transmission's send mask, the regeneration level, and the alarm test.  Plain
-CuSum and random transmission are its case without censoring levels; the
-table turns their strict alarm ``S > a`` into the inclusive test against
-``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
+fused increment and send count below and at or above the switching
+threshold a1, random transmission's send mask, the regeneration level, and
+the alarm test.  Plain CuSum and random transmission are its case without
+a1; the table turns their strict alarm ``S > a`` into the inclusive test
+against ``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
 
 Every batch runs on one chunked kernel.  The censoring level depends only
 on the statistic, so for each chunk of ``CHUNK`` steps the increments of
-every level are computed in bulk first.  Only the sequential step that
-follows has two forms.  Without censoring levels and without ``record`` the
-increments are i.i.d., and the reflected statistic is the closed form of
+both levels are computed in bulk first.  Only the sequential step that
+follows has two forms.  Without a1 and without ``record`` the increments
+are i.i.d., and the reflected statistic is the closed form of
 :func:`_reflected`.  Every other batch takes the per-step recursion, which
 carries only the statistic and its level count: select the current level's
-increment, reflect at zero, clamp an upward crossing to the highest
-threshold crossed; recorded trajectories therefore replay bit for bit
-through the scalar step functions of :mod:`cusumac.detectors`.  Alarms,
-``require_zero_at`` conditioning, counters and trajectories are derived from
-the chunk's statistic, and a batch whose replications have all ended stops
-at that chunk instead of finishing its observation block.
+increment, reflect at zero, clamp an upward crossing of a1 to a1.  Recorded
+trajectories therefore replay bit for bit through the scalar step
+functions of :mod:`cusumac.detectors`.  Alarms, ``require_zero_at``
+conditioning, counters and trajectories are derived from the chunk's
+statistic, and a batch whose replications have all ended stops at that
+chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
-from .model import GaussianPair, as_pairs
+from .model import as_pairs
 
 OBS_BLOCK = 1024  # steps in the largest observation block; blocks double from one CHUNK
 CHUNK = 128       # kernel steps per chunk of bulk increments and derived outcomes
@@ -61,7 +61,7 @@ class BatchResult:
     stopped: np.ndarray     # bool
     tx: np.ndarray          # int64, transmissions summed over sensors
     feedback: np.ndarray    # int64, strategy announcements (initial one included)
-    time_above: np.ndarray  # int64, steps with statistic >= top level threshold
+    time_above: np.ndarray  # int64, steps with statistic >= a1
     time_below: np.ndarray  # int64
     rejected: np.ndarray    # bool; only populated under require_zero_at
     n_sensors: int
@@ -78,17 +78,6 @@ def concat_results(parts: Sequence[BatchResult]) -> BatchResult:
     arrays = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
               for f in fields(BatchResult) if f.name not in ("n_sensors", "records")}
     return BatchResult(**arrays, n_sensors=parts[0].n_sensors)
-
-
-def _llr_fns(pairs) -> list:
-    """Per-sensor LLR evaluators for observation arrays of any shape."""
-    def llr_of(p):
-        if isinstance(p, GaussianPair):
-            slope, icpt = p.llr_slope, p.llr_intercept
-            return lambda x: x * slope + icpt
-        return lambda x: np.asarray(p.llr(x))
-
-    return [llr_of(p) for p in pairs]
 
 
 def _block_steps(k: int, limit: int, first: int = CHUNK, largest: int = OBS_BLOCK) -> int:
@@ -289,15 +278,17 @@ def _reflected(inc: np.ndarray, w: np.ndarray, w_min: np.ndarray) -> tuple:
 class _StepTables:
     """The step of one detector on its sensors, tabulated by ``cnt`` (thresholds <= s).
 
-    Row ``cnt`` describes level ``L - cnt``: its no-send interval and the
-    censored LLR of a no-send slot.  Row ``L`` is the full-rate region, whose
-    interval is empty; random transmission masks it with Bernoulli send flags
-    of probability ``send_prob``.  Plain CuSum and random transmission have
-    no levels (L = 0); their strict alarm ``S > a`` is the inclusive
+    CuSum-AC has one threshold, a1 (L = 1): row 0 describes the censored
+    level below a1, with each sensor's no-send interval and the censored
+    LLR of a no-send slot, and row 1 the full-rate region at or above a1.
+    Plain CuSum and random transmission have no threshold (L = 0) and only
+    the full-rate row.  The full-rate row's interval is empty; random
+    transmission masks it with Bernoulli send flags of probability
+    ``send_prob``.  Their strict alarm ``S > a`` is the inclusive
     ``S >= nextafter(a, inf)`` (see :meth:`inclusive`), and they never count
-    time above a level.  ``clamp[-1]`` is the level the statistic
-    regenerates at: a1 for CuSum-AC, whose upward crossings clamp there, and
-    0 for the others.
+    time above a1.  ``clamp[-1]`` is the level the statistic regenerates at:
+    a1 for CuSum-AC, whose upward crossings clamp there, and 0 for the
+    others.
     """
 
     def __init__(self, detector, pairs):
@@ -306,29 +297,28 @@ class _StepTables:
         if isinstance(detector, CusumAcConfig):
             if detector.n_sensors != M:
                 raise ValueError(f"config has {detector.n_sensors} sensors, got {M} pairs")
-            levels = detector.thresholds()
+            thresholds = [detector.a1]
         elif isinstance(detector, (CusumSpec, RandomTxSpec)):
-            levels = ()
+            thresholds = []
         else:
             raise TypeError(f"unsupported detector {detector!r}")
-        L = len(levels)
+        L = len(thresholds)
         self.pairs = pairs
         self.n_levels = L
-        self.llr_fns = _llr_fns(pairs)
         self.send_prob = detector.epsilon if isinstance(detector, RandomTxSpec) else None
         self.a = self.inclusive(detector.a)
-        self.a1 = levels[0] if L else np.inf
-        self.asc = np.array(levels[::-1])
+        self.a1 = detector.a1 if L else np.inf
+        self.asc = np.array(thresholds, dtype=float)
         # clamp[cnt]: the threshold a statistic crossing upward into cnt is clamped to
         self.clamp = np.concatenate(([0.0], self.asc))
         self.lo = np.full((L + 1, M), np.inf)
         self.hi = np.full((L + 1, M), -np.inf)
         self.llrc = np.zeros((L + 1, M))
-        for cnt in range(L):
-            for m, strat in enumerate(detector.strategies[L - 1 - cnt]):
-                self.lo[cnt, m] = strat.nosend_x_lo
-                self.hi[cnt, m] = strat.nosend_x_hi
-                self.llrc[cnt, m] = strat.llr_censored
+        if L:
+            for m, strat in enumerate(detector.strategies):
+                self.lo[0, m] = strat.nosend_x_lo
+                self.hi[0, m] = strat.nosend_x_hi
+                self.llrc[0, m] = strat.llr_censored
 
     def send_mask(self, rngs, rep_ids, B: int):
         """Random transmission's send flags (n, M, B), from one (B, M) draw each; else None."""
@@ -356,9 +346,9 @@ class _StepTables:
         rows = range(L + 1) if rows is None else rows
         fused = np.zeros((n, C, len(rows)))
         n_sent = np.full((n, C, len(rows)), M, dtype=np.int64)
-        for m, llr in enumerate(self.llr_fns):
+        for m, pair in enumerate(self.pairs):
             xm = x[:, m]
-            raw = llr(xm)
+            raw = pair.llr(xm)
             for i, cnt in enumerate(rows):
                 if cnt < L:
                     inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
@@ -423,7 +413,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 S = S.T
             else:
                 # Select the increment of the level in force, reflect at zero,
-                # clamp an upward crossing to the highest threshold crossed.
+                # clamp an upward crossing of a1 to a1.
                 S = np.empty((C, n))
                 for j in range(C):
                     s = np.add(s, fused.take(at[j] + cnt), out=S[j])

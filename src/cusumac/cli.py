@@ -510,7 +510,7 @@ def _run_calibrate(spec, pairs, out_dir, seed, n_jobs):
     sink = _RowSink(spec, seed)
     if result.config is not None:
         cfg = result.config
-        extra = {"a": cfg.a, "a1": cfg.a1, "eps1": cfg.levels[0].rate,
+        extra = {"a": cfg.a, "a1": cfg.a1, "eps1": cfg.strategies[0].rate,
                  "epsilon": spec.epsilon, "zeta_target": spec.zeta}
         for metric in ("arlfa", "delay", "comm_rate", "feedback_ratio", "frac_time_above_a1"):
             sink.add("cusum_ac", metric, getattr(result.report, metric), **extra)

@@ -3,9 +3,9 @@
 Three detector families share one small value-type state:
 
 * plain CuSum: ``c' = max(0, c + llr)``, alarm on ``c' > a`` (strict);
-* CuSum-AC: censored increments chosen by the active level, a reset that
-  clamps the statistic to the highest level threshold crossed from below,
-  and an inclusive alarm ``s' >= a``;
+* CuSum-AC: censored increments below the switching threshold a1, full-rate
+  increments at or above it, a reset that clamps an upward crossing of a1
+  to a1, and an inclusive alarm ``s' >= a``;
 * random-transmission CuSum: each observation is forwarded with probability
   ``epsilon`` independently of its value, an unsent slot contributing zero
   (the send decision carries no likelihood information).
@@ -30,11 +30,9 @@ from .model import as_pairs
 __all__ = [
     "CusumSpec",
     "RandomTxSpec",
-    "Level",
     "CusumAcConfig",
     "DetectorState",
     "two_level",
-    "n_level",
     "initial_state",
     "cusum_step",
     "cusum_ac_step",
@@ -70,99 +68,39 @@ class RandomTxSpec:
 
 
 @dataclass(frozen=True)
-class Level:
-    """One censoring level: below ``threshold`` sensors send at ``rate``.
-
-    ``rate`` is a single number shared by all sensors or one rate per sensor
-    (heterogeneous networks still switch levels together).
-    """
-
-    threshold: float
-    rate: object  # float, or tuple of per-sensor floats
-
-    def rates(self, n_sensors: int) -> tuple[float, ...]:
-        if isinstance(self.rate, (tuple, list)):
-            if len(self.rate) != n_sensors:
-                raise ValueError(
-                    f"level at {self.threshold} has {len(self.rate)} rates for "
-                    f"{n_sensors} sensors")
-            return tuple(float(r) for r in self.rate)
-        return (float(self.rate),) * n_sensors
-
-
-@dataclass(frozen=True)
 class CusumAcConfig:
-    """CuSum-AC configuration: alarm threshold, censoring levels, strategies.
+    """Two-level CuSum-AC: alarm threshold ``a``, switching threshold ``a1``, strategies.
 
-    ``levels`` lists the censored levels by strictly decreasing threshold;
-    the region at or above ``levels[0].threshold`` always transmits at full
-    rate.  ``strategies[n][m]`` is the strategy of level ``n`` at sensor
-    ``m`` (every level carries one strategy per sensor, so heterogeneous
-    per-sensor rates are allowed; all sensors switch level together).
+    At or above ``a1`` every sensor sends; below it sensor ``m`` censors
+    with ``strategies[m]`` at that strategy's rate (heterogeneous per-sensor
+    rates are allowed; all sensors switch together).  ``a`` may be infinite.
     """
 
     a: float
-    levels: tuple[Level, ...]
-    strategies: tuple[tuple[CensoringStrategy, ...], ...]
+    a1: float
+    strategies: tuple[CensoringStrategy, ...]
 
     def __post_init__(self):
-        if not self.levels:
-            raise ValueError("CusumAcConfig needs at least one censoring level")
-        thresholds = [lv.threshold for lv in self.levels]
-        if not all(t > 0.0 for t in thresholds):
-            raise ValueError("level thresholds must be positive")
-        if any(t2 >= t1 for t1, t2 in zip(thresholds, thresholds[1:])):
-            raise ValueError("level thresholds must be strictly decreasing")
-        if thresholds[0] >= self.a:
+        if math.isnan(self.a):
+            raise ValueError("alarm threshold a must not be NaN")
+        if not self.a1 > 0.0:
+            raise ValueError(f"switching threshold a1 must be positive, got {self.a1}")
+        if self.a1 >= self.a:
             raise ValueError(
-                f"top level threshold {thresholds[0]} must lie below the alarm threshold {self.a}"
+                f"switching threshold {self.a1} must lie below the alarm threshold {self.a}"
             )
-        if len(self.strategies) != len(self.levels):
-            raise ValueError("one strategy tuple per censoring level is required")
-        m = len(self.strategies[0])
-        if m == 0 or any(len(s) != m for s in self.strategies):
-            raise ValueError("every level must carry the same number of per-sensor strategies")
-        per_level_rates = [lv.rates(m) for lv in self.levels]
-        for rates in per_level_rates:
-            if not all(0.0 < r <= 1.0 for r in rates):
-                raise ValueError("level rates must lie in (0, 1]")
-        for upper, lower in zip(per_level_rates, per_level_rates[1:]):
-            if any(lo > up for up, lo in zip(upper, lower)):
-                raise ValueError("rates must be nonincreasing as thresholds decrease")
-        for lv, rates, per_sensor in zip(self.levels, per_level_rates, self.strategies):
-            for rate, strat in zip(rates, per_sensor):
-                if strat.rate != rate:
-                    raise ValueError(
-                        f"strategy rate {strat.rate} does not match level rate {rate}"
-                    )
-
-    @property
-    def n_levels(self) -> int:
-        """Total number of censoring modes, the full-rate region included."""
-        return len(self.levels) + 1
+        if not self.strategies:
+            raise ValueError("CusumAcConfig needs one censoring strategy per sensor")
+        if not all(0.0 < st.rate <= 1.0 for st in self.strategies):
+            raise ValueError("censoring rates must lie in (0, 1]")
 
     @property
     def n_sensors(self) -> int:
-        return len(self.strategies[0])
-
-    @property
-    def a1(self) -> float:
-        return self.levels[0].threshold
-
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(lv.threshold for lv in self.levels)
+        return len(self.strategies)
 
     def level_of(self, s: float) -> int:
-        """Index of the censoring level in force when the statistic is ``s``.
-
-        0 is the full-rate region; level n >= 1 uses ``strategies[n-1]``.
-        """
-        return sum(1 for lv in self.levels if s < lv.threshold)
-
-    def strategy(self, level: int, sensor: int = 0) -> CensoringStrategy:
-        if level == 0:
-            raise ValueError("level 0 is the implicit full-rate region")
-        return self.strategies[level - 1][sensor]
+        """1 if the statistic ``s`` lies below a1 (censored), else 0 (full rate)."""
+        return int(s < self.a1)
 
 
 def two_level(
@@ -172,7 +110,7 @@ def two_level(
     eps1,
     strategies: Optional[Sequence[CensoringStrategy]] = None,
 ) -> CusumAcConfig:
-    """Two-level CuSum-AC config: full rate at or above ``a1``, rate ``eps1`` below.
+    """CuSum-AC config: full rate at or above ``a1``, rate ``eps1`` below.
 
     Accepts one pair or a list of per-sensor pairs; ``eps1`` may be a scalar
     (shared by all sensors) or one rate per sensor.  Precomputed strategies
@@ -186,19 +124,10 @@ def two_level(
         strategies = [optimize(p, r) for p, r in zip(pairs, rates)]
     elif len(strategies) != len(pairs):
         raise ValueError(f"got {len(strategies)} strategies for {len(pairs)} sensors")
-    rate = rates[0] if len(set(rates)) == 1 else tuple(rates)
-    return CusumAcConfig(
-        a=a,
-        levels=(Level(threshold=a1, rate=rate),),
-        strategies=(tuple(strategies),),
-    )
-
-
-def n_level(pair, a: float, levels: Sequence[tuple[float, float]]) -> CusumAcConfig:
-    """General single-sensor config from (threshold, rate) pairs, top level first."""
-    lvls = tuple(Level(threshold=t, rate=r) for t, r in levels)
-    strats = tuple((optimize(pair, lv.rate),) for lv in lvls)
-    return CusumAcConfig(a=a, levels=lvls, strategies=strats)
+    for rate, strat in zip(rates, strategies):
+        if strat.rate != rate:
+            raise ValueError(f"strategy rate {strat.rate} does not match censoring rate {rate}")
+    return CusumAcConfig(a=a, a1=a1, strategies=tuple(strategies))
 
 
 @dataclass(frozen=True)
@@ -206,11 +135,12 @@ class DetectorState:
     """Running statistic plus stop flag and transmission/feedback bookkeeping.
 
     ``active_level`` is the censoring level in force for the next
-    observation.  ``feedback_count`` counts strategy announcements to the
+    observation: 1 (censored) below a1, 0 (full rate) at or above it.
+    ``feedback_count`` counts strategy announcements to the
     sensors: the initial announcement (sensors default to full rate, so any
     other starting level costs one message) plus every later level switch.
     ``time_above_a1``/``time_below_a1`` partition the steps taken by whether
-    the post-update statistic sits at or above the top level threshold.
+    the post-update statistic sits at or above a1.
     """
 
     s: float = 0.0
@@ -259,12 +189,9 @@ def cusum_step(state: DetectorState, llr_value: float, a: float) -> DetectorStat
 
 def _ac_update(state: DetectorState, config: CusumAcConfig, fused_inc: float, n_sent: int
                ) -> DetectorState:
-    s_tilde = max(0.0, state.s + fused_inc)
-    s_new = s_tilde
-    for lv in config.levels:  # descending thresholds: first hit is the highest crossed
-        if state.s < lv.threshold <= s_tilde:
-            s_new = lv.threshold
-            break
+    s_new = max(0.0, state.s + fused_inc)
+    if state.s < config.a1 <= s_new:
+        s_new = config.a1
     stopped = s_new >= config.a
     new_level = config.level_of(s_new)
     k = state.k + 1
@@ -317,7 +244,7 @@ def cusum_ac_multi_step(state: DetectorState, config: CusumAcConfig, xs, pairs
             sent_m = True
             inc_m = float(pair.llr(x))
         else:
-            strat = config.strategy(level, m)
+            strat = config.strategies[m]
             sent_m = strat.apply(x)
             inc_m = float(pair.llr(x)) if sent_m else strat.llr_censored
         sent.append(bool(sent_m))

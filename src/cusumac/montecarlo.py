@@ -8,9 +8,9 @@ sample standard error; replications are i.i.d. by construction because each
 one owns RNG streams derived from (seed, replication index).
 
 Two communication-rate modes exist: ``no_stop`` disables the alarm (valid
-because the censoring policy only depends on the level thresholds, and the
-rate constraint holds uniformly in the alarm threshold) and is the cheap
-default; ``conditional`` keeps the alarm and averages only over replications
+because the censoring policy only depends on the switching threshold a1,
+and the rate constraint holds uniformly in the alarm threshold) and is the
+cheap default; ``conditional`` keeps the alarm and averages only over replications
 surviving to the horizon, which is the literal conditional definition of the
 rate and serves as a cross-check.  It resamples until enough replications
 survive, in the same loop as the worst-history delay.

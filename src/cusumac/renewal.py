@@ -86,17 +86,6 @@ class CycleStats:
     return_value_samples: np.ndarray
     capped_walks: int
 
-    def to_record(self) -> dict:
-        rec = {"a1": self.a1, "a": self.a, "eps1": self.eps1,
-               "capped_walks": self.capped_walks,
-               "n_return_samples": int(self.return_value_samples.size)}
-        for name in ("eta0", "eta0_given_return", "phi_given_return", "t_a1", "p_return"):
-            est: McEstimate = getattr(self, name)
-            rec[f"{name}_mean"] = est.mean
-            rec[f"{name}_se"] = est.std_error
-            rec[f"{name}_n"] = est.n_reps
-        return rec
-
 
 @dataclass(frozen=True)
 class DirectCycleStats:
@@ -325,10 +314,10 @@ def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int, n: int):
     """y, q and z per threshold of legs ``start`` .. ``start + n - 1``, and capped walks."""
     r = tab.clamp[-1]
     lower = max(np.nextafter(r, -math.inf), 0.0)  # a leg returns below r, or back to 0
-    levels = tab.inclusive(curve.a)
+    alarms = tab.inclusive(curve.a)
     kw = dict(seed=curve.seed, cap=_WALK_CAP, rep_offset=start)
     leg = dict(kw, tab=tab, cnt=tab.n_levels, starts=np.full(n, r), lower=lower,
-               upper=levels[-1], levels=levels)
+               upper=alarms[-1], levels=alarms)
     dur, exit_s, capped, (t0, _) = _walk(**leg)
     _, _, capped_1, (t1, v1) = _walk(**leg, substream=1, post_change=True)
     tail, z = dur.astype(float), np.zeros(n)
@@ -370,9 +359,6 @@ def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
     for CuSum-AC.
     """
     tab = _StepTables(detector, pairs)
-    if tab.n_levels > 1:
-        raise ValueError("the ARLFA curve covers plain CuSum, random transmission and "
-                         "two-level CuSum-AC")
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or not a.size or not np.isfinite(a).all() or (np.diff(a) < 0).any():
         raise ValueError("a_grid must be a nonempty nondecreasing sequence of finite reals")

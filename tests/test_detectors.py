@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 from cusumac.detectors import (
     CusumAcConfig,
     CusumSpec,
-    Level,
     RandomTxSpec,
     cusum_ac_multi_step,
     cusum_ac_step,
     cusum_step,
     initial_state,
-    n_level,
     random_tx_cusum_step,
     simulate_trace,
     two_level,
@@ -33,15 +31,6 @@ CUSUM_POSTCHANGE_ORACLE_SE = 0.0411
 def cfg2(pair, strategy_cache):
     return two_level(pair, a=4.5, a1=0.78, eps1=0.63,
                      strategies=[strategy_cache(0.63)])
-
-
-@pytest.fixture(scope="module")
-def cfg3(pair, strategy_cache):
-    return CusumAcConfig(
-        a=4.5,
-        levels=(Level(1.2, 0.6), Level(0.6, 0.3)),
-        strategies=((strategy_cache(0.6),), (strategy_cache(0.3),)),
-    )
 
 
 def state_at(config, s):
@@ -185,7 +174,7 @@ class TestCusumAcStep:
         s_lo, s_hi = strategy_cache(0.2), strategy_cache(0.8)
         cfg = two_level(pairs2, a=6.0, a1=0.78, eps1=[0.2, 0.8],
                         strategies=[s_lo, s_hi])
-        assert cfg.levels[0].rates(2) == (0.2, 0.8)
+        assert tuple(s.rate for s in cfg.strategies) == (0.2, 0.8)
         # a value censored by the tight strategy but sent by the loose one
         # (the rate-0.2 no-send interval is much wider than the rate-0.8 one)
         x = -1.0
@@ -244,46 +233,46 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="below the alarm"):
             two_level(pair, a=0.5, a1=0.78, eps1=0.63,
                       strategies=[strategy_cache(0.63)])
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            CusumAcConfig(a=5.0, levels=(Level(0.5, 0.6), Level(0.8, 0.3)),
-                          strategies=((strategy_cache(0.6),), (strategy_cache(0.3),)))
+        with pytest.raises(ValueError, match="must be positive"):
+            two_level(pair, a=5.0, a1=0.0, eps1=0.63, strategies=[strategy_cache(0.63)])
 
-    def test_rate_ordering_enforced(self, strategy_cache):
-        with pytest.raises(ValueError, match="nonincreasing"):
-            CusumAcConfig(a=5.0, levels=(Level(1.0, 0.3), Level(0.5, 0.6)),
-                          strategies=((strategy_cache(0.3),), (strategy_cache(0.6),)))
+    def test_nan_alarm_threshold_rejected(self, pair, strategy_cache):
+        # A NaN threshold never alarms; infinity (curve families) stays allowed.
+        with pytest.raises(ValueError, match="NaN"):
+            two_level(pair, math.nan, 0.78, 0.63, strategies=[strategy_cache(0.63)])
+        assert two_level(pair, math.inf, 0.78, 0.63,
+                         strategies=[strategy_cache(0.63)]).a == math.inf
 
-    def test_strategy_rate_mismatch(self, strategy_cache):
+    def test_needs_a_strategy(self):
+        with pytest.raises(ValueError):
+            CusumAcConfig(a=5.0, a1=1.0, strategies=())
+
+    def test_strategy_rate_mismatch(self, pair, strategy_cache):
         with pytest.raises(ValueError, match="does not match"):
-            CusumAcConfig(a=5.0, levels=(Level(1.0, 0.5),),
-                          strategies=((strategy_cache(0.3),),))
+            two_level(pair, 5.0, 1.0, 0.5, strategies=[strategy_cache(0.3)])
 
-    def test_level_of_bands(self, cfg3):
-        assert cfg3.level_of(2.0) == 0
-        assert cfg3.level_of(1.2) == 0
-        assert cfg3.level_of(0.8) == 1
-        assert cfg3.level_of(0.6) == 1
-        assert cfg3.level_of(0.1) == 2
-        assert cfg3.n_levels == 3
+    def test_level_of_bands(self, cfg2):
+        assert cfg2.level_of(2.0) == 0
+        assert cfg2.level_of(0.78) == 0
+        assert cfg2.level_of(0.5) == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(xs=st.lists(st.floats(-6, 6), min_size=1, max_size=60))
-def test_ac_step_invariants_multilevel(xs, pair, cfg3):
+def test_ac_step_invariants(xs, pair, cfg2):
     """Statistic nonnegative, level always matches the band, resets bit-exact."""
-    state = initial_state(cfg3)
+    state = initial_state(cfg2)
     for x in xs:
         if state.stopped:
             break
         prev = state
-        state, _ = cusum_ac_step(state, cfg3, x, pair)
+        state, _ = cusum_ac_step(state, cfg2, x, pair)
         assert state.s >= 0.0
-        assert state.active_level == cfg3.level_of(state.s)
+        assert state.active_level == cfg2.level_of(state.s)
         assert state.k == prev.k + 1
-        crossed = [t for t in cfg3.thresholds() if prev.s < t <= state.s]
-        if crossed and not state.s == max(crossed):
-            # the only way to sit above a crossed threshold is the exact clamp
-            raise AssertionError(f"reset not bit-exact: {state.s} vs {max(crossed)}")
+        if prev.s < cfg2.a1 <= state.s and not state.s == cfg2.a1:
+            # the only way to sit above a crossed a1 is the exact clamp
+            raise AssertionError(f"reset not bit-exact: {state.s} vs {cfg2.a1}")
         if state.active_level != prev.active_level:
             assert state.feedback_count == prev.feedback_count + 1
         else:

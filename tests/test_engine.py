@@ -14,9 +14,7 @@ import pytest
 from cusumac import _engine as eng
 from cusumac.censoring import CensoringStrategy
 from cusumac.detectors import (
-    CusumAcConfig,
     CusumSpec,
-    Level,
     RandomTxSpec,
     cusum_ac_multi_step,
     cusum_step,
@@ -79,15 +77,6 @@ class TestCusumAcReplay:
         batch = eng.run_batch(cfg, [pair, pair], n_reps=6, seed=104, limit=400,
                               record=True)
         replay_cusum_ac(batch, cfg, [pair, pair])
-
-    def test_three_level_config(self, pair, strategy_cache):
-        cfg = CusumAcConfig(
-            a=4.0,
-            levels=(Level(1.2, 0.6), Level(0.6, 0.3)),
-            strategies=((strategy_cache(0.6),), (strategy_cache(0.3),)),
-        )
-        batch = eng.run_batch(cfg, [pair], n_reps=6, seed=102, limit=800, record=True)
-        replay_cusum_ac(batch, cfg, [pair])
 
     def test_no_stop_mode_ignores_alarm(self, pair, strategy_cache):
         cfg = two_level(pair, a=1.5, a1=0.5, eps1=0.5,
@@ -310,9 +299,6 @@ def _golden_case(name, pair):
         "m3": (m3, p3, dict(n_reps=48, seed=202, limit=5000)),
         "hetero": (two_level(p2, 4.0, 0.78, [0.2, 0.8], [_strategy(0.2), _strategy(0.8)]),
                    p2, dict(n_reps=40, seed=203, limit=5000)),
-        "three_level": (CusumAcConfig(a=4.0, levels=(Level(1.2, 0.6), Level(0.6, 0.3)),
-                                      strategies=((_strategy(0.6),), (_strategy(0.3),))),
-                        [pair], dict(n_reps=40, seed=204, limit=5000)),
         "nostop": (m3, p3, dict(n_reps=20, seed=205, limit=2500, stop_enabled=False)),
         "delay": (m3, p3, dict(n_reps=40, seed=206, limit=6000, nu=1500)),
         "worst_history": (worst, [pair], dict(n_reps=200, seed=207, limit=3000, nu=20,
@@ -331,7 +317,6 @@ _GOLDEN = {
     "m1": "fd650615a500974b6fbae884eb86af4d05d727aaf096f2ce3bd077b0f863d6cb",
     "m3": "5599a29b7a110751b3d13909a9d6c7121af881dfde6f520196c7446f024168e2",
     "hetero": "1ece83ef5c8ef932df4cddd2fe74a01bc34945a9b8449d3b6a8b27d153eafc16",
-    "three_level": "e0f42838aa6a919d3747108b983b6a2dc29e2afe0de05ca67631256f0b387830",
     "nostop": "e5f514cd13bd7ef0e1d4410b3556fd0c9976ac9b0767e0f6c9800f3d7649fccc",
     "delay": "d5a1d573596097ae8e76ba24e4bc2c77a610e80738c70cb862181a30c89e3167",
     "worst_history": "db1c732c5225f30c286a0739c56662fb76c5544541689b496701d4a59554978e",

@@ -156,13 +156,6 @@ class TestCycleEstimation:
         with pytest.raises(ValueError):
             estimate_cycle(pair, a1=0.78, a=4.0, eps1=5e-4, n_reps=200, seed=7)
 
-    def test_record_flattens(self, pair, strategy_cache):
-        stats = estimate_cycle(pair, 0.78, 4.0, 0.63, n_reps=500, seed=8,
-                               strategy=strategy_cache(0.63))
-        rec = stats.to_record()
-        assert rec["a1"] == 0.78
-        assert "phi_given_return_mean" in rec and "p_return_se" in rec
-
 
 class _RecordingPair:
     """Delegates to a pair and records the size of every sample0 and sample1 request."""
