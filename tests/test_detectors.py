@@ -247,6 +247,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CusumAcConfig(a=5.0, a1=1.0, strategies=())
 
+    def test_rate_outside_unit_interval_rejected(self, strategy_cache):
+        ok = strategy_cache(0.63)
+        for rate in (0.0, 1.5, math.nan):
+            bad = dataclasses.replace(ok, rate=rate)
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                CusumAcConfig(a=5.0, a1=1.0, strategies=(ok, bad))
+
     def test_strategy_rate_mismatch(self, pair, strategy_cache):
         with pytest.raises(ValueError, match="does not match"):
             two_level(pair, 5.0, 1.0, 0.5, strategies=[strategy_cache(0.3)])

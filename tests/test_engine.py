@@ -78,6 +78,14 @@ class TestCusumAcReplay:
                               record=True)
         replay_cusum_ac(batch, cfg, [pair, pair])
 
+    def test_switching_threshold_near_alarm(self, pair, strategy_cache):
+        # a1 close to a: most climbs are clamped to a1 before they alarm.
+        cfg = two_level(pair, a=1.5, a1=1.2, eps1=0.6,
+                        strategies=[strategy_cache(0.6)])
+        batch = eng.run_batch(cfg, [pair], n_reps=6, seed=102, limit=800, record=True)
+        assert (batch.records["s"] == cfg.a1).any()
+        replay_cusum_ac(batch, cfg, [pair])
+
     def test_no_stop_mode_ignores_alarm(self, pair, strategy_cache):
         cfg = two_level(pair, a=1.5, a1=0.5, eps1=0.5,
                         strategies=[strategy_cache(0.5)])
@@ -299,6 +307,8 @@ def _golden_case(name, pair):
         "m3": (m3, p3, dict(n_reps=48, seed=202, limit=5000)),
         "hetero": (two_level(p2, 4.0, 0.78, [0.2, 0.8], [_strategy(0.2), _strategy(0.8)]),
                    p2, dict(n_reps=40, seed=203, limit=5000)),
+        "high_a1": (two_level(pair, 4.0, 1.2, 0.6, [_strategy(0.6)]), [pair],
+                    dict(n_reps=40, seed=204, limit=5000)),
         "nostop": (m3, p3, dict(n_reps=20, seed=205, limit=2500, stop_enabled=False)),
         "delay": (m3, p3, dict(n_reps=40, seed=206, limit=6000, nu=1500)),
         "worst_history": (worst, [pair], dict(n_reps=200, seed=207, limit=3000, nu=20,
@@ -317,6 +327,7 @@ _GOLDEN = {
     "m1": "fd650615a500974b6fbae884eb86af4d05d727aaf096f2ce3bd077b0f863d6cb",
     "m3": "5599a29b7a110751b3d13909a9d6c7121af881dfde6f520196c7446f024168e2",
     "hetero": "1ece83ef5c8ef932df4cddd2fe74a01bc34945a9b8449d3b6a8b27d153eafc16",
+    "high_a1": "466afd5549673839b8e7d48d5c5be2d5da953d5d4e777343761ced44edda4b21",
     "nostop": "e5f514cd13bd7ef0e1d4410b3556fd0c9976ac9b0767e0f6c9800f3d7649fccc",
     "delay": "d5a1d573596097ae8e76ba24e4bc2c77a610e80738c70cb862181a30c89e3167",
     "worst_history": "db1c732c5225f30c286a0739c56662fb76c5544541689b496701d4a59554978e",
