@@ -18,25 +18,26 @@ depends on the schedule.
 
 A detector's step is described once, by :class:`_StepTables`, which the
 kernel here and the renewal walker of :mod:`cusumac.renewal` both step: the
-fused increment and send count below and at or above the switching
-threshold a1, random transmission's send mask, the regeneration level, and
-the alarm test.  Plain CuSum and random transmission are its case without
-a1; the table turns their strict alarm ``S > a`` into the inclusive test
-against ``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
+fused increment and send count of the full-rate row and, for CuSum-AC, of
+the censored row in force below the switching threshold a1, random
+transmission's send mask, the regeneration level, and the alarm test.
+Plain CuSum and random transmission are its case without a1; the table
+turns their strict alarm ``S > a`` into the inclusive test against
+``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
 
-Every batch runs on one chunked kernel.  The censoring level depends only
-on the statistic, so for each chunk of ``CHUNK`` steps the increments of
-both levels are computed in bulk first.  Only the sequential step that
-follows has two forms.  Without a1 and without ``record`` the increments
-are i.i.d., and the reflected statistic is the closed form of
+Every batch runs on one chunked kernel.  The row in force depends only on
+the statistic, so for each chunk of ``CHUNK`` steps the increments of both
+rows are computed in bulk first.  Only the sequential step that follows
+has two forms.  Without a1 and without ``record`` the increments are
+i.i.d., and the reflected statistic is the closed form of
 :func:`_reflected`.  Every other batch takes the per-step recursion, which
-carries only the statistic and its level count: select the current level's
-increment, reflect at zero, clamp an upward crossing of a1 to a1.  Recorded
-trajectories therefore replay bit for bit through the scalar step
-functions of :mod:`cusumac.detectors`.  Alarms, ``require_zero_at``
-conditioning, counters and trajectories are derived from the chunk's
-statistic, and a batch whose replications have all ended stops at that
-chunk instead of finishing its observation block.
+carries only the statistic and whether it lies below a1: select the
+increment of the row in force, reflect at zero, clamp an upward crossing
+of a1 to a1.  Recorded trajectories therefore replay bit for bit through
+the scalar step functions of :mod:`cusumac.detectors`.  Alarms,
+``require_zero_at`` conditioning, counters and trajectories are derived
+from the chunk's statistic, and a batch whose replications have all ended
+stops at that chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
@@ -276,49 +277,39 @@ def _reflected(inc: np.ndarray, w: np.ndarray, w_min: np.ndarray) -> tuple:
 
 
 class _StepTables:
-    """The step of one detector on its sensors, tabulated by ``cnt`` (thresholds <= s).
+    """The step of one detector on its sensors: a full-rate row, plus a censored row for CuSum-AC.
 
-    CuSum-AC has one threshold, a1 (L = 1): row 0 describes the censored
-    level below a1, with each sensor's no-send interval and the censored
-    LLR of a no-send slot, and row 1 the full-rate region at or above a1.
-    Plain CuSum and random transmission have no threshold (L = 0) and only
-    the full-rate row.  The full-rate row's interval is empty; random
-    transmission masks it with Bernoulli send flags of probability
-    ``send_prob``.  Their strict alarm ``S > a`` is the inclusive
-    ``S >= nextafter(a, inf)`` (see :meth:`inclusive`), and they never count
-    time above a1.  ``clamp[-1]`` is the level the statistic regenerates at:
-    a1 for CuSum-AC, whose upward crossings clamp there, and 0 for the
-    others.
+    CuSum-AC (``censors``) steps its censored row below a1, with each
+    sensor's no-send interval ``lo``..``hi`` and the censored LLR ``llrc``
+    of a no-send slot, and its full-rate row at or above a1.  Plain CuSum
+    and random transmission have a1 = +inf, an empty no-send interval and
+    only the full-rate row, which random transmission masks with Bernoulli
+    send flags of probability ``send_prob``.  Their strict alarm ``S > a``
+    is the inclusive ``S >= nextafter(a, inf)`` (see :meth:`inclusive`), and
+    they never count time above a1.  ``regen`` is the level the statistic
+    regenerates at: a1 for CuSum-AC, whose upward crossings clamp there, and
+    0 for the others.
     """
 
     def __init__(self, detector, pairs):
         pairs = as_pairs(pairs)
         M = len(pairs)
-        if isinstance(detector, CusumAcConfig):
+        self.censors = isinstance(detector, CusumAcConfig)
+        if self.censors:
             if detector.n_sensors != M:
                 raise ValueError(f"config has {detector.n_sensors} sensors, got {M} pairs")
-            thresholds = [detector.a1]
-        elif isinstance(detector, (CusumSpec, RandomTxSpec)):
-            thresholds = []
-        else:
+        elif not isinstance(detector, (CusumSpec, RandomTxSpec)):
             raise TypeError(f"unsupported detector {detector!r}")
-        L = len(thresholds)
         self.pairs = pairs
-        self.n_levels = L
         self.send_prob = detector.epsilon if isinstance(detector, RandomTxSpec) else None
         self.a = self.inclusive(detector.a)
-        self.a1 = detector.a1 if L else np.inf
-        self.asc = np.array(thresholds, dtype=float)
-        # clamp[cnt]: the threshold a statistic crossing upward into cnt is clamped to
-        self.clamp = np.concatenate(([0.0], self.asc))
-        self.lo = np.full((L + 1, M), np.inf)
-        self.hi = np.full((L + 1, M), -np.inf)
-        self.llrc = np.zeros((L + 1, M))
-        if L:
+        self.a1 = detector.a1 if self.censors else np.inf
+        self.regen = detector.a1 if self.censors else 0.0
+        self.lo, self.hi, self.llrc = np.full(M, np.inf), np.full(M, -np.inf), np.zeros(M)
+        if self.censors:
             for m, strat in enumerate(detector.strategies):
-                self.lo[0, m] = strat.nosend_x_lo
-                self.hi[0, m] = strat.nosend_x_hi
-                self.llrc[0, m] = strat.llr_censored
+                self.lo[m], self.hi[m] = strat.nosend_x_lo, strat.nosend_x_hi
+                self.llrc[m] = strat.llr_censored
 
     def send_mask(self, rngs, rep_ids, B: int):
         """Random transmission's send flags (n, M, B), from one (B, M) draw each; else None."""
@@ -331,42 +322,38 @@ class _StepTables:
 
     def inclusive(self, a):
         """Thresholds ``a`` as the test ``S >= inclusive(a)``: ``S > a`` unless CuSum-AC."""
-        return a if self.n_levels else np.nextafter(a, np.inf)
+        return a if self.censors else np.nextafter(a, np.inf)
 
-    def increments(self, x, mask=None, rows=None):
-        """Fused increment and send count of the level counts ``rows`` over a chunk.
+    def increments(self, x, mask=None, censored=False):
+        """Fused increment and send count (n, C) of the full-rate or the censored row.
 
         ``x`` is (n, M, C), as is ``mask``, the random-transmission send
-        flags applied to the full-rate row; both results are (n, C,
-        len(rows)), every row by default.  Sensors are added in order onto
+        flags applied to the full-rate row.  Sensors are added in order onto
         0.0, as the scalar step function does.
         """
         n, M, C = x.shape
-        L = self.n_levels
-        rows = range(L + 1) if rows is None else rows
-        fused = np.zeros((n, C, len(rows)))
-        n_sent = np.full((n, C, len(rows)), M, dtype=np.int64)
+        fused = np.zeros((n, C))
+        n_sent = np.full((n, C), M, dtype=np.int64)
         for m, pair in enumerate(self.pairs):
             xm = x[:, m]
             raw = pair.llr(xm)
-            for i, cnt in enumerate(rows):
-                if cnt < L:
-                    inside = (xm >= self.lo[cnt, m]) & (xm <= self.hi[cnt, m])
-                    fused[..., i] += np.where(inside, self.llrc[cnt, m], raw)
-                    n_sent[..., i] -= inside
-                elif mask is None:
-                    fused[..., i] += raw
-                else:
-                    fused[..., i] += raw * mask[:, m]
-                    n_sent[..., i] -= ~mask[:, m]
+            if censored:
+                inside = (xm >= self.lo[m]) & (xm <= self.hi[m])
+                fused += np.where(inside, self.llrc[m], raw)
+                n_sent -= inside
+            elif mask is None:
+                fused += raw
+            else:
+                fused += raw * mask[:, m]
+                n_sent -= ~mask[:, m]
         return fused, n_sent
 
-    def sent(self, xt, cnt, mask=None):
-        """Send flags (C, n, M) of observations ``xt`` at level counts ``cnt`` (C, n).
+    def sent(self, xt, censored, mask=None):
+        """Send flags (C, n, M) of observations ``xt``, censored where ``censored`` (C, n).
 
         ``mask`` holds random transmission's send flags, (n, M, C) as in :meth:`increments`.
         """
-        flags = (xt < self.lo[cnt]) | (xt > self.hi[cnt])
+        flags = ~censored[..., None] | (xt < self.lo) | (xt > self.hi)
         return flags if mask is None else flags & mask.transpose(2, 0, 1)
 
 
@@ -374,8 +361,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 stop_enabled, require_zero_at, record) -> BatchResult:
     pairs = tab.pairs
     M = len(pairs)
-    L = tab.n_levels
-    closed = not L and not record  # i.i.d. increments: the closed-form step
+    closed = not tab.censors and not record  # i.i.d. increments: the closed-form step
 
     res = _new_result(n_reps, limit, M)
     rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
@@ -383,7 +369,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
 
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
-    cnt = np.zeros(n_reps, dtype=np.int64)  # level thresholds <= s; the level is L - cnt
+    below = np.ones(n_reps, dtype=bool)  # s < a1: the censored row is in force
     tx = np.zeros(n_reps, dtype=np.int64)
     switches = np.zeros(n_reps, dtype=np.int64)
     above = np.zeros(n_reps, dtype=np.int64)
@@ -403,28 +389,28 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
             n = ids.size
             x = obs[rows, :, j0:j0 + C]
             g = None if gam is None else gam[rows, :, j0:j0 + C]
-            fused, n_sent = tab.increments(x, g)
+            # A detector that does not censor is always below a1 = +inf, on its full-rate row.
+            full, n_full = tab.increments(x, g)
+            cen, n_cen = tab.increments(x, censored=True) if tab.censors else (full, n_full)
 
-            # The sequential part.  at[j] + cnt indexes step j of each lane.
-            at = np.arange(n) * (C * (L + 1)) + np.arange(C)[:, None] * (L + 1)
-            cnt_in = cnt
+            below_in = below
             if closed:  # i.i.d. increments: the reflected walk in closed form
-                S, w, w_min = _reflected(fused[..., 0], w, w_min)
+                S, w, w_min = _reflected(full, w, w_min)
                 S = S.T
             else:
-                # Select the increment of the level in force, reflect at zero,
+                # Select the increment of the row in force, reflect at zero,
                 # clamp an upward crossing of a1 to a1.
                 S = np.empty((C, n))
+                full_t, cen_t = full.T.copy(), cen.T.copy()
                 for j in range(C):
-                    s = np.add(s, fused.take(at[j] + cnt), out=S[j])
+                    s = np.add(s, np.where(below, cen_t[j], full_t[j]), out=S[j])
                     np.maximum(s, 0.0, out=s)
-                    cnt_t = tab.asc.searchsorted(s, side="right")
-                    np.copyto(s, tab.clamp.take(cnt_t), where=cnt_t > cnt)
-                    cnt = cnt_t
+                    np.copyto(s, tab.a1, where=below & (s >= tab.a1))
+                    below = s < tab.a1
 
-            # Everything else follows from the recorded statistic; the level
-            # count is a function of it, since a clamp lands on a threshold.
-            K = tab.asc.searchsorted(S, side="right")
+            # Everything else follows from the recorded statistic; the row in
+            # force is a function of it, since a clamp lands on a1.
+            low = S < tab.a1  # below a1 after each step
             end = np.full(n, C)  # row of each replication's last step in this chunk
             if stop_enabled:
                 hit = S >= tab.a
@@ -437,30 +423,31 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 alarmed &= ~rej
                 res.rejected[ids[rej]] = True
             live = np.arange(C)[:, None] <= end
-            K_in = np.vstack((cnt_in, K[:-1]))  # level count in force at each step
-            tx += (n_sent.take(at + K_in) * live).sum(axis=0)
-            switches += ((K != K_in) & live).sum(axis=0)
-            above += ((S >= tab.a1) & live).sum(axis=0)
+            low_in = np.vstack((below_in, low[:-1]))  # the censored row in force at each step
+            tx += (np.where(low_in, n_cen.T, n_full.T) * live).sum(axis=0)
+            switches += ((low != low_in) & live).sum(axis=0)
+            above += (~low & live).sum(axis=0)
             if record:
                 xt = x.transpose(2, 0, 1)  # (C, n, M)
-                sent = tab.sent(xt, K_in, g)
-                chunks.append((k0, ids, np.where(live, S, np.nan), np.where(live, L - K, -1),
+                sent = tab.sent(xt, low_in, g)
+                chunks.append((k0, ids, np.where(live, S, np.nan),
+                               np.where(live, low & tab.censors, -1),
                                sent & live[..., None], np.where(live[..., None], xt, np.nan)))
 
             done = end < C
             if done.any():
                 res.stop_time[ids[done]] = k0 + end[done] + 1
                 res.stopped[ids[alarmed]] = True
-                _flush(res, ids[done], tx[done], switches[done], above[done], L)
+                _flush(res, ids[done], tx[done], switches[done], above[done], tab.censors)
                 keep = ~done
-                ids, rows, s, cnt = ids[keep], rows[keep], s[keep], cnt[keep]
+                ids, rows, s, below = ids[keep], rows[keep], s[keep], below[keep]
                 w, w_min = w[keep], w_min[keep]
                 tx, switches, above = tx[keep], switches[keep], above[keep]
                 if not ids.size:
                     break
         k += B
 
-    _flush(res, ids, tx, switches, above, L)
+    _flush(res, ids, tx, switches, above, tab.censors)
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:
@@ -468,12 +455,12 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
     return res
 
 
-def _flush(res: BatchResult, ids, tx, switches, above, n_levels: int):
+def _flush(res: BatchResult, ids, tx, switches, above, censors: bool):
     res.tx[ids] = tx
-    if n_levels:
+    if censors:
         # The starting level differs from the sensors' full-rate default, so the
         # initial strategy announcement counts as one feedback message.  A
-        # detector without levels keeps no feedback or sojourn counts.
+        # detector that does not censor keeps no feedback or sojourn counts.
         res.feedback[ids] = switches + 1
         res.time_above[ids] = above
         res.time_below[ids] = res.stop_time[ids] - above

@@ -134,7 +134,7 @@ def threshold_curve(detector, pairs, zetas: Sequence[float], seed: int,
     :class:`CalibrationTarget` checks them, before any leg is walked.
     """
     _check_targets(zetas, tolerance)
-    floor = _StepTables(detector, pairs).clamp[-1]  # the regeneration level: 0 or a1
+    floor = _StepTables(detector, pairs).regen  # 0, or a1 for CuSum-AC
     n_steps = max(1, math.ceil((math.log(max(zetas)) - floor) / _GRID_STEP))
     lowest = np.nextafter(floor, math.inf) if floor else 0.0
     grid = [lowest] + [floor + _GRID_STEP * k for k in range(1, n_steps + 1)]
@@ -284,6 +284,8 @@ def search_two_level(
         raise ValueError("grid rates must lie in (1e-3, 1]")
     if any(not (a1 > 0.0) for a1 in a1_grid):
         raise ValueError("grid switching thresholds a1 must be positive")
+    if n_reps < 100 or cycle_reps < 100:
+        raise ValueError("the search needs at least 100 replications and 100 cycles")
     pairs = as_pairs(pairs)
 
     strategy_cache = {

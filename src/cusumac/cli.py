@@ -3,7 +3,8 @@
 Experiments are described in an INI-style file with one section per
 experiment plus a ``[meta]`` section; every key is validated against the
 experiment kind before any simulation starts, and unknown keys or sections
-are hard errors (a typo in a statistical parameter must not be ignored).
+are hard errors (a typo in a statistical parameter must not be ignored), as
+is a file that does not parse, such as one with a duplicated key.
 Each run writes one results CSV per experiment and a manifest holding the
 fully resolved configuration; the manifest is itself a valid config whose
 re-run reproduces the CSVs byte for byte, because all randomness flows from
@@ -14,7 +15,8 @@ false-alarm level for the adaptive-censoring detector against plain CuSum at
 communication budgets 0.7 (fig4) and 0.4 (fig5), and delay versus
 communication rate at ARLFA 10^4 against the random-transmission baseline
 (fig6).  Both entry paths share one seed rule: ``--seed`` or ``[meta] seed``
-is required, with ``0 <= seed < 2**64``.  A ``delay_vs_arlfa`` sweep needs
+is required, with ``0 <= seed < 2**64``, and an experiment's own ``seed``
+key obeys the same bounds.  A ``delay_vs_arlfa`` sweep needs
 ``a1 < ln(min(zeta_grid))``: each increment's exponential has mean one before
 the change and the clamp at a1 only delays the alarm, so every threshold
 a > a1 has ARLFA >= e^a > zeta.
@@ -163,7 +165,10 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
     """Parse a config file into run settings and validated experiment specs."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(f"cannot parse config file {path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
@@ -227,6 +232,8 @@ def _validate_spec(spec: ExperimentSpec):
     _require(spec.m >= 1, f"{spec.name}: m must be at least 1")
     _require(spec.nu >= 1, f"{spec.name}: nu must be at least 1")
     _require(spec.cap is None or spec.cap >= 1, f"{spec.name}: cap must be at least 1")
+    _require(spec.seed is None or 0 <= spec.seed < 2**64,
+             f"{spec.name}: seed must be nonnegative and fit in 64 bits")
     if spec.kind in ("trace", "arlfa", "delay", "rate"):
         _require(spec.detector in ("cusum", "cusum_ac", "random_tx"),
                  f"{spec.name}: unknown detector {spec.detector!r}")
@@ -585,7 +592,7 @@ def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> li
     """
     _require(seed is not None, "a seed is required (give --seed or [meta] seed); "
                                "wall-clock seeding is not supported")
-    _require(0 <= seed < 2**64, "seed must fit in 64 bits")
+    _require(0 <= seed < 2**64, "seed must be nonnegative and fit in 64 bits")
     if not specs:
         return []
     t0 = time.time()

@@ -115,21 +115,21 @@ def _cycle_config(pairs, a1: float, a: float, eps1: float, strategy) -> CusumAcC
     return two_level(pairs, a, a1, eps1, strategies=strategy)
 
 
-def _walk(tab: _StepTables, cnt: int, starts: np.ndarray, lower: float, upper: float,
+def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, upper: float,
           seed: int, cap: int, *, rep_offset: int = 0, substream: int = 0,
           post_change: bool = False, levels=None):
-    """Step row ``cnt`` of ``tab`` from ``starts`` until the statistic leaves (lower, upper).
+    """Step one row of ``tab`` from ``starts`` until the statistic leaves (lower, upper).
 
-    The fused increment is the table's at level count ``cnt`` throughout:
-    ``tab.n_levels`` for the full-rate region, 0 for the censored level
-    below a1.  Replication i draws from stream [seed, rep_offset + i,
-    substream] in blocks of 16, 16, 32, 64, ... steps, doubling up to
-    ``_WALK_BLOCK``, sensor by sensor within a block, from the post-change
-    law if ``post_change``.  The schedule depends only on the step count; it
-    is part of the stream at M > 1, and at M = 1 gives the same draws as any
-    other schedule.  Random transmission's send uniforms follow each block's
-    observations on the same stream.  The statistic is the closed-form
-    reflected walk of the engine's :func:`_reflected`.
+    The fused increment is the table's censored row (in force below a1)
+    throughout if ``censored``, else its full-rate row.  Replication i draws
+    from stream [seed, rep_offset + i, substream] in blocks of 16, 16, 32,
+    64, ... steps, doubling up to ``_WALK_BLOCK``, sensor by sensor within a
+    block, from the post-change law if ``post_change``.  The schedule
+    depends only on the step count; it is part of the stream at M > 1, and
+    at M = 1 gives the same draws as any other schedule.  Random
+    transmission's send uniforms follow each block's observations on the
+    same stream.  The statistic is the closed-form reflected walk of the
+    engine's :func:`_reflected`.
 
     Returns (durations, exit values, n_capped); a capped walk has duration
     ``cap`` and exit value NaN.  With nondecreasing ``levels`` it also
@@ -149,8 +149,8 @@ def _walk(tab: _StepTables, cnt: int, starts: np.ndarray, lower: float, upper: f
     while act.size and k < cap:
         B = _block_steps(k, cap, _WALK_FIRST, _WALK_BLOCK)
         x = _draw_obs(rngs, act, tab.pairs, k, B, 1 if post_change else None)
-        fused, _ = tab.increments(x, tab.send_mask(rngs, act, B), rows=(cnt,))
-        s, w, w_min = _reflected(fused[..., 0], w, w_min)
+        fused, _ = tab.increments(x, tab.send_mask(rngs, act, B), censored)
+        s, w, w_min = _reflected(fused, w, w_min)
         out = (s <= lower) | (s >= upper)
         found = out.any(axis=1)
         last = np.where(found, out.argmax(axis=1), B - 1)
@@ -195,16 +195,15 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
     if n_reps < 100:
         raise ValueError("cycle estimation needs at least 100 replications")
     tab = _StepTables(_cycle_config(pairs, a1, a, eps1, strategy), pairs)
-    full = tab.n_levels
 
-    eta, shat, capped_eta = _walk(tab, full, np.full(n_reps, a1),
+    eta, shat, capped_eta = _walk(tab, False, np.full(n_reps, a1),
                                   np.nextafter(a1, -math.inf), a,
                                   derive_seed(seed, 11), cap)
     returned = shat < a1
     ret_vals = shat[returned]
-    phi, _, capped_phi = _walk(tab, 0, ret_vals, -math.inf, a1, derive_seed(seed, 12), cap)
+    phi, _, capped_phi = _walk(tab, True, ret_vals, -math.inf, a1, derive_seed(seed, 12), cap)
     # Plain CuSum's run to a1, whose alarm S > a1 is strict.
-    t_a1, _, capped_t = _walk(tab, full, np.zeros(n_reps), -math.inf,
+    t_a1, _, capped_t = _walk(tab, False, np.zeros(n_reps), -math.inf,
                               np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
 
     return CycleStats(
@@ -312,20 +311,20 @@ class ArlfaCurve:
 
 def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int, n: int):
     """y, q and z per threshold of legs ``start`` .. ``start + n - 1``, and capped walks."""
-    r = tab.clamp[-1]
+    r = tab.regen
     lower = max(np.nextafter(r, -math.inf), 0.0)  # a leg returns below r, or back to 0
     alarms = tab.inclusive(curve.a)
     kw = dict(seed=curve.seed, cap=_WALK_CAP, rep_offset=start)
-    leg = dict(kw, tab=tab, cnt=tab.n_levels, starts=np.full(n, r), lower=lower,
+    leg = dict(kw, tab=tab, censored=False, starts=np.full(n, r), lower=lower,
                upper=alarms[-1], levels=alarms)
     dur, exit_s, capped, (t0, _) = _walk(**leg)
     _, _, capped_1, (t1, v1) = _walk(**leg, substream=1, post_change=True)
     tail, z = dur.astype(float), np.zeros(n)
-    if r > 0:  # the censored climbs back to r: after a returned leg, and the first from 0
+    if tab.censors:  # the censored climbs back to r: after a returned leg, and the first from 0
         returned = exit_s <= lower
-        phi, _, capped_phi = _walk(tab, 0, np.where(returned, exit_s, 0.0), -math.inf, r,
+        phi, _, capped_phi = _walk(tab, True, np.where(returned, exit_s, 0.0), -math.inf, r,
                                    substream=2, **kw)
-        z, _, capped_z = _walk(tab, 0, np.zeros(n), -math.inf, r, substream=3, **kw)
+        z, _, capped_z = _walk(tab, True, np.zeros(n), -math.inf, r, substream=3, **kw)
         tail += np.where(returned, phi, 0)
         capped += capped_phi + capped_z
     y = np.where(t0 > 0, t0, tail[:, None])
@@ -362,7 +361,7 @@ def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or not a.size or not np.isfinite(a).all() or (np.diff(a) < 0).any():
         raise ValueError("a_grid must be a nonempty nondecreasing sequence of finite reals")
-    if not tab.inclusive(a[0]) > tab.clamp[-1]:  # every alarm lies above the regeneration
+    if not tab.inclusive(a[0]) > tab.regen:  # every alarm lies above the regeneration
         raise ValueError("thresholds must be nonnegative, and above a1 for CuSum-AC")
     if n_legs < 2:
         raise ValueError("an ARLFA curve needs at least two legs")

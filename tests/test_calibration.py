@@ -159,6 +159,17 @@ class TestSearchTwoLevel:
                                strategy=[strategy_cache(0.5)] * 3)
         assert result.search_trace[0].eprime_margin == check_eprime_membership(cycle).margin
 
+    @pytest.mark.parametrize("reps", [dict(n_reps=50), dict(cycle_reps=50)])
+    def test_too_few_replications_refused_before_any_rate_batch(self, pair, monkeypatch,
+                                                                reps):
+        def no_rate(*args, **kwargs):
+            raise AssertionError("a rate batch was run")
+
+        monkeypatch.setattr("cusumac.calibration.estimate_comm_rate", no_rate)
+        target = CalibrationTarget(zeta=300.0, epsilon=0.8, tolerance=0.05)
+        with pytest.raises(ValueError, match="at least 100"):
+            search_two_level(pair, target, a1_grid=[0.78], eps1_grid=[0.5], seed=15, **reps)
+
     def test_search_is_deterministic(self, pair):
         target = CalibrationTarget(zeta=300.0, epsilon=0.8, tolerance=0.05)
         kw = dict(a1_grid=[0.6, 1.0], eps1_grid=[0.5], n_reps=400, seed=13,

@@ -85,8 +85,9 @@ class TestParsing:
         ("delay_vs_arlfa", "zeta_grid = 1000\na1 = 0.79\neps1 = 0.27\nepsilon = 7", "epsilon"),
         # Every threshold above a1 = 20 has ARLFA >= e^20, so none calibrates to 1000.
         ("delay_vs_arlfa", "zeta_grid = 1000 5000\na1 = 20\neps1 = 0.27", r"a1 < ln"),
+        ("arlfa", "detector = cusum\na = 3.0\nseed = -5", "seed"),
     ], ids=["negative_a1", "arlfa_cap_zero", "delay_cap_zero", "epsilon_above_one",
-            "a1_unreachable"])
+            "a1_unreachable", "negative_experiment_seed"])
     def test_out_of_range_inputs_rejected_before_running(self, tmp_path, kind, body, key):
         cfg = write(tmp_path, BASE.format(name="x", kind=kind, body=body + "\nn_reps = 200"))
         with pytest.raises(ConfigError, match=key):
@@ -94,6 +95,21 @@ class TestParsing:
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert not list(tmp_path.rglob("*.csv"))
+
+    _TRACE = BASE.format(name="t", kind="trace", body="detector = cusum\na = 2.0")
+
+    @pytest.mark.parametrize("text", [
+        _TRACE + "a = 3.0\n",
+        _TRACE + "\n[meta]\nthreads = 1\n",
+        "horizon = 50\n" + _TRACE,
+    ], ids=["duplicate_key", "duplicate_meta", "no_section_header"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, text):
+        cfg = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=re.escape(f"cannot parse config file {cfg}")):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_cusum_ac_requires_levels(self, tmp_path):
         cfg = write(tmp_path, BASE.format(

@@ -109,8 +109,12 @@ class TestIidReplay:
                 x = recs["obs"][k, i, 0]
                 state = cusum_step(state, float(pair.llr(x)), 2.5)
                 assert state.s == recs["s"][k, i]
+                assert recs["level"][k, i] == state.active_level == 0
+            assert recs["sent"][:steps, i, 0].all()
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
+        for field in ("feedback", "time_above", "time_below"):
+            assert not getattr(batch, field).any(), field
 
     def test_random_tx_steploop(self, pair):
         det = RandomTxSpec(2.0, 0.5)
@@ -127,8 +131,11 @@ class TestIidReplay:
                                                    det.a, flags)
                 assert sent == bool(recs["sent"][k, i, 0])
                 assert state.s == recs["s"][k, i]
+                assert recs["level"][k, i] == state.active_level == 0
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
+        for field in ("feedback", "time_above", "time_below"):
+            assert not getattr(batch, field).any(), field
 
     # Each case runs the closed-form step (record=False) against the per-step
     # recursion (record=True) on the same draws.

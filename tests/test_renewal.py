@@ -180,7 +180,7 @@ class TestWalkDraws:
     def test_short_leg_draws_one_first_block(self, pair):
         sensors = [_RecordingPair(pair), _RecordingPair(pair)]
         # A vanishing band: every walk leaves it at its first step.
-        dur, _, capped = _walk(_StepTables(CusumSpec(0.0), sensors), 0, np.full(50, 0.78),
+        dur, _, capped = _walk(_StepTables(CusumSpec(0.0), sensors), False, np.full(50, 0.78),
                                0.78, 0.78 + 1e-9, seed=1, cap=10_000)
         assert capped == 0 and (dur == 1).all()
         for rec in sensors:
@@ -190,7 +190,7 @@ class TestWalkDraws:
         rec = _RecordingPair(pair)
         schedule = [16, 16, 32, 64, 128, 256, 256, 100]
         cap = sum(schedule)
-        dur, exit_s, capped = _walk(_StepTables(CusumSpec(0.0), [rec]), 0, np.zeros(3),
+        dur, exit_s, capped = _walk(_StepTables(CusumSpec(0.0), [rec]), False, np.zeros(3),
                                     -math.inf, math.inf, seed=2, cap=cap)
         assert capped == 3 and (dur == cap).all() and np.isnan(exit_s).all()
         assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
