@@ -30,14 +30,16 @@ the statistic, so for each chunk of ``CHUNK`` steps the increments of both
 rows are computed in bulk first.  Only the sequential step that follows
 has two forms.  Without a1 and without ``record`` the increments are
 i.i.d., and the reflected statistic is the closed form of
-:func:`_reflected`.  Every other batch takes the per-step recursion, which
-carries only the statistic and whether it lies below a1: select the
-increment of the row in force, reflect at zero, clamp an upward crossing
-of a1 to a1.  Recorded trajectories therefore replay bit for bit through
-the scalar step functions of :mod:`cusumac.detectors`.  Alarms,
-``require_zero_at`` conditioning, counters and trajectories are derived
-from the chunk's statistic, and a batch whose replications have all ended
-stops at that chunk instead of finishing its observation block.
+:func:`_reflected`, restarted from the statistic at each chunk.  Every
+other batch takes the per-step recursion: select the increment of the row
+in force, reflect at zero, clamp an upward crossing of a1 to a1.  Recorded
+trajectories therefore replay bit for bit through the scalar step functions
+of :mod:`cusumac.detectors`.  The kernel carries only the statistic, which
+fixes the row in force.  Alarms (at +inf in a batch without stopping),
+``require_zero_at`` conditioning, trajectories and the counters, which
+accumulate straight into the :class:`BatchResult`, follow from the chunk's
+statistic, and a batch whose replications have all ended stops at that
+chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
@@ -369,12 +371,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
 
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
-    below = np.ones(n_reps, dtype=bool)  # s < a1: the censored row is in force
-    tx = np.zeros(n_reps, dtype=np.int64)
-    switches = np.zeros(n_reps, dtype=np.int64)
-    above = np.zeros(n_reps, dtype=np.int64)
-    w = np.zeros(n_reps)      # closed form: the random walk of the increments
-    w_min = np.zeros(n_reps)  # and its running minimum, started at -c_0 = 0
+    alarm = tab.a if stop_enabled else np.inf
     chunks = [] if record else None
 
     k = 0
@@ -393,10 +390,9 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
             full, n_full = tab.increments(x, g)
             cen, n_cen = tab.increments(x, censored=True) if tab.censors else (full, n_full)
 
-            below_in = below
-            if closed:  # i.i.d. increments: the reflected walk in closed form
-                S, w, w_min = _reflected(full, w, w_min)
-                S = S.T
+            below = below_in = s < tab.a1  # the censored row is in force
+            if closed:  # i.i.d. increments: the reflected walk in closed form, from s
+                S = _reflected(full, np.zeros(n), -s)[0].T
             else:
                 # Select the increment of the row in force, reflect at zero,
                 # clamp an upward crossing of a1 to a1.
@@ -407,14 +403,13 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                     np.maximum(s, 0.0, out=s)
                     np.copyto(s, tab.a1, where=below & (s >= tab.a1))
                     below = s < tab.a1
+            s = S[-1]
 
             # Everything else follows from the recorded statistic; the row in
             # force is a function of it, since a clamp lands on a1.
             low = S < tab.a1  # below a1 after each step
-            end = np.full(n, C)  # row of each replication's last step in this chunk
-            if stop_enabled:
-                hit = S >= tab.a
-                end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)
+            hit = S >= alarm
+            end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)  # row of each last step
             alarmed = end < C
             if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
                 jr = require_zero_at - k0 - 1
@@ -424,9 +419,9 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 res.rejected[ids[rej]] = True
             live = np.arange(C)[:, None] <= end
             low_in = np.vstack((below_in, low[:-1]))  # the censored row in force at each step
-            tx += (np.where(low_in, n_cen.T, n_full.T) * live).sum(axis=0)
-            switches += ((low != low_in) & live).sum(axis=0)
-            above += (~low & live).sum(axis=0)
+            res.tx[ids] += (np.where(low_in, n_cen.T, n_full.T) * live).sum(axis=0)
+            res.feedback[ids] += ((low != low_in) & live).sum(axis=0)
+            res.time_above[ids] += (~low & live).sum(axis=0)
             if record:
                 xt = x.transpose(2, 0, 1)  # (C, n, M)
                 sent = tab.sent(xt, low_in, g)
@@ -438,32 +433,23 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
             if done.any():
                 res.stop_time[ids[done]] = k0 + end[done] + 1
                 res.stopped[ids[alarmed]] = True
-                _flush(res, ids[done], tx[done], switches[done], above[done], tab.censors)
                 keep = ~done
-                ids, rows, s, below = ids[keep], rows[keep], s[keep], below[keep]
-                w, w_min = w[keep], w_min[keep]
-                tx, switches, above = tx[keep], switches[keep], above[keep]
+                ids, rows, s = ids[keep], rows[keep], s[keep]
                 if not ids.size:
                     break
         k += B
 
-    _flush(res, ids, tx, switches, above, tab.censors)
+    if tab.censors:
+        # The starting level differs from the sensors' full-rate default, so the
+        # initial strategy announcement counts as one feedback message.  A
+        # detector that does not censor keeps no feedback or sojourn counts.
+        res.feedback += 1
+        res.time_below = res.stop_time - res.time_above
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:
         res.records = _records(res, chunks, M)
     return res
-
-
-def _flush(res: BatchResult, ids, tx, switches, above, censors: bool):
-    res.tx[ids] = tx
-    if censors:
-        # The starting level differs from the sensors' full-rate default, so the
-        # initial strategy announcement counts as one feedback message.  A
-        # detector that does not censor keeps no feedback or sojourn counts.
-        res.feedback[ids] = switches + 1
-        res.time_above[ids] = above
-        res.time_below[ids] = res.stop_time[ids] - above
 
 
 def _records(res: BatchResult, chunks, M: int) -> dict:

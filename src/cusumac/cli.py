@@ -4,7 +4,9 @@ Experiments are described in an INI-style file with one section per
 experiment plus a ``[meta]`` section; every key is validated against the
 experiment kind before any simulation starts, and unknown keys or sections
 are hard errors (a typo in a statistical parameter must not be ignored), as
-is a file that does not parse, such as one with a duplicated key.
+are a file that does not parse (a duplicated key, bytes that are not UTF-8),
+a number that is not finite, and an experiment name that is not a plain file
+stem or whose CSV another experiment also writes.
 Each run writes one results CSV per experiment and a manifest holding the
 fully resolved configuration; the manifest is itself a valid config whose
 re-run reproduces the CSVs byte for byte, because all randomness flows from
@@ -29,6 +31,7 @@ import configparser
 import csv
 import hashlib
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -139,10 +142,13 @@ _BOOL_FIELDS = ("worst_history",)
 def _parse_scalar(parse, text: str, where: str):
     """``parse(text)``; a ConfigError naming the section and key ``where`` if it fails."""
     try:
-        return parse(text)
+        value = parse(text)
     except ValueError:
         kind = "an integer" if parse is int else "a number"
         raise ConfigError(f"{where}: {text!r} is not {kind}") from None
+    if parse is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {text!r} is not a finite number")
+    return value
 
 
 def _parse_grid(text: str, where: str) -> tuple[float, ...]:
@@ -166,14 +172,15 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        read = parser.read(path)
-    except configparser.Error as err:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse config file {path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
     meta: dict = {}
     specs: list[ExperimentSpec] = []
+    csv_stems: set = set()  # the CSV files the experiments write, by stem
     for section in parser.sections():
         if section == "meta":
             for key, value in parser.items(section):
@@ -185,12 +192,18 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
             continue  # written by previous runs; carries no settings
         elif section.startswith("experiment:"):
             name = section.split(":", 1)[1].strip()
-            if not name:
-                raise ConfigError("experiment section needs a name")
+            if not re.fullmatch(r"[\w-][\w.-]*", name, re.ASCII):
+                raise ConfigError(f"experiment name {name!r} is not a plain file name "
+                                  "(letters, digits, '_', '-', '.'; no leading '.')")
             items = dict(parser.items(section))
             kind = items.get("kind")
             if kind not in _KINDS:
                 raise ConfigError(f"experiment {name!r}: unknown kind {kind!r}")
+            stems = {name, f"{name}_trace"} if kind == "calibrate" else {name}
+            if stems & csv_stems:
+                raise ConfigError(f"experiment {name!r}: another experiment writes "
+                                  f"{min(stems & csv_stems)}.csv")
+            csv_stems |= stems
             allowed = _KINDS[kind][0]
             spec = ExperimentSpec(name=name, kind=kind)
             for key, value in items.items():

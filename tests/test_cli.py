@@ -111,6 +111,35 @@ class TestParsing:
         assert main(["--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(b"[meta]\nseed = 1\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot parse config file {cfg}")):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    _NAMED_TRACE = "\n[experiment:{}]\nkind = trace\ndetector = cusum\na = 2.0\nhorizon = 50\n"
+    _CALIBRATE_X = ("\n[experiment:x]\nkind = calibrate\nzeta = 50\nepsilon = 0.5\n"
+                    "a1_grid = 0.8\neps1_grid = 0.5\nn_reps = 100\n")
+
+    @pytest.mark.parametrize("sections, match", [
+        (_NAMED_TRACE.format("../escaped"), "not a plain file name"),
+        (_NAMED_TRACE.format("sub/x"), "not a plain file name"),
+        (_NAMED_TRACE.format("a") + _NAMED_TRACE.format(" a"), "another experiment writes a.csv"),
+        (_CALIBRATE_X + _NAMED_TRACE.format("x_trace"),
+         "another experiment writes x_trace.csv"),
+    ], ids=["parent_dir", "sub_dir", "same_name", "calibrate_trace_csv"])
+    def test_experiment_names_cannot_escape_out_or_collide(self, tmp_path, sections, match):
+        cfg = write(tmp_path, "[meta]\nseed = 4242\n" + sections)
+        with pytest.raises(ConfigError, match=match):
+            parse_config(cfg)
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_cusum_ac_requires_levels(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="d", kind="delay", body="detector = cusum_ac\na = 4.5\nn_reps = 200"))
@@ -150,7 +179,17 @@ class TestParsing:
          "[experiment:s] zeta_grid"),
         ("[meta]\nseed = abc\n", "[meta] seed"),
         ("[meta]\nseed = 3\nthreads = two\n", "[meta] threads"),
-    ], ids=["experiment_scalar", "grid_token", "meta_seed", "meta_threads"])
+        (BASE.format(name="x", kind="arlfa", body="detector = cusum\na = inf\nn_reps = 200"),
+         "[experiment:x] a: 'inf' is not a finite number"),
+        (BASE.format(name="c", kind="calibrate", body="zeta = inf\nepsilon = 0.4\nn_reps = 200"),
+         "[experiment:c] zeta: 'inf' is not a finite number"),
+        (BASE.format(name="s", kind="delay_vs_arlfa",
+                     body="zeta_grid = 1000 inf\na1 = 0.78\neps1 = 0.63\nn_reps = 200"),
+         "[experiment:s] zeta_grid: 'inf' is not a finite number"),
+        (BASE.format(name="d", kind="delay", body="detector = cusum\na = 3.0\nmu1 = nan"),
+         "[experiment:d] mu1: 'nan' is not a finite number"),
+    ], ids=["experiment_scalar", "grid_token", "meta_seed", "meta_threads", "infinite_scalar",
+            "infinite_zeta", "infinite_grid_token", "nan_scalar"])
     def test_malformed_number_names_its_key(self, tmp_path, text, where):
         cfg = write(tmp_path, text)
         with pytest.raises(ConfigError, match=re.escape(where)):
