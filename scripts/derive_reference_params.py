@@ -13,8 +13,12 @@ and the winner's direct re-measurement; it plays no part in the
 calibration.  A candidate whose ARLFA just above a1 already exceeds the
 target is listed as ``calibration failed``.  The script prints every
 candidate of the search trace (``arlfa`` there is the in-sample curve value),
-then the winning table, which is frozen into cusumac.cli as
-REFERENCE_TWO_LEVEL_PARAMS; re-run this script to regenerate it.
+then the winning table in the form of cusumac.cli's
+REFERENCE_TWO_LEVEL_PARAMS.  That table was not produced by this script
+as it stands: it predates the admissibility rule above, and its budget-0.1
+entry, eps1 = 0.055, is not on this script's grid (0.045, 0.06, 0.075 and
+0.09 at that budget).  Regenerating the table means replacing it with this
+script's output.
 
 Usage: python scripts/derive_reference_params.py [--zeta 10000] [--sensors 3]
            [--reps 600] [--seed 20240501]

@@ -67,7 +67,6 @@ class BatchResult:
     time_above: np.ndarray  # int64, steps with statistic >= a1
     time_below: np.ndarray  # int64
     rejected: np.ndarray    # bool; only populated under require_zero_at
-    n_sensors: int
     records: Optional[dict] = None
 
     @property
@@ -79,8 +78,8 @@ def concat_results(parts: Sequence[BatchResult]) -> BatchResult:
     if len(parts) == 1:
         return parts[0]
     arrays = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
-              for f in fields(BatchResult) if f.name not in ("n_sensors", "records")}
-    return BatchResult(**arrays, n_sensors=parts[0].n_sensors)
+              for f in fields(BatchResult) if f.name != "records"}
+    return BatchResult(**arrays)
 
 
 def _block_steps(k: int, limit: int, first: int = CHUNK, largest: int = OBS_BLOCK) -> int:
@@ -220,7 +219,7 @@ def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int]) -> n
     return out
 
 
-def _new_result(n_reps: int, limit: int, M: int) -> BatchResult:
+def _new_result(n_reps: int, limit: int) -> BatchResult:
     return BatchResult(
         stop_time=np.full(n_reps, limit, dtype=np.int64),
         stopped=np.zeros(n_reps, dtype=bool),
@@ -229,7 +228,6 @@ def _new_result(n_reps: int, limit: int, M: int) -> BatchResult:
         time_above=np.zeros(n_reps, dtype=np.int64),
         time_below=np.zeros(n_reps, dtype=np.int64),
         rejected=np.zeros(n_reps, dtype=bool),
-        n_sensors=M,
     )
 
 
@@ -365,7 +363,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
     M = len(pairs)
     closed = not tab.censors and not record  # i.i.d. increments: the closed-form step
 
-    res = _new_result(n_reps, limit, M)
+    res = _new_result(n_reps, limit)
     rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
     aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if tab.send_prob is not None else None
 

@@ -196,7 +196,7 @@ def calibrate_threshold(curve: ArlfaCurve, zeta: float) -> ThresholdCalibration:
     rel_se = (1 - frac) * lo.arlfa_se / lo.arlfa_mean + frac * hi.arlfa_se / hi.arlfa_mean
     mean = max(zeta, lo.arlfa_mean)  # zeta, or the lowest point's ARLFA for zeta = 1
     arlfa = McEstimate(mean=mean, std_error=rel_se * mean, n_reps=curve.n_legs,
-                       seed=curve.seed, truncated_reps=curve.capped)
+                       truncated_reps=curve.capped)
     return ThresholdCalibration(a=a, arlfa=arlfa, probes=probes)
 
 
@@ -237,9 +237,7 @@ class CalibrationResult:
 
     config: Optional[CusumAcConfig]
     report: Optional[PerfReport]
-    eprime_verdict: str
     search_trace: tuple[CandidateRecord, ...]
-    target: CalibrationTarget
 
     @property
     def feasible(self) -> bool:
@@ -332,10 +330,9 @@ def search_two_level(
             candidates.append((rec, config))
 
     if not candidates:
-        return CalibrationResult(config=None, report=None, eprime_verdict="skipped",
-                                 search_trace=tuple(trace), target=target)
-    best_rec, best_cfg = min(candidates,
-                             key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
+        return CalibrationResult(config=None, report=None, search_trace=tuple(trace))
+    _, best_cfg = min(candidates,
+                      key=lambda rc: (rc[0].delay_mean, rc[0].a1, rc[0].eps1))
     report = measure_performance(
         best_cfg, pairs, n_reps=n_reps,
         cap=max(int(CAP_MULT * target.zeta), 100), horizon=rate_horizon,
@@ -343,7 +340,5 @@ def search_two_level(
     return CalibrationResult(
         config=best_cfg,
         report=report,
-        eprime_verdict=best_rec.eprime_verdict,
         search_trace=tuple(trace),
-        target=target,
     )

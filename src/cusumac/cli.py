@@ -48,7 +48,6 @@ from .calibration import (
     search_two_level,
     threshold_curve,
 )
-from .censoring import optimize
 from .detectors import CusumSpec, RandomTxSpec, simulate_trace, two_level
 from .model import gaussian_mean_shift
 from .montecarlo import (
@@ -67,9 +66,12 @@ __all__ = ["main", "run", "reproduce", "ExperimentSpec", "parse_config",
            "REFERENCE_TWO_LEVEL_PARAMS"]
 
 # Reference (a1, eps1) operating points for the delay-vs-rate sweep at
-# ARLFA 10^4 with three identical Gaussian sensors: the admissible
-# minimum-delay candidates found by scripts/derive_reference_params.py
-# (network send rate within budget, threshold calibrated per point).
+# ARLFA 10^4 with three identical Gaussian sensors: admissible minimum-delay
+# candidates (network send rate within budget, threshold calibrated per
+# point).  The table predates the current admissibility rule of
+# scripts/derive_reference_params.py (one rate batch within three standard
+# errors of the budget), and that script's grid cannot reproduce it: at
+# budget 0.1 it tries eps1 in {0.045, 0.06, 0.075, 0.09}, not 0.055.
 REFERENCE_TWO_LEVEL_PARAMS = {
     0.1: (1.6, 0.055),
     0.2: (1.2, 0.09),
@@ -192,9 +194,6 @@ def parse_config(path) -> tuple[dict, list[ExperimentSpec]]:
             continue  # written by previous runs; carries no settings
         elif section.startswith("experiment:"):
             name = section.split(":", 1)[1].strip()
-            if not re.fullmatch(r"[\w-][\w.-]*", name, re.ASCII):
-                raise ConfigError(f"experiment name {name!r} is not a plain file name "
-                                  "(letters, digits, '_', '-', '.'; no leading '.')")
             items = dict(parser.items(section))
             kind = items.get("kind")
             if kind not in _KINDS:
@@ -240,6 +239,9 @@ def _require_levels(spec: ExperimentSpec, ceiling: float, ceiling_name: str):
 
 
 def _validate_spec(spec: ExperimentSpec):
+    _require(re.fullmatch(r"[\w-][\w.-]*", spec.name, re.ASCII) is not None,
+             f"experiment name {spec.name!r} is not a plain file name "
+             "(letters, digits, '_', '-', '.'; no leading '.')")
     _require(spec.sigma > 0, f"{spec.name}: sigma must be positive")
     _require(spec.mu0 != spec.mu1, f"{spec.name}: mu0 and mu1 must differ")
     _require(spec.m >= 1, f"{spec.name}: m must be at least 1")
@@ -374,7 +376,10 @@ def run(spec: ExperimentSpec, out_dir: Path, seed: int, n_jobs: int = 1) -> list
 
     Each experiment draws from a stream derived from the master seed and the
     experiment name (order-independent), unless the section pins its own seed.
+    A spec that breaks a config rule raises :class:`ConfigError` before
+    anything is written.
     """
+    _validate_spec(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     if spec.seed is not None:
         exp_seed = spec.seed
@@ -454,19 +459,17 @@ def _measure(sink, pairs, name, detector, arlfa, delay_seed, extra, n_jobs):
     samples, truncated = delay_samples(detector, pairs, sink.spec.n_reps,
                                        delay_seed, nu=sink.spec.nu, n_jobs=n_jobs)
     sink.add(name, "arlfa", arlfa, **extra)
-    sink.add(name, "delay", summarize(samples, delay_seed, truncated), **extra)
+    sink.add(name, "delay", summarize(samples, truncated), **extra)
     return samples, truncated
 
 
-def _add_gap(sink, name, metric, mine, other, delay_seed, extra):
-    """Add ``mine`` minus ``other`` as row ``metric``, paired rep-by-rep on ``delay_seed``."""
-    sink.add(name, metric, paired_gap(mine[0], other[0], delay_seed, mine[1] + other[1]),
-             **extra)
+def _add_gap(sink, name, metric, mine, other, extra):
+    """Add ``mine`` minus ``other`` as row ``metric``; both are delays on one delay seed."""
+    sink.add(name, metric, paired_gap(mine[0], other[0], mine[1] + other[1]), **extra)
 
 
 def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
-    strategies = [optimize(pairs[0], spec.eps1)] * spec.m  # the sensors are copies of one pair
-    ac_of = lambda a: two_level(pairs, a, spec.a1, spec.eps1, strategies=strategies)
+    ac_of = lambda a: two_level(pairs, a, spec.a1, spec.eps1)
     zetas = spec.zeta_grid
     cusum = _calibrate(spec, pairs, CusumSpec(0.0), zetas, seed, 10)
     adaptive = _calibrate(spec, pairs, ac_of(math.inf), zetas, seed, 40)
@@ -479,7 +482,7 @@ def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
         c = _measure(sink, pairs, "cusum", CusumSpec(a_c), arl_c, delay_seed, c_extra, n_jobs)
         ac = _measure(sink, pairs, "cusum_ac", ac_of(a_ac), arl_ac, delay_seed, ac_extra,
                       n_jobs)
-        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
+        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, ac_extra)
         rate = estimate_comm_rate(ac_of(a_ac), pairs, 10_000,
                                   max(100, spec.n_reps // 10),
                                   derive_seed(seed, 100 + i), n_jobs=n_jobs)
@@ -498,8 +501,7 @@ def _run_delay_vs_rate(spec, pairs, out_dir, seed, n_jobs):
 
     for i, eps in enumerate(spec.epsilon_grid):
         a1, eps1 = REFERENCE_TWO_LEVEL_PARAMS[round(eps, 2)]
-        strategies = [optimize(pairs[0], eps1)] * spec.m
-        ac_of = lambda a: two_level(pairs, a, a1, eps1, strategies=strategies)
+        ac_of = lambda a: two_level(pairs, a, a1, eps1)
         [(a_ac, arl_ac)] = _calibrate(spec, pairs, ac_of(math.inf), [zeta], seed, 20 + i)
         [(a_rtx, arl_rtx)] = _calibrate(spec, pairs, RandomTxSpec(0.0, eps), [zeta], seed,
                                         50 + i)
@@ -507,14 +509,14 @@ def _run_delay_vs_rate(spec, pairs, out_dir, seed, n_jobs):
         rtx_extra = {"a": a_rtx, "epsilon": eps, "zeta_target": zeta}
         ac = _measure(sink, pairs, "cusum_ac", ac_of(a_ac), arl_ac, delay_seed, ac_extra,
                       n_jobs)
-        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, delay_seed, ac_extra)
+        _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, ac_extra)
         rate_ac = estimate_comm_rate(ac_of(a_ac), pairs, 10_000,
                                      max(100, spec.n_reps // 10),
                                      derive_seed(seed, 80 + i), n_jobs=n_jobs)
         sink.add("cusum_ac", "comm_rate", rate_ac, **ac_extra)
         rtx = _measure(sink, pairs, "random_tx", RandomTxSpec(a_rtx, eps), arl_rtx,
                        delay_seed, rtx_extra, n_jobs)
-        _add_gap(sink, "random_tx", "delay_gap_vs_cusum_ac", rtx, ac, delay_seed, rtx_extra)
+        _add_gap(sink, "random_tx", "delay_gap_vs_cusum_ac", rtx, ac, rtx_extra)
     return [sink.write(out_dir)]
 
 

@@ -98,10 +98,6 @@ class CusumAcConfig:
     def n_sensors(self) -> int:
         return len(self.strategies)
 
-    def level_of(self, s: float) -> int:
-        """1 if the statistic ``s`` lies below a1 (censored), else 0 (full rate)."""
-        return int(s < self.a1)
-
 
 def two_level(
     pair_or_pairs,
@@ -134,19 +130,18 @@ def two_level(
 class DetectorState:
     """Running statistic plus stop flag and transmission/feedback bookkeeping.
 
-    ``active_level`` is the censoring level in force for the next
-    observation: 1 (censored) below a1, 0 (full rate) at or above it.
-    ``feedback_count`` counts strategy announcements to the
-    sensors: the initial announcement (sensors default to full rate, so any
-    other starting level costs one message) plus every later level switch.
-    ``time_above_a1``/``time_below_a1`` partition the steps taken by whether
-    the post-update statistic sits at or above a1.
+    The statistic fixes CuSum-AC's censoring level for the next observation:
+    censored below a1, full rate at or above it.  ``k`` counts the steps
+    taken, so a stopped state stopped at step ``k``.  ``feedback_count``
+    counts strategy announcements to the sensors: the initial announcement
+    (sensors default to full rate, so starting below a1 costs one message)
+    plus every later level switch.  ``time_above_a1``/``time_below_a1``
+    partition the steps taken by whether the post-update statistic sits at
+    or above a1.
     """
 
     s: float = 0.0
-    active_level: int = 0
     stopped: bool = False
-    stop_time: int = 0
     k: int = 0
     tx_count: int = 0
     feedback_count: int = 0
@@ -155,11 +150,9 @@ class DetectorState:
 
 
 def initial_state(config: Optional[CusumAcConfig] = None, s0: float = 0.0) -> DetectorState:
-    """Fresh state; for CuSum-AC the starting level is announced to the sensors."""
-    if config is None:
-        return DetectorState(s=s0)
-    level = config.level_of(s0)
-    return DetectorState(s=s0, active_level=level, feedback_count=1 if level != 0 else 0)
+    """Fresh state; for CuSum-AC a censored start is announced to the sensors."""
+    censored = config is not None and s0 < config.a1
+    return DetectorState(s=s0, feedback_count=int(censored))
 
 
 def _require_running(state: DetectorState):
@@ -169,14 +162,11 @@ def _require_running(state: DetectorState):
 
 def _cusum_update(state: DetectorState, inc: float, a: float, n_sent: int) -> DetectorState:
     s_new = max(0.0, state.s + inc)
-    k = state.k + 1
-    stopped = s_new > a
     return dataclasses.replace(
         state,
         s=s_new,
-        k=k,
-        stopped=stopped,
-        stop_time=k if stopped else state.stop_time,
+        k=state.k + 1,
+        stopped=s_new > a,
         tx_count=state.tx_count + n_sent,
     )
 
@@ -192,21 +182,16 @@ def _ac_update(state: DetectorState, config: CusumAcConfig, fused_inc: float, n_
     s_new = max(0.0, state.s + fused_inc)
     if state.s < config.a1 <= s_new:
         s_new = config.a1
-    stopped = s_new >= config.a
-    new_level = config.level_of(s_new)
-    k = state.k + 1
     above = s_new >= config.a1
     return dataclasses.replace(
         state,
         s=s_new,
-        active_level=new_level,
-        stopped=stopped,
-        stop_time=k if stopped else state.stop_time,
-        k=k,
+        stopped=s_new >= config.a,
+        k=state.k + 1,
         tx_count=state.tx_count + n_sent,
-        feedback_count=state.feedback_count + (1 if new_level != state.active_level else 0),
-        time_above_a1=state.time_above_a1 + (1 if above else 0),
-        time_below_a1=state.time_below_a1 + (0 if above else 1),
+        feedback_count=state.feedback_count + (above != (state.s >= config.a1)),
+        time_above_a1=state.time_above_a1 + above,
+        time_below_a1=state.time_below_a1 + (not above),
     )
 
 
@@ -236,11 +221,11 @@ def cusum_ac_multi_step(state: DetectorState, config: CusumAcConfig, xs, pairs
         raise ValueError(
             f"config has {config.n_sensors} sensors but {len(xs)} observations were given"
         )
-    level = state.active_level
+    censored = state.s < config.a1
     sent: list[bool] = []
     fused = 0.0
     for m, (x, pair) in enumerate(zip(xs, pairs)):
-        if level == 0:
+        if not censored:
             sent_m = True
             inc_m = float(pair.llr(x))
         else:

@@ -19,6 +19,7 @@ survive, in the same loop as the worst-history delay.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -53,12 +54,11 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo point estimate with its provenance."""
+    """Monte Carlo point estimate: mean, standard error and replication counts."""
 
     mean: float
     std_error: float
     n_reps: int
-    seed: int
     truncated_reps: int = 0
 
 
@@ -88,7 +88,7 @@ def derive_seed(seed: int, salt: int) -> int:
     return (seed + salt * _GOLDEN64) % 2**63
 
 
-def summarize(values: np.ndarray, seed: int, truncated: int = 0) -> McEstimate:
+def summarize(values: np.ndarray, truncated: int = 0) -> McEstimate:
     """Reduce raw per-replication values to a Monte Carlo estimate."""
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -98,7 +98,6 @@ def summarize(values: np.ndarray, seed: int, truncated: int = 0) -> McEstimate:
         mean=float(values.mean()),
         std_error=float(values.std(ddof=1) / math.sqrt(n)),
         n_reps=n,
-        seed=seed,
         truncated_reps=truncated,
     )
 
@@ -114,8 +113,10 @@ def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwa
     """Run a batch, optionally split over worker processes.
 
     The per-replication streams make results identical for every n_jobs, so
-    chunking is purely a throughput knob.
+    chunking is purely a throughput knob.  The pool forks all its workers at
+    once, so ``n_jobs`` is capped at the core count.
     """
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     if n_jobs <= 1 or n_reps < 2 * n_jobs:
         return _engine.run_batch(detector, pairs, n_reps=n_reps, seed=seed,
                                  rep_offset=rep_offset, **kwargs)
@@ -174,7 +175,7 @@ def estimate_arlfa(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs:
     100x the expected run length.
     """
     batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
-    return summarize(batch.stop_time, seed, truncated)
+    return summarize(batch.stop_time, truncated)
 
 
 def pre_change_run(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs: int = 1
@@ -186,10 +187,10 @@ def pre_change_run(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs:
     batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
     stop = batch.stop_time.astype(float)
     return PreChangeRun(
-        arlfa=summarize(batch.stop_time, seed, truncated),
-        feedback_per_alarm=summarize(batch.feedback, seed, truncated),
-        feedback_ratio=summarize(batch.feedback / stop, seed, truncated),
-        frac_time_above_a1=summarize(batch.time_above / stop, seed, truncated),
+        arlfa=summarize(batch.stop_time, truncated),
+        feedback_per_alarm=summarize(batch.feedback, truncated),
+        feedback_ratio=summarize(batch.feedback / stop, truncated),
+        frac_time_above_a1=summarize(batch.time_above / stop, truncated),
     )
 
 
@@ -211,10 +212,9 @@ def delay_samples(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
     return delays, int((~batch.stopped).sum())
 
 
-def paired_gap(delays_a: np.ndarray, delays_b: np.ndarray, seed: int,
-               truncated: int = 0) -> McEstimate:
+def paired_gap(delays_a: np.ndarray, delays_b: np.ndarray, truncated: int = 0) -> McEstimate:
     """Mean and standard error of the per-replication difference a - b."""
-    return summarize(delays_a.astype(float) - delays_b.astype(float), seed, truncated)
+    return summarize(delays_a.astype(float) - delays_b.astype(float), truncated)
 
 
 def estimate_delay(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
@@ -234,13 +234,13 @@ def estimate_delay(detector, pairs, n_reps: int, seed: int, nu: int = 1, *,
     if not worst_history or nu <= 1:  # delay_samples rejects nu < 1
         delays, truncated = delay_samples(detector, pairs, n_reps, seed, nu,
                                           cap=cap, n_jobs=n_jobs)
-        return summarize(delays, seed, truncated)
+        return summarize(delays, truncated)
     batch, idx = _resample(
         detector, pairs, n_reps, seed, n_jobs, lambda b: ~b.rejected,
         "collected {got}/{n_reps} zero-statistic histories after {attempts} attempts",
         nu=nu, limit=int(nu - 1 + cap), stop_enabled=True, require_zero_at=nu - 1)
     delays = np.maximum(batch.stop_time[idx] - nu + 1, 0)
-    return summarize(delays, seed, int((~batch.stopped[idx]).sum()))
+    return summarize(delays, int((~batch.stopped[idx]).sum()))
 
 
 def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
@@ -256,7 +256,7 @@ def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
     if mode == "no_stop":
         batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
                              nu=None, limit=int(horizon), stop_enabled=False)
-        return summarize(batch.tx / denom, seed)
+        return summarize(batch.tx / denom)
     if mode != "conditional":
         raise ValueError(f"unknown mode {mode!r}")
     batch, idx = _resample(
@@ -265,7 +265,7 @@ def estimate_comm_rate(detector, pairs, horizon: int, n_reps: int, seed: int,
         "collected {got}/{n_reps} trajectories surviving to the horizon after "
         "{attempts} attempts; survival is too rare",
         nu=None, limit=int(horizon), stop_enabled=True)
-    return summarize(batch.tx[idx] / denom, seed)
+    return summarize(batch.tx[idx] / denom)
 
 
 def measure_performance(config: CusumAcConfig, pairs, *, n_reps: int, cap: int,

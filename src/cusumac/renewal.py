@@ -73,10 +73,8 @@ _LEG_BATCH = 1000  # legs of an ARLFA curve walked together
 
 @dataclass(frozen=True)
 class CycleStats:
-    """Monte Carlo estimates of the renewal-cycle quantities at (a1, a, eps1)."""
+    """Monte Carlo estimates of the renewal-cycle quantities at censored rate ``eps1``."""
 
-    a1: float
-    a: float
     eps1: float
     eta0: McEstimate                 # mean SPRT leg duration from a1
     eta0_given_return: McEstimate    # same, conditioned on falling back below a1
@@ -207,14 +205,12 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
                               np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
 
     return CycleStats(
-        a1=a1,
-        a=a,
         eps1=eps1,
-        eta0=summarize(eta, seed, capped_eta),
-        eta0_given_return=summarize(eta[returned], seed),
-        phi_given_return=summarize(phi, seed, capped_phi),
-        t_a1=summarize(t_a1, seed, capped_t),
-        p_return=summarize(returned.astype(float), seed),
+        eta0=summarize(eta, capped_eta),
+        eta0_given_return=summarize(eta[returned]),
+        phi_given_return=summarize(phi, capped_phi),
+        t_a1=summarize(t_a1, capped_t),
+        p_return=summarize(returned.astype(float)),
         return_value_samples=ret_vals,
         capped_walks=capped_eta + capped_phi + capped_t,
     )
@@ -251,8 +247,8 @@ def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int
                 lengths[i] = cap
                 break
     return DirectCycleStats(
-        cycle_length=summarize(lengths, seed),
-        p_return=summarize(returned.astype(float), seed),
+        cycle_length=summarize(lengths),
+        p_return=summarize(returned.astype(float)),
     )
 
 
@@ -290,7 +286,7 @@ class ArlfaCurve:
     def estimate(self, i: int) -> McEstimate:
         """The curve at threshold ``a[i]``; ``n_reps`` counts legs."""
         return McEstimate(mean=float(self.mean[i]), std_error=float(self.std_error[i]),
-                          n_reps=self.n_legs, seed=self.seed, truncated_reps=self.capped)
+                          n_reps=self.n_legs, truncated_reps=self.capped)
 
     def grown(self, n_legs: int) -> "ArlfaCurve":
         """This curve grown to ``n_legs`` legs, walked in batches of ``_LEG_BATCH``.

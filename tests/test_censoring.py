@@ -202,7 +202,7 @@ class TestStrategyBehavior:
         # no-send slot adds the constant llr_censored.
         strat = strategy_cache(0.5)
         cfg = two_level(pair, a=9.0, a1=5.0, eps1=0.5, strategies=[strat])
-        st0 = dataclasses.replace(initial_state(cfg), s=2.0, active_level=1)
+        st0 = dataclasses.replace(initial_state(cfg), s=2.0)
         outside = strat.nosend_x_hi + 1.0
         st1, sent = cusum_ac_step(st0, cfg, outside, pair)
         assert sent is True
@@ -215,7 +215,7 @@ class TestStrategyBehavior:
 
     def test_censored_llr_full_rate_branch(self, pair, strategy_cache):
         cfg = two_level(pair, a=9.0, a1=5.0, eps1=1.0, strategies=[strategy_cache(1.0)])
-        st0 = dataclasses.replace(initial_state(cfg), s=3.0, active_level=1)
+        st0 = dataclasses.replace(initial_state(cfg), s=3.0)
         st1, sent = cusum_ac_step(st0, cfg, -2.2, pair)
         assert sent is True
         assert st1.s == pytest.approx(3.0 + float(pair.llr(-2.2)), abs=1e-15)

@@ -140,6 +140,14 @@ class TestParsing:
         assert not out.exists()
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_run_applies_the_name_rule(self, tmp_path):
+        out = tmp_path / "out"
+        spec = cli.ExperimentSpec(name="../outside", kind="trace", a=2.0, horizon=5)
+        with pytest.raises(ConfigError, match="not a plain file name"):
+            cli.run(spec, out, 1)
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_cusum_ac_requires_levels(self, tmp_path):
         cfg = write(tmp_path, BASE.format(
             name="d", kind="delay", body="detector = cusum_ac\na = 4.5\nn_reps = 200"))

@@ -34,8 +34,7 @@ def cfg2(pair, strategy_cache):
 
 
 def state_at(config, s):
-    return dataclasses.replace(initial_state(config), s=s,
-                               active_level=config.level_of(s))
+    return dataclasses.replace(initial_state(config), s=s)
 
 
 class TestCusumStep:
@@ -49,7 +48,7 @@ class TestCusumStep:
         st0 = dataclasses.replace(initial_state(), s=4.4)
         st1 = cusum_step(st0, 0.2, a=4.5)
         assert st1.s == pytest.approx(4.6, abs=1e-15)
-        assert st1.stopped and st1.stop_time == 1
+        assert st1.stopped and st1.k == 1
         # Landing exactly on the threshold does not stop (strict inequality).
         st2 = cusum_step(dataclasses.replace(initial_state(), s=4.0), 0.5, a=4.5)
         assert not st2.stopped
@@ -66,7 +65,7 @@ class TestCusumStep:
             state = initial_state()
             while not state.stopped:
                 state = cusum_step(state, float(pair.llr(pair.sample1(rng))), a=4.5)
-            stops[i] = state.stop_time
+            stops[i] = state.k
         se = stops.std(ddof=1) / math.sqrt(stops.size)
         combined = math.hypot(se, CUSUM_POSTCHANGE_ORACLE_SE)
         assert abs(stops.mean() - CUSUM_POSTCHANGE_MEAN_STOP_A45) <= 3 * combined
@@ -81,7 +80,6 @@ class TestCusumAcStep:
         st1, sent = cusum_ac_step(st0, cfg2, x, pair)
         assert sent
         assert st1.s == cfg2.a1  # bit-exact clamp
-        assert st1.active_level == 0
         assert st1.feedback_count == st0.feedback_count + 1
         assert not st1.stopped
 
@@ -104,7 +102,6 @@ class TestCusumAcStep:
 
     def test_initial_state_announces_strategy(self, cfg2):
         st0 = initial_state(cfg2)
-        assert st0.active_level == 1
         assert st0.feedback_count == 1
 
     def test_inclusive_stop_and_reset_precedence(self, pair, cfg2, strategy_cache):
@@ -259,15 +256,16 @@ class TestConfigValidation:
             two_level(pair, 5.0, 1.0, 0.5, strategies=[strategy_cache(0.3)])
 
     def test_level_of_bands(self, cfg2):
-        assert cfg2.level_of(2.0) == 0
-        assert cfg2.level_of(0.78) == 0
-        assert cfg2.level_of(0.5) == 1
+        # Only a start below a1 (censored) differs from the full-rate default.
+        assert initial_state(cfg2, 2.0).feedback_count == 0
+        assert initial_state(cfg2, 0.78).feedback_count == 0
+        assert initial_state(cfg2, 0.5).feedback_count == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(xs=st.lists(st.floats(-6, 6), min_size=1, max_size=60))
 def test_ac_step_invariants(xs, pair, cfg2):
-    """Statistic nonnegative, level always matches the band, resets bit-exact."""
+    """Statistic nonnegative, feedback counts band changes, resets bit-exact."""
     state = initial_state(cfg2)
     for x in xs:
         if state.stopped:
@@ -275,12 +273,11 @@ def test_ac_step_invariants(xs, pair, cfg2):
         prev = state
         state, _ = cusum_ac_step(state, cfg2, x, pair)
         assert state.s >= 0.0
-        assert state.active_level == cfg2.level_of(state.s)
         assert state.k == prev.k + 1
         if prev.s < cfg2.a1 <= state.s and not state.s == cfg2.a1:
             # the only way to sit above a crossed a1 is the exact clamp
             raise AssertionError(f"reset not bit-exact: {state.s} vs {cfg2.a1}")
-        if state.active_level != prev.active_level:
+        if (state.s < cfg2.a1) != (prev.s < cfg2.a1):
             assert state.feedback_count == prev.feedback_count + 1
         else:
             assert state.feedback_count == prev.feedback_count
@@ -294,9 +291,9 @@ def test_feedback_counts_level_changes(pair, cfg2):
     for _ in range(400):
         if state.stopped:
             break
-        prev_level = state.active_level
+        prev_censored = state.s < cfg2.a1
         state, _ = cusum_ac_step(state, cfg2, float(pair.sample0(rng)), pair)
-        changes += state.active_level != prev_level
+        changes += (state.s < cfg2.a1) != prev_censored
     assert state.feedback_count == 1 + changes
 
 

@@ -46,10 +46,10 @@ def replay_cusum_ac(batch, config, pairs):
             xs = [recs["obs"][k, i, m] for m in range(len(pairs))]
             state, sent = cusum_ac_multi_step(state, config, xs, pairs)
             assert state.s == recs["s"][k, i]
-            assert state.active_level == recs["level"][k, i]
+            assert recs["level"][k, i] == (state.s < config.a1)
             assert sent == list(recs["sent"][k, i])
         if batch.stopped[i]:
-            assert state.stopped and state.stop_time == batch.stop_time[i]
+            assert state.stopped and state.k == batch.stop_time[i]
         assert state.tx_count == batch.tx[i]
         assert state.feedback_count == batch.feedback[i]
         assert state.time_above_a1 == batch.time_above[i]
@@ -109,7 +109,7 @@ class TestIidReplay:
                 x = recs["obs"][k, i, 0]
                 state = cusum_step(state, float(pair.llr(x)), 2.5)
                 assert state.s == recs["s"][k, i]
-                assert recs["level"][k, i] == state.active_level == 0
+                assert recs["level"][k, i] == 0
             assert recs["sent"][:steps, i, 0].all()
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
@@ -131,7 +131,7 @@ class TestIidReplay:
                                                    det.a, flags)
                 assert sent == bool(recs["sent"][k, i, 0])
                 assert state.s == recs["s"][k, i]
-                assert recs["level"][k, i] == state.active_level == 0
+                assert recs["level"][k, i] == 0
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
         for field in ("feedback", "time_above", "time_below"):

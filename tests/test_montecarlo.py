@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from cusumac import _engine as eng
+from cusumac import _engine as eng, montecarlo
 from cusumac.calibration import calibrate_threshold, threshold_curve
 from cusumac.detectors import CusumSpec, RandomTxSpec, two_level
 from cusumac.montecarlo import (
@@ -105,8 +106,8 @@ class TestDelay:
     def test_paired_gap_reduces_variance(self, pair):
         da, ta = delay_samples(CusumSpec(4.6), pair, 1500, seed=12)
         db, tb = delay_samples(CusumSpec(4.5), pair, 1500, seed=12)
-        gap = paired_gap(da, db, 12, ta + tb)
-        delay_a, delay_b = summarize(da, 12, ta), summarize(db, 12, tb)
+        gap = paired_gap(da, db, ta + tb)
+        delay_a, delay_b = summarize(da, ta), summarize(db, tb)
         assert gap.mean == pytest.approx(delay_a.mean - delay_b.mean, abs=1e-9)
         assert gap.std_error < 0.5 * math.hypot(delay_a.std_error, delay_b.std_error)
         assert gap.mean > 0  # higher threshold stops later on shared streams
@@ -207,6 +208,29 @@ class TestDiagnosticsAndDeterminism:
         two = estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=2)
         assert one == two
 
+    def test_worker_pool_capped_at_core_count(self, pair, monkeypatch):
+        # A pool forks all its workers at once; an in-process stand-in records the size.
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        many = estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=64)
+        assert pools == [2]
+        assert many == estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=1)
+
     def test_worker_count_invariance_on_kernel(self, pair, strategy_cache):
         # The second worker's chunk starts at rep_offset > 0 on the kernel.
         cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
@@ -267,5 +291,5 @@ class TestOrderings:
         samp_ac, t_ac = delay_samples(cfg, pair, 2500, seed=34)
         samp_rtx, t_rtx = delay_samples(RandomTxSpec(cal_rtx.a, 0.5), pair, 2500,
                                         seed=34)
-        gap = paired_gap(samp_rtx, samp_ac, 34, t_ac + t_rtx)
+        gap = paired_gap(samp_rtx, samp_ac, t_ac + t_rtx)
         assert gap.mean > 3 * gap.std_error

@@ -44,10 +44,10 @@ GOLDEN_M3 = [
 
 def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0):
     def est(v):
-        return McEstimate(mean=v, std_error=1e-6, n_reps=1000, seed=0)
+        return McEstimate(mean=v, std_error=1e-6, n_reps=1000)
 
     return CycleStats(
-        a1=0.78, a=math.inf, eps1=eps1,
+        eps1=eps1,
         eta0=est(eta_ret), eta0_given_return=est(eta_ret),
         phi_given_return=est(phi_ret), t_a1=est(t_a1), p_return=est(p_return),
         return_value_samples=np.zeros(1), capped_walks=0)
