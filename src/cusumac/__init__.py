@@ -22,7 +22,7 @@ from .detectors import (
     simulate_trace,
     two_level,
 )
-from .model import CustomPair, GaussianPair, KlReport, gaussian_mean_shift, kl_divergence
+from .model import GaussianPair, KlReport, gaussian_mean_shift, kl_divergence
 from .montecarlo import (
     InfeasibleError,
     McEstimate,
@@ -37,7 +37,6 @@ from .montecarlo import (
 __all__ = [
     "__version__",
     "CensoringStrategy",
-    "CustomPair",
     "CusumAcConfig",
     "CusumSpec",
     "DetectorState",

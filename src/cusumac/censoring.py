@@ -12,6 +12,8 @@ the strategy maximizing the post-censoring K-L divergence
 
 The no-send event itself carries the constant log-likelihood ratio
 ``ln(p1_nosend / p0_nosend)``, so a censored stream is still informative.
+Both terms come from the pair's closed forms (``send_region_kl``, the CDFs
+and ``quantile0``); nothing is integrated numerically.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import kl_divergence, require_methods
 
 __all__ = ["CensoringStrategy", "optimize", "full_rate_strategy"]
 
@@ -60,8 +64,6 @@ class CensoringStrategy:
 
 def full_rate_strategy(pair) -> CensoringStrategy:
     """Degenerate strategy that transmits everything (rate 1, empty interval)."""
-    from .model import kl_divergence
-
     kl = kl_divergence(pair)
     return CensoringStrategy(
         rate=1.0,
@@ -74,46 +76,12 @@ def full_rate_strategy(pair) -> CensoringStrategy:
     )
 
 
-def _quantile0(pair):
-    q = getattr(pair, "quantile0", None)
-    if q is not None:
-        return q
-
-    from scipy.optimize import brentq
-
-    def by_root(p):
-        # Expand a bracket around zero until cdf0 straddles p, then refine.
-        lo, hi = -1.0, 1.0
-        while pair.cdf0(lo) > p:
-            lo *= 2.0
-        while pair.cdf0(hi) < p:
-            hi *= 2.0
-        return brentq(lambda x: pair.cdf0(x) - p, lo, hi, xtol=1e-10)
-
-    return by_root
-
-
-def _send_region_kl(pair, lo: float, hi: float) -> float:
-    """Integral of f1*llr over the send region (-inf, lo) u (hi, inf)."""
-    closed_form = getattr(pair, "send_region_kl", None)
-    if closed_form is not None:
-        return closed_form(lo, hi)
-    from scipy import integrate
-
-    def g(x):
-        return pair.f1(x) * pair.llr(x)
-
-    left, _ = integrate.quad(g, -np.inf, lo, epsabs=1e-8, limit=200)
-    right, _ = integrate.quad(g, hi, np.inf, epsabs=1e-8, limit=200)
-    return left + right
-
-
 def _evaluate_interval(pair, lo: float, hi: float) -> tuple[float, float, float, float]:
     """(post_kl, p0_nosend, p1_nosend, llr_censored) for no-send interval [lo, hi]."""
     p0 = float(pair.cdf0(hi) - pair.cdf0(lo))
     p1 = float(pair.cdf1(hi) - pair.cdf1(lo))
     llr_c = math.log(p1 / p0)
-    post = _send_region_kl(pair, lo, hi) + p1 * llr_c
+    post = pair.send_region_kl(lo, hi) + p1 * llr_c
     return post, p0, p1, llr_c
 
 
@@ -142,18 +110,18 @@ def optimize(pair, epsilon: float) -> CensoringStrategy:
     The no-send interval's lower endpoint is searched on a 256-point grid
     (refined by golden section); for each candidate the upper endpoint is
     pinned by the rate constraint cdf0(hi) - cdf0(lo) = 1 - epsilon.  Ties
-    within 1e-10 nats resolve to the smallest lower endpoint.  The objective
-    is evaluated in closed form when the pair offers ``send_region_kl`` and
-    ``quantile0`` (``GaussianPair`` does, with no scipy import); other pairs
-    use quadrature and, without ``quantile0``, root finding.  Requires a
-    monotone-LLR pair, the case where one observation interval is the
-    optimal no-send set; epsilon = 1 short-circuits to the full-rate
-    strategy and rates below 1e-3 are rejected as degenerate.
+    within 1e-10 nats resolve to the smallest lower endpoint.  Everything is
+    evaluated from the pair's closed forms ``cdf0``, ``cdf1``, ``quantile0``
+    and ``send_region_kl``, never integrated numerically; a pair lacking one
+    is refused with ``TypeError``.  Requires a monotone-LLR pair, the case
+    where one observation interval is the optimal no-send set; epsilon = 1
+    short-circuits to the full-rate strategy, which needs only the pair's
+    ``closed_form_kl``, and rates below 1e-3 are rejected as degenerate.
 
     Results are memoized on ``(pair, epsilon)`` when the pair is hashable
-    (``GaussianPair`` and ``CustomPair`` are frozen dataclasses), so a
-    network of identical sensors is optimized once; the returned strategy is
-    immutable and shared.  Unhashable pairs are optimized on every call.
+    (``GaussianPair`` is a frozen dataclass), so a network of identical
+    sensors is optimized once; the returned strategy is immutable and
+    shared.  Unhashable pairs are optimized on every call.
     """
     try:
         hash(pair)
@@ -176,25 +144,25 @@ def _optimize(pair, epsilon: float) -> CensoringStrategy:
         raise ValueError(
             f"epsilon={epsilon} below {MIN_RATE}: censored drift degenerates to zero"
         )
+    require_methods(pair, "cdf0", "cdf1", "quantile0", "send_region_kl")
     if not getattr(pair, "monotone_llr", False):
         raise NotImplementedError(
             "a censoring strategy is one no-send interval of the observation, "
             "which is optimal only for pairs with a monotone likelihood ratio"
         )
 
-    quantile0 = _quantile0(pair)
     nosend_mass = 1.0 - epsilon
 
     def upper_for(lo: float) -> float:
-        return float(quantile0(float(pair.cdf0(lo)) + nosend_mass))
+        return float(pair.quantile0(float(pair.cdf0(lo)) + nosend_mass))
 
     def objective(lo: float) -> float:
         return _evaluate_interval(pair, lo, upper_for(lo))[0]
 
     # Feasible lower endpoints satisfy cdf0(lo) <= epsilon so the pinned upper
     # endpoint stays inside the support; a 1e-6 margin keeps both solvable.
-    l_min = float(quantile0(_QUANTILE_MARGIN))
-    l_max = float(quantile0(epsilon - _QUANTILE_MARGIN))
+    l_min = float(pair.quantile0(_QUANTILE_MARGIN))
+    l_max = float(pair.quantile0(epsilon - _QUANTILE_MARGIN))
     grid = np.linspace(l_min, l_max, _GRID_POINTS)
     values = np.array([objective(l) for l in grid])
 

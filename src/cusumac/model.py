@@ -7,31 +7,26 @@ pair, never reconstructed from density ratios at run time, and densities are
 evaluated in log space so the tails do not underflow.
 
 Only the Gaussian mean-shift pair ships built in.  Any object exposing the
-same surface (``f0``, ``f1``, ``cdf0``, ``cdf1``, ``sample0``, ``sample1``,
-``llr``, ``monotone_llr``) can be passed wherever a pair is expected;
-``CustomPair`` is a convenience wrapper for that case.
-
-A pair may also offer closed forms: ``closed_form_kl`` (both divergences)
-and ``send_region_kl`` (the post-change LLR mass outside a no-send
-interval, the censoring optimizer's objective).  ``GaussianPair`` has both,
-and computes its CDF and quantile with the standard library, so the
-Gaussian path never imports scipy.  Pairs without closed forms fall back to
-``scipy.integrate.quad``, imported only when it is needed.
+surface a caller needs can be passed wherever a pair is expected: the
+engine reads ``sample0``, ``sample1`` and ``llr``; the censoring optimizer
+reads ``cdf0``, ``cdf1``, ``quantile0``, ``send_region_kl`` (the post-change
+LLR mass outside a no-send interval, its objective) and ``monotone_llr``;
+``kl_divergence`` reads ``closed_form_kl``.  The last two callers' methods
+are closed forms, never integrated numerically: a pair missing one is
+refused with ``TypeError``.  ``GaussianPair`` has them all and computes its
+CDF and quantile with the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "GaussianPair",
-    "CustomPair",
     "KlReport",
     "as_pairs",
     "gaussian_mean_shift",
@@ -46,6 +41,14 @@ _STD_NORMAL = NormalDist()
 def as_pairs(pairs) -> list:
     """One pair, or a list or tuple of per-sensor pairs, as a list of pairs."""
     return list(pairs) if isinstance(pairs, (list, tuple)) else [pairs]
+
+
+def require_methods(pair, *names: str) -> None:
+    """Refuse, with ``TypeError``, a pair that lacks any of the named methods."""
+    missing = [name for name in names if not hasattr(pair, name)]
+    if missing:
+        raise TypeError(f"{type(pair).__name__} lacks {', '.join(missing)}; "
+                        "a pair must supply these closed forms")
 
 
 def _elementwise(fn, x):
@@ -84,6 +87,16 @@ class GaussianPair:
     mu0: float
     mu1: float
     sigma: float
+
+    def __post_init__(self):
+        # Identical distributions have zero divergence and make every
+        # detection statistic degenerate.
+        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be a positive finite real, got {self.sigma}")
+        if not (math.isfinite(self.mu0) and math.isfinite(self.mu1)):
+            raise ValueError("mu0 and mu1 must be finite")
+        if self.mu0 == self.mu1:
+            raise ValueError("mu0 == mu1 gives zero divergence; the pair is inadmissible")
 
     @property
     def monotone_llr(self) -> bool:
@@ -153,88 +166,30 @@ class GaussianPair:
 
 
 @dataclass(frozen=True)
-class CustomPair:
-    """User-supplied distribution pair.
-
-    All callables must be vectorized over numpy arrays if the pair is to be
-    used with the Monte Carlo engine.  ``quantile0`` is optional; when absent
-    the censoring optimizer falls back to root finding on ``cdf0``.
-    """
-
-    f0: Callable
-    f1: Callable
-    cdf0: Callable
-    cdf1: Callable
-    sample0: Callable
-    sample1: Callable
-    llr: Callable
-    monotone_llr: bool = False
-    quantile0: Optional[Callable] = None
-
-
-@dataclass(frozen=True)
 class KlReport:
-    """Both K-L divergences of a pair, in nats, and how they were computed."""
+    """Both K-L divergences of a pair, in nats."""
 
     i_f1_f0: float
     i_f0_f1: float
-    method: str  # "closed_form" | "quadrature"
 
 
 def gaussian_mean_shift(mu0: float, mu1: float, sigma: float) -> GaussianPair:
     """Build the Gaussian mean-shift pair N(mu0, sigma^2) -> N(mu1, sigma^2).
 
-    Rejects ``sigma <= 0`` and ``mu0 == mu1``: identical distributions have
-    zero divergence and make every detection statistic degenerate.
+    ``GaussianPair`` rejects ``sigma <= 0``, non-finite means and ``mu0 == mu1``.
     """
-    if not (sigma > 0.0) or not math.isfinite(sigma):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma}")
-    if not (math.isfinite(mu0) and math.isfinite(mu1)):
-        raise ValueError("mu0 and mu1 must be finite")
-    if mu0 == mu1:
-        raise ValueError("mu0 == mu1 gives zero divergence; the pair is inadmissible")
     return GaussianPair(float(mu0), float(mu1), float(sigma))
 
 
-def _kl_by_quadrature(pair) -> tuple[float, float]:
-    # E1[llr] and E_inf[-llr], each as an adaptive quadrature over the real
-    # line; a non-convergent integral means the divergence is not finite.
-    from scipy import integrate
-
-    def post(x):
-        return pair.f1(x) * pair.llr(x)
-
-    def pre(x):
-        return -pair.f0(x) * pair.llr(x)
-
-    values = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        for name, fn in (("I(f1||f0)", post), ("I(f0||f1)", pre)):
-            try:
-                value, _ = integrate.quad(fn, -np.inf, np.inf, epsabs=1e-8, limit=200)
-            except integrate.IntegrationWarning as warn:
-                raise ValueError(
-                    f"quadrature for {name} did not converge ({warn}); "
-                    "the divergence appears infinite and the pair is inadmissible"
-                ) from None
-            values.append(value)
-    return values[0], values[1]
-
-
 def kl_divergence(pair) -> KlReport:
-    """Compute I(f1||f0) and I(f0||f1) for an admitted pair.
+    """I(f1||f0) and I(f0||f1) of an admitted pair, from its ``closed_form_kl()``.
 
-    Uses the pair's closed form when it provides one, otherwise adaptive
-    quadrature with absolute tolerance 1e-8.  Non-finite or numerically zero
-    (<= 1e-12) divergences break the finiteness assumption and are rejected.
+    A pair without ``closed_form_kl`` is refused with ``TypeError``.
+    Non-finite or numerically zero (<= 1e-12) divergences break the
+    finiteness assumption and are rejected.
     """
-    if hasattr(pair, "closed_form_kl"):
-        i10, i01 = pair.closed_form_kl()
-        method = "closed_form"
-    else:
-        i10, i01 = _kl_by_quadrature(pair)
-        method = "quadrature"
+    require_methods(pair, "closed_form_kl")
+    i10, i01 = pair.closed_form_kl()
     for name, value in (("I(f1||f0)", i10), ("I(f0||f1)", i01)):
         if not math.isfinite(value):
             raise ValueError(f"{name} is not finite; pair violates the divergence assumption")
@@ -242,4 +197,4 @@ def kl_divergence(pair) -> KlReport:
             raise ValueError(
                 f"{name} = {value:g} is not strictly positive; pair is inadmissible"
             )
-    return KlReport(float(i10), float(i01), method)
+    return KlReport(float(i10), float(i01))

@@ -26,3 +26,29 @@ def strategy_cache(pair):
         return cache[eps]
 
     return get
+
+
+class PairWithout:
+    """The Gaussian pair with one method hidden; logs every method it forwards.
+
+    Unhashable, so ``optimize`` neither memoizes it nor keeps it alive.
+    """
+
+    __hash__ = None
+
+    def __init__(self, pair, hidden):
+        self.pair, self.hidden, self.calls = pair, hidden, []
+
+    def __getattr__(self, name):
+        if name == self.hidden:
+            raise AttributeError(name)
+        attr = getattr(self.pair, name)
+        if not callable(attr):
+            return attr
+        return lambda *args: self.calls.append(name) or attr(*args)
+
+
+@pytest.fixture
+def pair_without(pair):
+    """Factory: ``pair_without(name)`` is the shared pair lacking method ``name``."""
+    return lambda hidden: PairWithout(pair, hidden)

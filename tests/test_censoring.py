@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.stats import norm
 
 from cusumac import censoring
 from cusumac.censoring import CensoringStrategy, optimize
 from cusumac.detectors import cusum_ac_step, initial_state, two_level
-from cusumac.model import CustomPair, gaussian_mean_shift
+from cusumac.model import gaussian_mean_shift
 
 # Frozen output of the exhaustive-grid oracle below at eps = 0.5 (2000 grid
 # points over the feasible lower endpoints; closed-form truncated-Gaussian
@@ -82,20 +83,41 @@ class TestOptimizer:
         with pytest.raises(NotImplementedError):
             optimize(Wrapped(), 0.5)
 
-    @pytest.mark.parametrize("eps", [0.1, 0.27, 0.4, 0.63, 0.9])
-    def test_closed_form_matches_quadrature_route(self, pair, strategy_cache, eps):
-        # The same pair without closed forms or a quantile takes the
-        # quad-and-brentq route through the identical search.
-        custom = CustomPair(
-            f0=pair.f0, f1=pair.f1,
-            cdf0=lambda x: norm.cdf(x), cdf1=lambda x: norm.cdf(x, loc=0.5),
-            sample0=pair.sample0, sample1=pair.sample1, llr=pair.llr,
-            monotone_llr=True,
-        )
-        closed, quad = strategy_cache(eps), optimize(custom, eps)
-        assert closed.nosend_x_lo == pytest.approx(quad.nosend_x_lo, abs=1e-6)
-        assert closed.nosend_x_hi == pytest.approx(quad.nosend_x_hi, abs=1e-6)
-        assert closed.post_kl == pytest.approx(quad.post_kl, abs=1e-10)
+    @pytest.mark.parametrize("hidden, eps", [
+        ("cdf0", 0.4), ("cdf1", 0.4), ("quantile0", 0.4), ("send_region_kl", 0.4),
+        ("closed_form_kl", 1.0),
+    ])
+    def test_pair_without_closed_form_refused(self, pair_without, hidden, eps):
+        lacking = pair_without(hidden)
+        with pytest.raises(TypeError, match=hidden):
+            optimize(lacking, eps)
+        assert lacking.calls == []
+
+    def test_refusal_names_every_missing_method(self):
+        class Bare:
+            monotone_llr = True
+
+        with pytest.raises(TypeError, match="cdf0, cdf1, quantile0, send_region_kl;"):
+            optimize(Bare(), 0.4)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.27, 0.5, 0.9])
+    def test_decreasing_llr_mirrors_increasing(self, eps):
+        # N(1, 2.5^2) -> N(-0.3, 2.5^2) has a decreasing LLR; x -> -x maps
+        # it onto N(-1, 2.5^2) -> N(0.3, 2.5^2) and [lo, hi] onto [-hi, -lo].
+        down = gaussian_mean_shift(1.0, -0.3, 2.5)
+        up = gaussian_mean_shift(-1.0, 0.3, 2.5)
+        s_down, s_up = optimize(down, eps), optimize(up, eps)
+        assert abs(s_down.post_kl - s_up.post_kl) <= 1e-12
+        assert s_down.nosend_x_lo == pytest.approx(-s_up.nosend_x_hi, abs=1e-5)
+        assert s_down.nosend_x_hi == pytest.approx(-s_up.nosend_x_lo, abs=1e-5)
+        for p, strat in ((down, s_down), (up, s_up)):
+            lo, hi = strat.nosend_x_lo, strat.nosend_x_hi
+            send = sum(integrate.quad(lambda x: p.f1(x) * p.llr(x), a, b, epsabs=1e-13,
+                                      epsrel=1e-13, limit=200)[0]
+                       for a, b in ((-np.inf, lo), (hi, np.inf)))
+            p0 = norm.cdf(hi, p.mu0, p.sigma) - norm.cdf(lo, p.mu0, p.sigma)
+            p1 = norm.cdf(hi, p.mu1, p.sigma) - norm.cdf(lo, p.mu1, p.sigma)
+            assert abs(strat.post_kl - (send + p1 * math.log(p1 / p0))) <= 1e-10
 
     def test_memoized_per_pair_and_rate(self, optimizer_runs):
         pair = gaussian_mean_shift(0.0, 0.55, 1.0)  # a key no other test uses

@@ -22,7 +22,6 @@ from cusumac.detectors import (
     random_tx_cusum_step,
     two_level,
 )
-from cusumac.model import CustomPair
 from test_renewal import _RecordingPair
 
 
@@ -379,9 +378,10 @@ class TestCusumAcKernel:
         replay_cusum_ac(batch, cfg, pairs)
 
     def test_generic_llr_path_matches_gaussian(self, pair):
-        custom = CustomPair(f0=pair.f0, f1=pair.f1, cdf0=pair.cdf0, cdf1=pair.cdf1,
-                            sample0=pair.sample0, sample1=pair.sample1, llr=pair.llr,
-                            monotone_llr=True)
+        class Generic:  # exactly the surface the engine reads
+            sample0, sample1, llr = pair.sample0, pair.sample1, pair.llr
+
+        custom = Generic()
         strategies = [_strategy(0.27)] * 3
         kwargs = dict(n_reps=30, seed=306, limit=3000, nu=400)
         fast = eng.run_batch(two_level([pair] * 3, 5.0, 0.79, 0.27, strategies),

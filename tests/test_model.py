@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate
 from scipy.stats import kstest, norm
 
-from cusumac.model import CustomPair, gaussian_mean_shift, kl_divergence
+from cusumac.model import GaussianPair, gaussian_mean_shift, kl_divergence
 
 
 class TestGaussianPair:
@@ -28,6 +30,13 @@ class TestGaussianPair:
             gaussian_mean_shift(0.0, 0.5, -1.0)
         with pytest.raises(ValueError):
             gaussian_mean_shift(0.3, 0.3, 1.0)
+
+    @pytest.mark.parametrize("mu0, mu1, sigma", [
+        (0.0, 0.5, 0.0), (0.0, 0.5, -1.0), (0.3, 0.3, 1.0), (math.nan, 0.5, 1.0),
+    ])
+    def test_constructor_validates(self, mu0, mu1, sigma):
+        with pytest.raises(ValueError):
+            GaussianPair(mu0, mu1, sigma)
 
     def test_llr_consistent_with_log_densities(self, pair):
         rng = np.random.default_rng(42)
@@ -116,7 +125,6 @@ class TestSamplers:
 class TestKlDivergence:
     def test_closed_form_half_shift(self, pair):
         report = kl_divergence(pair)
-        assert report.method == "closed_form"
         assert report.i_f1_f0 == pytest.approx(0.125, abs=1e-15)
         assert report.i_f0_f1 == pytest.approx(0.125, abs=1e-15)
 
@@ -125,49 +133,27 @@ class TestKlDivergence:
         assert report.i_f1_f0 == pytest.approx(0.5, abs=1e-15)
         assert report.i_f0_f1 == pytest.approx(0.5, abs=1e-15)
 
-    def test_quadrature_route_matches_closed_form(self):
-        custom = CustomPair(
-            f0=lambda x: norm.pdf(x),
-            f1=lambda x: norm.pdf(x, loc=1.0),
-            cdf0=lambda x: norm.cdf(x),
-            cdf1=lambda x: norm.cdf(x, loc=1.0),
-            sample0=lambda rng, size=None: rng.normal(0.0, 1.0, size),
-            sample1=lambda rng, size=None: rng.normal(1.0, 1.0, size),
-            llr=lambda x: np.asarray(x) - 0.5,
-            monotone_llr=True,
-        )
-        report = kl_divergence(custom)
-        assert report.method == "quadrature"
-        assert report.i_f1_f0 == pytest.approx(0.5, abs=1e-6)
-        assert report.i_f0_f1 == pytest.approx(0.5, abs=1e-6)
-
     def test_divergent_pair_rejected(self):
-        from scipy.stats import cauchy
+        class Divergent:
+            def closed_form_kl(self):
+                return math.inf, 0.5
 
-        heavy = CustomPair(
-            f0=lambda x: cauchy.pdf(x),
-            f1=lambda x: norm.pdf(x),
-            cdf0=lambda x: cauchy.cdf(x),
-            cdf1=lambda x: norm.cdf(x),
-            sample0=lambda rng, size=None: rng.standard_cauchy(size),
-            sample1=lambda rng, size=None: rng.normal(0.0, 1.0, size),
-            llr=lambda x: norm.logpdf(x) - cauchy.logpdf(x),
-        )
-        with pytest.raises(ValueError, match="did not converge|inadmissible"):
-            kl_divergence(heavy)
+        with pytest.raises(ValueError, match="not finite"):
+            kl_divergence(Divergent())
 
     def test_identical_densities_rejected(self):
-        same = CustomPair(
-            f0=lambda x: norm.pdf(x),
-            f1=lambda x: norm.pdf(x),
-            cdf0=lambda x: norm.cdf(x),
-            cdf1=lambda x: norm.cdf(x),
-            sample0=lambda rng, size=None: rng.normal(0.0, 1.0, size),
-            sample1=lambda rng, size=None: rng.normal(0.0, 1.0, size),
-            llr=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
+        class Identical:
+            def closed_form_kl(self):
+                return 0.0, 0.0
+
         with pytest.raises(ValueError, match="not strictly positive"):
-            kl_divergence(same)
+            kl_divergence(Identical())
+
+    def test_pair_without_closed_form_refused(self, pair_without):
+        lacking = pair_without("closed_form_kl")
+        with pytest.raises(TypeError, match="closed_form_kl"):
+            kl_divergence(lacking)
+        assert lacking.calls == []
 
 
 @given(
