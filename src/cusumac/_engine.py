@@ -64,8 +64,7 @@ class BatchResult:
     stopped: np.ndarray     # bool
     tx: np.ndarray          # int64, transmissions summed over sensors
     feedback: np.ndarray    # int64, strategy announcements (initial one included)
-    time_above: np.ndarray  # int64, steps with statistic >= a1
-    time_below: np.ndarray  # int64
+    time_above: np.ndarray  # int64, steps with statistic >= a1; CuSum-AC's other steps are below
     rejected: np.ndarray    # bool; only populated under require_zero_at
     records: Optional[dict] = None
 
@@ -226,7 +225,6 @@ def _new_result(n_reps: int, limit: int) -> BatchResult:
         tx=np.zeros(n_reps, dtype=np.int64),
         feedback=np.zeros(n_reps, dtype=np.int64),
         time_above=np.zeros(n_reps, dtype=np.int64),
-        time_below=np.zeros(n_reps, dtype=np.int64),
         rejected=np.zeros(n_reps, dtype=bool),
     )
 
@@ -442,7 +440,6 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
         # initial strategy announcement counts as one feedback message.  A
         # detector that does not censor keeps no feedback or sojourn counts.
         res.feedback += 1
-        res.time_below = res.stop_time - res.time_above
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:

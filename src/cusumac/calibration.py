@@ -17,6 +17,7 @@ slow-regime membership is recorded as advisory.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -24,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._engine import _StepTables
-from .censoring import optimize
 from .detectors import CusumAcConfig, two_level
 from .model import as_pairs
 from .montecarlo import (
@@ -259,8 +259,12 @@ def search_two_level(
 ) -> CalibrationResult:
     """Brute-force search over (a1, eps1) minimizing delay under the constraints.
 
-    Every candidate's communication rate is measured once, in ``no_stop``
-    mode (which ignores the alarm threshold), on ``max(100, n_reps // 10)``
+    Each candidate is built once, as ``two_level(pairs, inf, a1, eps1)``,
+    whose strategies come from the memoized optimizer; its rate screen,
+    ARLFA curve and renewal cycle all run that detector, and the calibrated
+    config is the same detector at the calibrated threshold.  Every
+    candidate's communication rate is measured once, in ``no_stop`` mode
+    (which ignores the alarm threshold), on ``max(100, n_reps // 10)``
     replications.  A candidate is admissible when that rate does not exceed
     the budget by more than three standard errors; the others are recorded
     as ``rate screen failed`` and never calibrated.  Admissible candidates
@@ -286,21 +290,15 @@ def search_two_level(
         raise ValueError("the search needs at least 100 replications and 100 cycles")
     pairs = as_pairs(pairs)
 
-    strategy_cache = {
-        eps1: [optimize(p, eps1) for p in pairs] for eps1 in sorted(set(eps1_grid))
-    }
-
     trace: list[CandidateRecord] = []
     candidates: list[tuple[CandidateRecord, CusumAcConfig]] = []
 
     for a1 in a1_grid:
         for eps1 in eps1_grid:
-            strategies = strategy_cache[eps1]
-            config_of = lambda a, a1=a1, eps1=eps1, st=strategies: two_level(
-                pairs, a, a1, eps1, strategies=st)
-            # The no_stop rate ignores the alarm threshold, so it is measured once,
-            # before calibrating; the detector also names the ARLFA curve's family.
-            family = config_of(a1 + 100.0)
+            # The detector family, open above: the no_stop rate ignores the alarm
+            # threshold, so it is measured once, before calibrating; the family
+            # also names the ARLFA curve and the renewal cycle.
+            family = two_level(pairs, math.inf, a1, eps1)
             rate = estimate_comm_rate(family, pairs, rate_horizon, max(100, n_reps // 10),
                                       derive_seed(seed, 23), n_jobs=n_jobs)
             if not rate.mean <= target.epsilon + 3.0 * rate.std_error:
@@ -313,11 +311,10 @@ def search_two_level(
             except CalibrationError as err:
                 trace.append(_skipped(a1, eps1, rate, f"calibration failed: {err}"))
                 continue
-            config = config_of(cal.a)
+            config = dataclasses.replace(family, a=cal.a)
             delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
                                    nu=target.nu, n_jobs=n_jobs)
-            cycle = estimate_cycle(pairs, a1, math.inf, eps1, cycle_reps,
-                                   derive_seed(seed, 25), strategy=strategies)
+            cycle = estimate_cycle(family, pairs, cycle_reps, derive_seed(seed, 25))
             eprime: EprimeCheck = check_eprime_membership(cycle)
             rec = CandidateRecord(
                 a1=a1, eps1=eps1, a=cal.a,

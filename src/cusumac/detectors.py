@@ -10,7 +10,9 @@ Three detector families share one small value-type state:
   ``epsilon`` independently of its value, an unsent slot contributing zero
   (the send decision carries no likelihood information).
 
-The strict/inclusive threshold distinction is deliberate and preserved even
+A CuSum-AC detector is exactly a :class:`CusumAcConfig`; :func:`two_level`
+builds one whose strategies come from the memoized optimizer.  The
+strict/inclusive threshold distinction is deliberate and preserved even
 though it is immaterial for continuous observation models.  All step
 functions are pure: state in, new state out.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -99,31 +101,21 @@ class CusumAcConfig:
         return len(self.strategies)
 
 
-def two_level(
-    pair_or_pairs,
-    a: float,
-    a1: float,
-    eps1,
-    strategies: Optional[Sequence[CensoringStrategy]] = None,
-) -> CusumAcConfig:
+def two_level(pair_or_pairs, a: float, a1: float, eps1) -> CusumAcConfig:
     """CuSum-AC config: full rate at or above ``a1``, rate ``eps1`` below.
 
     Accepts one pair or a list of per-sensor pairs; ``eps1`` may be a scalar
-    (shared by all sensors) or one rate per sensor.  Precomputed strategies
-    can be passed to skip the optimizer (they must match the rates).
+    (shared by all sensors) or one rate per sensor.  Each strategy comes from
+    the memoized :func:`cusumac.censoring.optimize`, so configs built on the
+    same pairs and rates share their strategy objects.  Hand-built strategies
+    go straight into :class:`CusumAcConfig`.
     """
     pairs = as_pairs(pair_or_pairs)
     rates = list(eps1) if isinstance(eps1, (list, tuple)) else [eps1] * len(pairs)
     if len(rates) != len(pairs):
         raise ValueError("need one censoring rate per sensor")
-    if strategies is None:
-        strategies = [optimize(p, r) for p, r in zip(pairs, rates)]
-    elif len(strategies) != len(pairs):
-        raise ValueError(f"got {len(strategies)} strategies for {len(pairs)} sensors")
-    for rate, strat in zip(rates, strategies):
-        if strat.rate != rate:
-            raise ValueError(f"strategy rate {strat.rate} does not match censoring rate {rate}")
-    return CusumAcConfig(a=a, a1=a1, strategies=tuple(strategies))
+    strategies = tuple(optimize(p, r) for p, r in zip(pairs, rates))
+    return CusumAcConfig(a=a, a1=a1, strategies=strategies)
 
 
 @dataclass(frozen=True)
@@ -135,9 +127,9 @@ class DetectorState:
     taken, so a stopped state stopped at step ``k``.  ``feedback_count``
     counts strategy announcements to the sensors: the initial announcement
     (sensors default to full rate, so starting below a1 costs one message)
-    plus every later level switch.  ``time_above_a1``/``time_below_a1``
-    partition the steps taken by whether the post-update statistic sits at
-    or above a1.
+    plus every later level switch.  ``time_above_a1`` counts the steps after
+    which the statistic sits at or above a1; the rest of the ``k`` steps
+    were spent below it.
     """
 
     s: float = 0.0
@@ -146,7 +138,6 @@ class DetectorState:
     tx_count: int = 0
     feedback_count: int = 0
     time_above_a1: int = 0
-    time_below_a1: int = 0
 
 
 def initial_state(config: Optional[CusumAcConfig] = None, s0: float = 0.0) -> DetectorState:
@@ -191,7 +182,6 @@ def _ac_update(state: DetectorState, config: CusumAcConfig, fused_inc: float, n_
         tx_count=state.tx_count + n_sent,
         feedback_count=state.feedback_count + (above != (state.s >= config.a1)),
         time_above_a1=state.time_above_a1 + above,
-        time_below_a1=state.time_below_a1 + (not above),
     )
 
 

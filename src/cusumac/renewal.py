@@ -29,9 +29,11 @@ block is drawn sensor by sensor; with M = 1 the draws are one sequence
 whatever the block sizes (random transmission's send uniforms, which follow
 each block's observations, aside).
 
-``estimate_cycle_direct`` measures whole cycles through the scalar detector
-step function instead, giving an independent route for the composition
-identity E[cycle] = E[eta] + p_return * E[phi | return].
+Both cycle estimators take the detector as every simulator does, as
+``(config, pairs)``: a :class:`CusumAcConfig` whose strategies share one
+censored rate.  ``estimate_cycle_direct`` measures whole cycles through the
+scalar detector step function instead, giving an independent route for the
+composition identity E[cycle] = E[eta] + p_return * E[phi | return].
 
 ``arlfa_curve`` turns the same decomposition into the mean time to false
 alarm of all three detector families at every threshold of a grid, with the
@@ -48,8 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import _block_steps, _draw_obs, _reflected, _rep_rngs, _StepTables
-from .detectors import CusumAcConfig, cusum_ac_multi_step, initial_state, two_level
-from .model import as_pairs
+from .detectors import CusumAcConfig, cusum_ac_multi_step, initial_state
 from .montecarlo import McEstimate, derive_seed, summarize
 
 __all__ = [
@@ -105,12 +106,17 @@ class EprimeCheck:
         return self.verdict == "member"
 
 
-def _cycle_config(pairs, a1: float, a: float, eps1: float, strategy) -> CusumAcConfig:
-    """The two-level config of a cycle: one shared strategy, one per sensor, or optimized."""
-    pairs = as_pairs(pairs)
-    if strategy is not None and not isinstance(strategy, (list, tuple)):
-        strategy = [strategy] * len(pairs)
-    return two_level(pairs, a, a1, eps1, strategies=strategy)
+def _cycle_tables(config, pairs) -> _StepTables:
+    """The step table of a renewal cycle's detector, refused unless the cycle is defined.
+
+    Cycles are CuSum-AC's, with one censored rate shared by every sensor
+    (the rate :class:`CycleStats` reports); the table checks the sensor count.
+    """
+    if not isinstance(config, CusumAcConfig):
+        raise TypeError(f"renewal cycles need a CusumAcConfig, got {config!r}")
+    if len({st.rate for st in config.strategies}) != 1:
+        raise ValueError("renewal cycles need one censored rate shared by every sensor")
+    return _StepTables(config, pairs)
 
 
 def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, upper: float,
@@ -175,24 +181,21 @@ def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, up
     return dur, exit_s, int(act.size), (times, values)
 
 
-def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: int, *,
-                   strategy=None, cap: int = _WALK_CAP) -> CycleStats:
+def estimate_cycle(config: CusumAcConfig, pairs, n_reps: int, seed: int, *,
+                   cap: int = _WALK_CAP) -> CycleStats:
     """Estimate the renewal-cycle quantities of the fused statistic pre-change.
 
-    ``pairs`` is one pair or a list of per-sensor pairs, and ``strategy`` one
-    shared censoring strategy or one per sensor (optimized at ``eps1`` when
-    omitted).  ``a`` may be infinite (the SPRT leg is then open above).  The
+    ``config`` is the CuSum-AC detector on ``pairs`` (one pair or a list of
+    per-sensor pairs), its strategies sharing one censored rate.  Its alarm
+    threshold may be infinite (the SPRT leg is then open above).  The
     censored climb is simulated from every observed re-entry value, so the
     conditional mean over the empirical re-entry distribution needs no
     parametric form.
     """
-    if not (0 < a1 < a):
-        raise ValueError(f"need 0 < a1 < a, got a1={a1}, a={a}")
-    if not (1e-3 < eps1 <= 1.0):
-        raise ValueError(f"eps1 must lie in (1e-3, 1], got {eps1}")
+    tab = _cycle_tables(config, pairs)
     if n_reps < 100:
         raise ValueError("cycle estimation needs at least 100 replications")
-    tab = _StepTables(_cycle_config(pairs, a1, a, eps1, strategy), pairs)
+    a1, a = config.a1, config.a
 
     eta, shat, capped_eta = _walk(tab, False, np.full(n_reps, a1),
                                   np.nextafter(a1, -math.inf), a,
@@ -205,7 +208,7 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
                               np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
 
     return CycleStats(
-        eps1=eps1,
+        eps1=config.strategies[0].rate,
         eta0=summarize(eta, capped_eta),
         eta0_given_return=summarize(eta[returned]),
         phi_given_return=summarize(phi, capped_phi),
@@ -216,18 +219,16 @@ def estimate_cycle(pairs, a1: float, a: float, eps1: float, n_reps: int, seed: i
     )
 
 
-def estimate_cycle_direct(pairs, a1: float, a: float, eps1: float, n_cycles: int,
-                          seed: int, *, strategy=None, cap: int = 1_000_000
-                          ) -> DirectCycleStats:
+def estimate_cycle_direct(config: CusumAcConfig, pairs, n_cycles: int, seed: int, *,
+                          cap: int = 1_000_000) -> DirectCycleStats:
     """Measure whole SPRT cycles by stepping the scalar fused detector from a1.
 
-    Takes pairs and strategies as :func:`estimate_cycle` does.  A cycle ends
-    at the alarm or at the bit-exact reset back to a1 after a spell below;
-    this is the independent route the composition identity is checked
-    against.
+    Takes the detector as :func:`estimate_cycle` does.  A cycle ends at the
+    alarm or at the bit-exact reset back to a1 after a spell below; this is
+    the independent route the composition identity is checked against.
     """
-    pairs = as_pairs(pairs)
-    config = _cycle_config(pairs, a1, a, eps1, strategy)
+    pairs = _cycle_tables(config, pairs).pairs
+    a1 = config.a1
     lengths = np.zeros(n_cycles, dtype=np.int64)
     returned = np.zeros(n_cycles, dtype=bool)
     for i, rng in enumerate(_rep_rngs(seed, 0, n_cycles, 0)):

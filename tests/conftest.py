@@ -1,7 +1,6 @@
 import pytest
 
 from cusumac import gaussian_mean_shift
-from cusumac.censoring import optimize
 
 
 @pytest.fixture(scope="session")
@@ -13,19 +12,6 @@ def pair():
 @pytest.fixture(scope="session")
 def pairs3(pair):
     return [pair, pair, pair]
-
-
-@pytest.fixture(scope="session")
-def strategy_cache(pair):
-    """Memoized optimal strategies keyed by rate; the optimizer is not free."""
-    cache = {}
-
-    def get(eps):
-        if eps not in cache:
-            cache[eps] = optimize(pair, eps)
-        return cache[eps]
-
-    return get
 
 
 class PairWithout:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cusumac.censoring import optimize
 from cusumac.cli import reproduce
 from cusumac.detectors import (
     CusumSpec,
@@ -118,12 +119,12 @@ def test_criterion_2_delay_vs_rate_at_fixed_arlfa(fig6_rows):
               f"{worst:.1f} SEs over the budget grid")
 
 
-def test_criterion_3_equalizer_rule(pair, strategy_cache):
+def test_criterion_3_equalizer_rule(pair):
     """Worst-history delay agrees between change times 1 and 20 within 3
     combined SEs at 5000 replications, for two distinct configurations."""
     results = []
     for i, (a1, eps1) in enumerate(((0.78, 0.63), (0.79, 0.27))):
-        cfg = two_level(pair, 4.5, a1, eps1, strategies=[strategy_cache(eps1)])
+        cfg = two_level(pair, 4.5, a1, eps1)
         d1 = estimate_delay(cfg, pair, 5000, ACCEPT_SEED + 10 + i, nu=1)
         d20 = estimate_delay(cfg, pair, 5000, ACCEPT_SEED + 20 + i, nu=20,
                              worst_history=True)
@@ -136,17 +137,16 @@ def test_criterion_3_equalizer_rule(pair, strategy_cache):
     report(3, "; ".join(results))
 
 
-def test_criterion_4_arlfa_dominance(pair, strategy_cache):
+def test_criterion_4_arlfa_dominance(pair):
     """For a censoring rate in the slow-regime set, the adaptive detector's
     ARLFA dominates plain CuSum at the same threshold, a in {4, 6, 8}."""
     eps1, a1 = 0.2, 0.78
-    cycle = estimate_cycle(pair, a1, math.inf, eps1, 4000, ACCEPT_SEED + 30,
-                           strategy=strategy_cache(eps1))
+    cycle = estimate_cycle(two_level(pair, math.inf, a1, eps1), pair, 4000, ACCEPT_SEED + 30)
     membership = check_eprime_membership(cycle)
     assert membership.is_member, f"eps1={eps1} not in the slow-regime set"
     lines = []
     for a in (4.0, 6.0, 8.0):
-        cfg = two_level(pair, a, a1, eps1, strategies=[strategy_cache(eps1)])
+        cfg = two_level(pair, a, a1, eps1)
         ac = estimate_arlfa(cfg, pair, 200, cap=5_000_000, seed=ACCEPT_SEED + 40)
         cu = estimate_arlfa(CusumSpec(a), pair, 200, cap=5_000_000,
                             seed=ACCEPT_SEED + 40)
@@ -157,31 +157,31 @@ def test_criterion_4_arlfa_dominance(pair, strategy_cache):
     report(4, f"membership margin {membership.margin:.1f} SEs; " + "; ".join(lines))
 
 
-def test_criterion_5_rate_machinery(pair, strategy_cache):
+def test_criterion_5_rate_machinery(pair):
     """(i) optimizer send rates hit epsilon on the whole grid; (ii) measured
     rates respect the alternating-renewal upper bound for six configurations;
     (iii) the rate plateaus between a and 2a."""
     rng = np.random.default_rng(ACCEPT_SEED + 50)
     x = pair.sample0(rng, 100_000)
     for eps in [round(0.1 * i, 1) for i in range(1, 11)]:
-        freq = strategy_cache(eps).apply(x).mean()
+        freq = optimize(pair, eps).apply(x).mean()
         se = math.sqrt(eps * (1 - eps) / x.size)
         assert abs(freq - eps) <= max(3 * se, 1e-12), f"send rate off at eps={eps}"
 
     combos = [(a1, e1) for a1 in (0.5, 0.78, 1.2) for e1 in (0.3, 0.63)]
     bounds = []
     for i, (a1, eps1) in enumerate(combos):
-        stats = estimate_cycle(pair, a1, math.inf, eps1, 4000,
-                               ACCEPT_SEED + 60 + i, strategy=strategy_cache(eps1))
+        stats = estimate_cycle(two_level(pair, math.inf, a1, eps1), pair, 4000,
+                               ACCEPT_SEED + 60 + i)
         bound = rate_upper_bound(stats)
-        cfg = two_level(pair, a1 + 100.0, a1, eps1, strategies=[strategy_cache(eps1)])
+        cfg = two_level(pair, a1 + 100.0, a1, eps1)
         rate = estimate_comm_rate(cfg, pair, 10_000, 150, ACCEPT_SEED + 70 + i)
         assert rate.mean <= bound + 3 * rate.std_error, (
             f"(a1={a1}, eps1={eps1}): rate {rate.mean:.4f} above bound {bound:.4f}")
         bounds.append(f"({a1},{eps1}): {rate.mean:.3f}<={bound:.3f}")
 
-    cfg8 = two_level(pair, 8.0, 0.78, 0.27, strategies=[strategy_cache(0.27)])
-    cfg16 = two_level(pair, 16.0, 0.78, 0.27, strategies=[strategy_cache(0.27)])
+    cfg8 = two_level(pair, 8.0, 0.78, 0.27)
+    cfg16 = two_level(pair, 16.0, 0.78, 0.27)
     r8 = estimate_comm_rate(cfg8, pair, 10_000, 120, ACCEPT_SEED + 80,
                             mode="conditional")
     r16 = estimate_comm_rate(cfg16, pair, 10_000, 120, ACCEPT_SEED + 81,
@@ -192,14 +192,13 @@ def test_criterion_5_rate_machinery(pair, strategy_cache):
               + f"; plateau {r8.mean:.4f} vs {r16.mean:.4f}")
 
 
-def test_criterion_6_renewal_decomposition_oracle(pair, strategy_cache):
+def test_criterion_6_renewal_decomposition_oracle(pair):
     """Direct whole-cycle simulation matches the eta/phi composition, and the
     simulated per-alarm feedback count matches 2/(1 - p_return)."""
     a1, a, eps1 = 0.78, 4.0, 0.63
-    strat = strategy_cache(eps1)
-    stats = estimate_cycle(pair, a1, a, eps1, 24_000, ACCEPT_SEED + 90, strategy=strat)
-    direct = estimate_cycle_direct(pair, a1, a, eps1, 3000, ACCEPT_SEED + 91,
-                                   strategy=strat)
+    cfg = two_level(pair, a, a1, eps1)
+    stats = estimate_cycle(cfg, pair, 24_000, ACCEPT_SEED + 90)
+    direct = estimate_cycle_direct(cfg, pair, 3000, ACCEPT_SEED + 91)
     p = stats.p_return.mean
     composed = stats.eta0.mean + p * stats.phi_given_return.mean
     se = math.sqrt(
@@ -212,7 +211,6 @@ def test_criterion_6_renewal_decomposition_oracle(pair, strategy_cache):
     p_se = math.hypot(stats.p_return.std_error, direct.p_return.std_error)
     assert abs(direct.p_return.mean - p) <= 3 * p_se
 
-    cfg = two_level(pair, a, a1, eps1, strategies=[strat])
     run = pre_change_run(cfg, pair, 3000, cap=100_000, seed=ACCEPT_SEED + 92)
     predicted = feedback_expectation(stats)
     se_pred = 2.0 * stats.p_return.std_error / (1.0 - p) ** 2
@@ -223,11 +221,11 @@ def test_criterion_6_renewal_decomposition_oracle(pair, strategy_cache):
               f"feedback {run.feedback_per_alarm.mean:.2f} = {predicted:.2f} predicted")
 
 
-def test_criterion_7_property_suite(pair, pairs3, strategy_cache):
+def test_criterion_7_property_suite(pair, pairs3):
     """Structural properties: nonnegativity, bit-exact reset, full-rate
     pathwise dominance, M=1 fusion equivalence, K-L monotonicity, optimizer
     equivalence with the exhaustive grid oracle, deterministic reruns."""
-    cfg = two_level(pair, 4.5, 0.78, 0.63, strategies=[strategy_cache(0.63)])
+    cfg = two_level(pair, 4.5, 0.78, 0.63)
 
     # nonnegativity and bit-exact reset along a long driven path
     rng = np.random.default_rng(ACCEPT_SEED + 100)
@@ -245,7 +243,7 @@ def test_criterion_7_property_suite(pair, pairs3, strategy_cache):
     assert resets > 0
 
     # full-rate pathwise dominance s_k <= c_k and tx_count == k
-    full = two_level(pair, 4.5, 0.78, 1.0, strategies=[strategy_cache(1.0)])
+    full = two_level(pair, 4.5, 0.78, 1.0)
     for rep in range(400):
         prng = np.random.default_rng([ACCEPT_SEED + 101, rep])
         ac, cu = initial_state(full), initial_state()
@@ -271,12 +269,12 @@ def test_criterion_7_property_suite(pair, pairs3, strategy_cache):
 
     # K-L monotonicity of the optimal strategy in the rate
     grid = [round(0.1 * i, 1) for i in range(1, 11)]
-    post = [strategy_cache(e).post_kl for e in grid]
+    post = [optimize(pair, e).post_kl for e in grid]
     assert all(b >= a - 1e-10 for a, b in zip(post, post[1:]))
 
     # optimizer equivalence with the 2000-point exhaustive grid oracle
     oracle = grid_oracle_best_post_kl(0.5)
-    assert abs(strategy_cache(0.5).post_kl - oracle) <= 1e-4
+    assert abs(optimize(pair, 0.5).post_kl - oracle) <= 1e-4
 
     # deterministic reruns are bit-identical
     est1 = estimate_arlfa(cfg, pair, 300, cap=200_000, seed=ACCEPT_SEED + 103)
@@ -285,4 +283,4 @@ def test_criterion_7_property_suite(pair, pairs3, strategy_cache):
 
     report(7, f"{resets} bit-exact resets; dominance, fusion equivalence, "
               f"K-L monotonicity, oracle gap "
-              f"{abs(strategy_cache(0.5).post_kl - oracle):.2e}, determinism")
+              f"{abs(optimize(pair, 0.5).post_kl - oracle):.2e}, determinism")

@@ -74,7 +74,7 @@ class TestAgainstEngine:
         ("cusum_ac", 3, 4.0),
         ("random_tx", 3, 4.0),
     ])
-    def test_curve_matches_direct_arlfa(self, pair, strategy_cache, family, m, a):
+    def test_curve_matches_direct_arlfa(self, pair, family, m, a):
         pairs = [pair] * m
         if family == "cusum":
             make = CusumSpec
@@ -82,8 +82,7 @@ class TestAgainstEngine:
             make = lambda a: RandomTxSpec(a, 0.4)
         else:
             a1, eps1 = (0.78, 0.63) if m == 1 else (0.79, 0.27)
-            make = lambda a: two_level(pairs, a, a1, eps1,
-                                       strategies=[strategy_cache(eps1)] * m)
+            make = lambda a: two_level(pairs, a, a1, eps1)
         curve = arlfa_curve(make(a), pairs, [a], 10_000, seed=42)
         direct = estimate_arlfa(make(a), pairs, 2000, cap=10_000_000, seed=43)
         est = curve.estimate(0)
@@ -103,10 +102,9 @@ GOLDEN_SUMS = {
 
 class TestCurve:
     @pytest.mark.parametrize("family", sorted(GOLDEN_SUMS))
-    def test_three_sensor_sums_golden(self, pairs3, strategy_cache, family):
+    def test_three_sensor_sums_golden(self, pairs3, family):
         if family == "cusum_ac":
-            detector = two_level(pairs3, math.inf, 0.79, 0.27,
-                                 strategies=[strategy_cache(0.27)] * 3)
+            detector = two_level(pairs3, math.inf, 0.79, 0.27)
             grid = [0.8, 2.0, 4.0, 6.0]
         else:
             detector = CusumSpec(0.0) if family == "cusum" else RandomTxSpec(0.0, 0.4)
@@ -115,8 +113,8 @@ class TestCurve:
         assert hashlib.sha256(curve.sums.tobytes()).hexdigest() == GOLDEN_SUMS[family]
         assert curve.capped == 0
 
-    def test_growing_in_steps_equals_one_build(self, pair, strategy_cache):
-        family = two_level(pair, math.inf, 0.78, 0.63, strategies=[strategy_cache(0.63)])
+    def test_growing_in_steps_equals_one_build(self, pair):
+        family = two_level(pair, math.inf, 0.78, 0.63)
         grid = [0.9, 2.0, 3.5, 5.0]
         once = arlfa_curve(family, pair, grid, 2500, seed=44)
         grown = arlfa_curve(family, pair, grid, 700, seed=44).grown(1900).grown(2500)
@@ -125,11 +123,10 @@ class TestCurve:
         assert np.array_equal(grown.mean, once.mean)
         assert np.array_equal(grown.std_error, once.std_error)
 
-    def test_curve_is_nondecreasing_and_above_exp_a(self, pairs3, strategy_cache):
+    def test_curve_is_nondecreasing_and_above_exp_a(self, pairs3):
         # Every increment's exponential has mean one before the change, so
         # ARLFA(a) >= e^a; the calibration grid's upper bracket rests on it.
-        family = two_level(pairs3, math.inf, 0.79, 0.27,
-                           strategies=[strategy_cache(0.27)] * 3)
+        family = two_level(pairs3, math.inf, 0.79, 0.27)
         grid = np.arange(0.8, 9.3, 0.5)
         curve = arlfa_curve(family, pairs3, grid, 2000, seed=45)
         assert (np.diff(curve.mean) >= 0).all()

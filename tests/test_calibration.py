@@ -106,33 +106,29 @@ class TestTarget:
 
 
 class TestSearchTwoLevel:
-    def test_reported_point_for_budget_04_close_to_budget(self, pairs3,
-                                                          strategy_cache):
+    def test_reported_point_for_budget_04_close_to_budget(self, pairs3):
         # The quoted rate-0.4 operating point, re-verified by simulation: the
         # ARLFA target is reachable and the rate sits within half a percent
         # of the budget (this implementation measures it a shade above, about
         # 0.402 open-band and 0.4015 under survive-to-horizon conditioning).
-        cfg_of = lambda a: two_level(pairs3, a, 0.79, 0.27,
-                                     strategies=[strategy_cache(0.27)] * 3)
+        cfg_of = lambda a: two_level(pairs3, a, 0.79, 0.27)
         cal = calibrated(cfg_of(math.inf), pairs3, 2000.0, seed=6, tolerance=0.05)
         assert abs(cal.arlfa.mean - 2000.0) <= 100.0
         rate = estimate_comm_rate(cfg_of(cal.a), pairs3, 10_000, 100, seed=60)
         assert rate.mean <= 0.40 + 0.005
 
-    def test_reported_point_for_budget_07_rate_within_one_percent(self, pairs3,
-                                                                  strategy_cache):
+    def test_reported_point_for_budget_07_rate_within_one_percent(self, pairs3):
         # The quoted rate-0.7 operating point measures a shade above budget
         # with this optimizer (about 0.704); verify it is reachable and within
         # one percent absolute of the budget rather than asserting strict
         # admissibility.
-        cfg_of = lambda a: two_level(pairs3, a, 0.78, 0.63,
-                                     strategies=[strategy_cache(0.63)] * 3)
+        cfg_of = lambda a: two_level(pairs3, a, 0.78, 0.63)
         cal = calibrated(cfg_of(math.inf), pairs3, 2000.0, seed=7, tolerance=0.05)
         assert abs(cal.arlfa.mean - 2000.0) <= 100.0
         rate = estimate_comm_rate(cfg_of(cal.a), pairs3, 10_000, 100, seed=8)
         assert rate.mean <= 0.70 + 0.01
 
-    def test_full_budget_degenerates_to_plain_cusum(self, pair, strategy_cache):
+    def test_full_budget_degenerates_to_plain_cusum(self, pair):
         target = CalibrationTarget(zeta=500.0, epsilon=1.0, tolerance=0.05)
         result = search_two_level(pair, target, a1_grid=[0.78], eps1_grid=[1.0],
                                   n_reps=800, seed=9, cycle_reps=1500)
@@ -151,12 +147,12 @@ class TestSearchTwoLevel:
         assert result.config is None  # rate screen kills the only candidate
         assert result.search_trace[0].note == "rate screen failed"
 
-    def test_eprime_margin_is_from_the_fused_statistic(self, pairs3, strategy_cache):
+    def test_eprime_margin_is_from_the_fused_statistic(self, pairs3):
         target = CalibrationTarget(zeta=300.0, epsilon=0.8, tolerance=0.05)
         result = search_two_level(pairs3, target, a1_grid=[0.78], eps1_grid=[0.5],
                                   n_reps=400, seed=14, cycle_reps=1000)
-        cycle = estimate_cycle(pairs3, 0.78, math.inf, 0.5, 1000, derive_seed(14, 25),
-                               strategy=[strategy_cache(0.5)] * 3)
+        cycle = estimate_cycle(two_level(pairs3, math.inf, 0.78, 0.5), pairs3, 1000,
+                               derive_seed(14, 25))
         assert result.search_trace[0].eprime_margin == check_eprime_membership(cycle).margin
 
     @pytest.mark.parametrize("reps", [dict(n_reps=50), dict(cycle_reps=50)])
@@ -201,10 +197,10 @@ class TestSearchTwoLevel:
 
 
 class TestRatePlateau:
-    def test_conditional_rate_flat_in_a(self, pair, strategy_cache):
+    def test_conditional_rate_flat_in_a(self, pair):
         # Doubling a large threshold must not move the conditional rate.
-        cfg8 = two_level(pair, 8.0, 0.78, 0.27, strategies=[strategy_cache(0.27)])
-        cfg16 = two_level(pair, 16.0, 0.78, 0.27, strategies=[strategy_cache(0.27)])
+        cfg8 = two_level(pair, 8.0, 0.78, 0.27)
+        cfg16 = two_level(pair, 16.0, 0.78, 0.27)
         r8 = estimate_comm_rate(cfg8, pair, 10_000, 120, seed=14, mode="conditional")
         r16 = estimate_comm_rate(cfg16, pair, 10_000, 120, seed=15, mode="conditional")
         assert abs(r8.mean - r16.mean) <= 3 * math.hypot(r8.std_error, r16.std_error)

@@ -53,14 +53,14 @@ def optimizer_runs(monkeypatch):
 
 
 class TestOptimizer:
-    def test_optimizer_matches_grid_oracle(self, strategy_cache):
+    def test_optimizer_matches_grid_oracle(self, pair):
         oracle = grid_oracle_best_post_kl(0.5)
         assert oracle == pytest.approx(GRID_ORACLE_POST_KL_05, abs=2e-8)
-        strat = strategy_cache(0.5)
+        strat = optimize(pair, 0.5)
         assert abs(strat.post_kl - oracle) <= 1e-4
 
-    def test_full_rate_short_circuit(self, pair, strategy_cache):
-        strat = strategy_cache(1.0)
+    def test_full_rate_short_circuit(self, pair):
+        strat = optimize(pair, 1.0)
         assert strat.rate == 1.0
         assert strat.post_kl == pytest.approx(0.125, abs=1e-12)
         assert strat.p0_nosend == 0.0 and strat.p1_nosend == 0.0
@@ -128,8 +128,7 @@ class TestOptimizer:
         optimize(pair, 0.3)
         assert len(optimizer_runs) == 2
 
-    def test_unhashable_pair_is_optimized_uncached(self, pair, strategy_cache,
-                                                   optimizer_runs):
+    def test_unhashable_pair_is_optimized_uncached(self, pair, optimizer_runs):
         class Unhashable:
             __hash__ = None
 
@@ -139,37 +138,37 @@ class TestOptimizer:
         first = optimize(Unhashable(), 0.4)
         second = optimize(Unhashable(), 0.4)
         assert len(optimizer_runs) == 2
-        assert first == second == strategy_cache(0.4)
+        assert first == second == optimize(pair, 0.4)
 
-    def test_rate_constraint_holds_exactly(self, pair, strategy_cache):
+    def test_rate_constraint_holds_exactly(self, pair):
         for eps in (0.1, 0.4, 0.9):
-            strat = strategy_cache(eps)
+            strat = optimize(pair, eps)
             p0 = pair.cdf0(strat.nosend_x_hi) - pair.cdf0(strat.nosend_x_lo)
             assert p0 == pytest.approx(1.0 - eps, abs=1e-9)
             assert strat.p0_nosend == pytest.approx(1.0 - eps, abs=1e-9)
 
-    def test_monte_carlo_send_frequency(self, pair, strategy_cache):
+    def test_monte_carlo_send_frequency(self, pair):
         # Rate self-consistency at eps = 0.4 per the stated +-0.005 band,
         # and across the full grid within 3 binomial standard errors.
         rng = np.random.default_rng(321)
         x = pair.sample0(rng, 100_000)
-        assert abs(strategy_cache(0.4).apply(x).mean() - 0.4) <= 0.005
+        assert abs(optimize(pair, 0.4).apply(x).mean() - 0.4) <= 0.005
         for eps in [round(0.1 * i, 1) for i in range(1, 11)]:
-            freq = strategy_cache(eps).apply(x).mean()
+            freq = optimize(pair, eps).apply(x).mean()
             se = math.sqrt(eps * (1 - eps) / x.size)
             assert abs(freq - eps) <= max(3 * se, 1e-12)
 
-    def test_post_kl_nondecreasing_in_rate(self, strategy_cache):
+    def test_post_kl_nondecreasing_in_rate(self, pair):
         grid = [round(0.1 * i, 1) for i in range(1, 11)]
-        values = [strategy_cache(eps).post_kl for eps in grid]
+        values = [optimize(pair, eps).post_kl for eps in grid]
         assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
-    def test_garbling_bound(self, strategy_cache):
+    def test_garbling_bound(self, pair):
         for eps in [round(0.1 * i, 1) for i in range(1, 11)]:
-            assert strategy_cache(eps).post_kl <= 0.125 + 1e-12
+            assert optimize(pair, eps).post_kl <= 0.125 + 1e-12
 
-    def test_drift_signs(self, pair, strategy_cache):
-        strat = strategy_cache(0.4)
+    def test_drift_signs(self, pair):
+        strat = optimize(pair, 0.4)
         rng = np.random.default_rng(99)
 
         def censored_llr_of(x):
@@ -192,25 +191,25 @@ class TestStrategyBehavior:
         assert strat.apply(1.5) is True
         assert strat.apply(-0.3) is False  # closed interval
 
-    def test_strategy_is_one_observation_interval(self, pair, strategy_cache):
+    def test_strategy_is_one_observation_interval(self, pair):
         assert [f.name for f in dataclasses.fields(CensoringStrategy)] == [
             "rate", "nosend_x_lo", "nosend_x_hi", "llr_censored",
             "p0_nosend", "p1_nosend", "post_kl"]
         with pytest.raises(TypeError):
-            strategy_cache(0.5).apply(0.0, pair)
+            optimize(pair, 0.5).apply(0.0, pair)
 
-    def test_apply_sends_nan(self, strategy_cache):
+    def test_apply_sends_nan(self, pair):
         # NaN lies inside no interval, so it is sent, element-wise as well.
-        strat = strategy_cache(0.5)
+        strat = optimize(pair, 0.5)
         assert strat.apply(math.nan) is True
         inside = 0.5 * (strat.nosend_x_lo + strat.nosend_x_hi)
         np.testing.assert_array_equal(strat.apply(np.array([math.nan, inside])),
                                       [True, False])
 
-    def test_apply_llr_space_route(self, pair, strategy_cache):
+    def test_apply_llr_space_route(self, pair):
         # Over a batch, the observation-interval decision is the paper's
         # no-send set of likelihood ratios (GaussianPair's LLR increases in x).
-        strat = strategy_cache(0.5)
+        strat = optimize(pair, 0.5)
         rng = np.random.default_rng(17)
         x = pair.sample0(rng, 10_000)
         v = pair.llr(x)
@@ -219,11 +218,11 @@ class TestStrategyBehavior:
         assert sent.dtype == bool and sent.shape == x.shape
         np.testing.assert_array_equal(sent, ~inside_llr)
 
-    def test_censored_llr_branches(self, pair, strategy_cache):
+    def test_censored_llr_branches(self, pair):
         # In the censoring band a sent observation adds its raw LLR and a
         # no-send slot adds the constant llr_censored.
-        strat = strategy_cache(0.5)
-        cfg = two_level(pair, a=9.0, a1=5.0, eps1=0.5, strategies=[strat])
+        strat = optimize(pair, 0.5)
+        cfg = two_level(pair, a=9.0, a1=5.0, eps1=0.5)
         st0 = dataclasses.replace(initial_state(cfg), s=2.0)
         outside = strat.nosend_x_hi + 1.0
         st1, sent = cusum_ac_step(st0, cfg, outside, pair)
@@ -235,17 +234,17 @@ class TestStrategyBehavior:
         assert st2.s == 2.0 + strat.llr_censored
         assert (st1.tx_count, st2.tx_count) == (1, 0)
 
-    def test_censored_llr_full_rate_branch(self, pair, strategy_cache):
-        cfg = two_level(pair, a=9.0, a1=5.0, eps1=1.0, strategies=[strategy_cache(1.0)])
+    def test_censored_llr_full_rate_branch(self, pair):
+        cfg = two_level(pair, a=9.0, a1=5.0, eps1=1.0)
         st0 = dataclasses.replace(initial_state(cfg), s=3.0)
         st1, sent = cusum_ac_step(st0, cfg, -2.2, pair)
         assert sent is True
         assert st1.s == pytest.approx(3.0 + float(pair.llr(-2.2)), abs=1e-15)
 
-    def test_censored_value_matches_cdf_ratio(self, pair, strategy_cache):
+    def test_censored_value_matches_cdf_ratio(self, pair):
         # ln[(Phi(u - 0.5) - Phi(l - 0.5)) / (Phi(u) - Phi(l))] evaluated
         # directly for the optimizer's interval at eps = 0.5.
-        strat = strategy_cache(0.5)
+        strat = optimize(pair, 0.5)
         l, u = strat.nosend_x_lo, strat.nosend_x_hi
         expected = math.log(
             (norm.cdf(u - 0.5) - norm.cdf(l - 0.5)) / (norm.cdf(u) - norm.cdf(l)))
@@ -253,20 +252,20 @@ class TestStrategyBehavior:
         assert strat.llr_censored == pytest.approx(
             math.log(strat.p1_nosend / strat.p0_nosend), abs=1e-12)
 
-    def test_post_change_rate(self, strategy_cache):
+    def test_post_change_rate(self, pair):
         # After the change a sensor sends with probability 1 - p1_nosend.
-        assert 1.0 - strategy_cache(1.0).p1_nosend == 1.0
-        strat = strategy_cache(0.4)
+        assert 1.0 - optimize(pair, 1.0).p1_nosend == 1.0
+        strat = optimize(pair, 0.4)
         expected = 1.0 - (norm.cdf(strat.nosend_x_hi - 0.5)
                           - norm.cdf(strat.nosend_x_lo - 0.5))
         assert 1.0 - strat.p1_nosend == pytest.approx(expected, abs=1e-9)
         assert 0.4 < 1.0 - strat.p1_nosend < 1.0
 
-    def test_record_round_trip_exact(self, strategy_cache):
+    def test_record_round_trip_exact(self, pair):
         # Every field is a plain float that its repr carries exactly, the
         # full-rate strategy's infinite interval included.
         for eps in (0.3, 1.0):
-            strat = strategy_cache(eps)
+            strat = optimize(pair, eps)
             as_text = {k: repr(v) for k, v in dataclasses.asdict(strat).items()}
             back = CensoringStrategy(**{k: float(v) for k, v in as_text.items()})
             assert back == strat
@@ -274,9 +273,9 @@ class TestStrategyBehavior:
 
 @settings(max_examples=50)
 @given(x=st.floats(-30, 30))
-def test_interval_and_llr_decisions_agree(x, pair, strategy_cache):
+def test_interval_and_llr_decisions_agree(x, pair):
     for eps in (0.2, 0.5, 0.8):
-        strat = strategy_cache(eps)
+        strat = optimize(pair, eps)
         by_interval = strat.apply(x)
         # GaussianPair's LLR increases in x, so these are the LLR-space bounds.
         llr_lo, llr_hi = pair.llr(strat.nosend_x_lo), pair.llr(strat.nosend_x_hi)

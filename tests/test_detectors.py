@@ -28,9 +28,8 @@ CUSUM_POSTCHANGE_ORACLE_SE = 0.0411
 
 
 @pytest.fixture(scope="module")
-def cfg2(pair, strategy_cache):
-    return two_level(pair, a=4.5, a1=0.78, eps1=0.63,
-                     strategies=[strategy_cache(0.63)])
+def cfg2(pair):
+    return two_level(pair, a=4.5, a1=0.78, eps1=0.63)
 
 
 def state_at(config, s):
@@ -91,8 +90,8 @@ class TestCusumAcStep:
         assert st1.s != cfg2.a1
         assert st1.feedback_count == st0.feedback_count
 
-    def test_censored_slot_uses_stored_constant(self, pair, cfg2, strategy_cache):
-        strat = strategy_cache(0.63)
+    def test_censored_slot_uses_stored_constant(self, pair, cfg2):
+        strat = cfg2.strategies[0]
         inside = 0.5 * (strat.nosend_x_lo + strat.nosend_x_hi)
         st0 = state_at(cfg2, 0.5)
         st1, sent = cusum_ac_step(st0, cfg2, inside, pair)
@@ -104,7 +103,7 @@ class TestCusumAcStep:
         st0 = initial_state(cfg2)
         assert st0.feedback_count == 1
 
-    def test_inclusive_stop_and_reset_precedence(self, pair, cfg2, strategy_cache):
+    def test_inclusive_stop_and_reset_precedence(self, pair, cfg2):
         # From the full-rate band, reaching a exactly stops (inclusive rule).
         st0 = state_at(cfg2, 4.2)
         x = (0.3 + 0.125) / 0.5  # raw LLR exactly 0.3 up to rounding
@@ -144,10 +143,9 @@ class TestCusumAcStep:
             assert sent_b == [sent_a]
             assert s_multi == s_scalar
 
-    def test_multi_sensor_fused_increment(self, pair, pairs3, strategy_cache):
-        strat = strategy_cache(0.63)
-        cfg = two_level(pairs3, a=9.0, a1=0.78, eps1=0.63,
-                        strategies=[strat] * 3)
+    def test_multi_sensor_fused_increment(self, pair, pairs3):
+        cfg = two_level(pairs3, a=9.0, a1=0.78, eps1=0.63)
+        strat = cfg.strategies[0]
         # All three sent from the full-rate band: fused = sum of raw LLRs.
         st0 = state_at(cfg, 1.0)
         xs = [1.1, -0.2, 0.4]
@@ -164,13 +162,12 @@ class TestCusumAcStep:
         assert st3.s == pytest.approx(max(0.0, 0.3 + 3 * strat.llr_censored), abs=1e-12)
         assert st3.tx_count == 0
 
-    def test_heterogeneous_sensor_rates(self, pair, strategy_cache):
+    def test_heterogeneous_sensor_rates(self, pair):
         # Sensors may censor at different rates within one level; they still
         # switch together on the fused statistic.
         pairs2 = [pair, pair]
-        s_lo, s_hi = strategy_cache(0.2), strategy_cache(0.8)
-        cfg = two_level(pairs2, a=6.0, a1=0.78, eps1=[0.2, 0.8],
-                        strategies=[s_lo, s_hi])
+        cfg = two_level(pairs2, a=6.0, a1=0.78, eps1=[0.2, 0.8])
+        s_lo, s_hi = cfg.strategies
         assert tuple(s.rate for s in cfg.strategies) == (0.2, 0.8)
         # a value censored by the tight strategy but sent by the loose one
         # (the rate-0.2 no-send interval is much wider than the rate-0.8 one)
@@ -226,34 +223,28 @@ class TestRandomTxStep:
 
 
 class TestConfigValidation:
-    def test_threshold_ordering_enforced(self, pair, strategy_cache):
+    def test_threshold_ordering_enforced(self, pair):
         with pytest.raises(ValueError, match="below the alarm"):
-            two_level(pair, a=0.5, a1=0.78, eps1=0.63,
-                      strategies=[strategy_cache(0.63)])
+            two_level(pair, a=0.5, a1=0.78, eps1=0.63)
         with pytest.raises(ValueError, match="must be positive"):
-            two_level(pair, a=5.0, a1=0.0, eps1=0.63, strategies=[strategy_cache(0.63)])
+            two_level(pair, a=5.0, a1=0.0, eps1=0.63)
 
-    def test_nan_alarm_threshold_rejected(self, pair, strategy_cache):
+    def test_nan_alarm_threshold_rejected(self, pair):
         # A NaN threshold never alarms; infinity (curve families) stays allowed.
         with pytest.raises(ValueError, match="NaN"):
-            two_level(pair, math.nan, 0.78, 0.63, strategies=[strategy_cache(0.63)])
-        assert two_level(pair, math.inf, 0.78, 0.63,
-                         strategies=[strategy_cache(0.63)]).a == math.inf
+            two_level(pair, math.nan, 0.78, 0.63)
+        assert two_level(pair, math.inf, 0.78, 0.63).a == math.inf
 
     def test_needs_a_strategy(self):
         with pytest.raises(ValueError):
             CusumAcConfig(a=5.0, a1=1.0, strategies=())
 
-    def test_rate_outside_unit_interval_rejected(self, strategy_cache):
-        ok = strategy_cache(0.63)
+    def test_rate_outside_unit_interval_rejected(self, cfg2):
+        ok = cfg2.strategies[0]
         for rate in (0.0, 1.5, math.nan):
             bad = dataclasses.replace(ok, rate=rate)
             with pytest.raises(ValueError, match=r"\(0, 1\]"):
                 CusumAcConfig(a=5.0, a1=1.0, strategies=(ok, bad))
-
-    def test_strategy_rate_mismatch(self, pair, strategy_cache):
-        with pytest.raises(ValueError, match="does not match"):
-            two_level(pair, 5.0, 1.0, 0.5, strategies=[strategy_cache(0.3)])
 
     def test_level_of_bands(self, cfg2):
         # Only a start below a1 (censored) differs from the full-rate default.
@@ -281,7 +272,7 @@ def test_ac_step_invariants(xs, pair, cfg2):
             assert state.feedback_count == prev.feedback_count + 1
         else:
             assert state.feedback_count == prev.feedback_count
-        assert state.time_above_a1 + state.time_below_a1 == state.k
+        assert state.time_above_a1 == prev.time_above_a1 + (state.s >= cfg2.a1)
 
 
 def test_feedback_counts_level_changes(pair, cfg2):

@@ -14,6 +14,7 @@ import pytest
 from cusumac import _engine as eng
 from cusumac.censoring import CensoringStrategy
 from cusumac.detectors import (
+    CusumAcConfig,
     CusumSpec,
     RandomTxSpec,
     cusum_ac_multi_step,
@@ -52,48 +53,43 @@ def replay_cusum_ac(batch, config, pairs):
         assert state.tx_count == batch.tx[i]
         assert state.feedback_count == batch.feedback[i]
         assert state.time_above_a1 == batch.time_above[i]
-        assert state.time_below_a1 == batch.time_below[i]
+        assert state.k - state.time_above_a1 == batch.stop_time[i] - batch.time_above[i]
 
 
 class TestCusumAcReplay:
-    def test_single_sensor(self, pair, strategy_cache):
-        cfg = two_level(pair, a=3.0, a1=0.78, eps1=0.4,
-                        strategies=[strategy_cache(0.4)])
+    def test_single_sensor(self, pair):
+        cfg = two_level(pair, a=3.0, a1=0.78, eps1=0.4)
         batch = eng.run_batch(cfg, [pair], n_reps=8, seed=100, limit=600, record=True)
         assert batch.stopped.all()
         replay_cusum_ac(batch, cfg, [pair])
 
-    def test_three_sensors(self, pair, pairs3, strategy_cache):
-        cfg = two_level(pairs3, a=6.0, a1=0.79, eps1=0.27,
-                        strategies=[strategy_cache(0.27)] * 3)
+    def test_three_sensors(self, pair, pairs3):
+        cfg = two_level(pairs3, a=6.0, a1=0.79, eps1=0.27)
         batch = eng.run_batch(cfg, pairs3, n_reps=6, seed=101, limit=400,
                               nu=20, record=True)
         replay_cusum_ac(batch, cfg, pairs3)
 
-    def test_heterogeneous_sensor_rates(self, pair, strategy_cache):
-        cfg = two_level([pair, pair], a=5.0, a1=0.78, eps1=[0.2, 0.8],
-                        strategies=[strategy_cache(0.2), strategy_cache(0.8)])
+    def test_heterogeneous_sensor_rates(self, pair):
+        cfg = two_level([pair, pair], a=5.0, a1=0.78, eps1=[0.2, 0.8])
         batch = eng.run_batch(cfg, [pair, pair], n_reps=6, seed=104, limit=400,
                               record=True)
         replay_cusum_ac(batch, cfg, [pair, pair])
 
-    def test_switching_threshold_near_alarm(self, pair, strategy_cache):
+    def test_switching_threshold_near_alarm(self, pair):
         # a1 close to a: most climbs are clamped to a1 before they alarm.
-        cfg = two_level(pair, a=1.5, a1=1.2, eps1=0.6,
-                        strategies=[strategy_cache(0.6)])
+        cfg = two_level(pair, a=1.5, a1=1.2, eps1=0.6)
         batch = eng.run_batch(cfg, [pair], n_reps=6, seed=102, limit=800, record=True)
         assert (batch.records["s"] == cfg.a1).any()
         replay_cusum_ac(batch, cfg, [pair])
 
-    def test_no_stop_mode_ignores_alarm(self, pair, strategy_cache):
-        cfg = two_level(pair, a=1.5, a1=0.5, eps1=0.5,
-                        strategies=[strategy_cache(0.5)])
+    def test_no_stop_mode_ignores_alarm(self, pair):
+        cfg = two_level(pair, a=1.5, a1=0.5, eps1=0.5)
         batch = eng.run_batch(cfg, [pair], n_reps=5, seed=103, limit=300,
                               stop_enabled=False, record=True)
         assert not batch.stopped.any()
         assert (batch.stop_time == 300).all()
         assert (batch.records["s"] > cfg.a).any()  # statistic roams past a
-        assert (batch.time_above + batch.time_below == 300).all()
+        assert (batch.time_above == (batch.records["s"] >= cfg.a1).sum(axis=0)).all()
 
 
 class TestIidReplay:
@@ -112,7 +108,7 @@ class TestIidReplay:
             assert recs["sent"][:steps, i, 0].all()
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
-        for field in ("feedback", "time_above", "time_below"):
+        for field in ("feedback", "time_above"):
             assert not getattr(batch, field).any(), field
 
     def test_random_tx_steploop(self, pair):
@@ -133,7 +129,7 @@ class TestIidReplay:
                 assert recs["level"][k, i] == 0
             assert state.stopped == batch.stopped[i]
             assert state.tx_count == batch.tx[i]
-        for field in ("feedback", "time_above", "time_below"):
+        for field in ("feedback", "time_above"):
             assert not getattr(batch, field).any(), field
 
     # Each case runs the closed-form step (record=False) against the per-step
@@ -183,7 +179,7 @@ class TestIidReplay:
         det, m, kwargs, digest = self._GOLDEN_CONDITIONED[name]
         batch = eng.run_batch(det, [pair] * m, **kwargs)
         assert batch.rejected.any() and (~batch.rejected).any()
-        assert _digest(batch) == digest
+        assert _digest(batch, det) == digest
 
     # sha256 over the BatchResult arrays of unrecorded, unconditioned runs.
     # The M = 1 pin was generated by the closed-form block body that preceded
@@ -205,7 +201,7 @@ class TestIidReplay:
     @pytest.mark.parametrize("name", sorted(_GOLDEN_IID))
     def test_iid_golden_digests(self, pair, name):
         det, m, kwargs, digest = self._GOLDEN_IID[name]
-        assert _digest(eng.run_batch(det, [pair] * m, **kwargs)) == digest
+        assert _digest(eng.run_batch(det, [pair] * m, **kwargs), det) == digest
 
     def test_block_path_multisensor_full_rate_identity(self, pairs3):
         # eps = 1 random transmission is pathwise the plain fused CuSum.
@@ -217,9 +213,8 @@ class TestIidReplay:
 
 
 class TestEngineDeterminism:
-    def test_chunking_invariance(self, pair, strategy_cache):
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_chunking_invariance(self, pair):
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63)
         whole = eng.run_batch(cfg, [pair], n_reps=30, seed=9, limit=50_000)
         part1 = eng.run_batch(cfg, [pair], n_reps=11, seed=9, limit=50_000)
         part2 = eng.run_batch(cfg, [pair], n_reps=19, seed=9, rep_offset=11,
@@ -236,20 +231,18 @@ class TestEngineDeterminism:
         c = eng.run_batch(CusumSpec(4.0), [pair], n_reps=50, seed=11, limit=30_000)
         assert not np.array_equal(a.stop_time, c.stop_time)
 
-    def test_shared_seed_pairs_observation_streams(self, pair, strategy_cache):
+    def test_shared_seed_pairs_observation_streams(self, pair):
         # Different detectors under one seed must consume identical
         # observations; with every level at full rate the adaptive detector's
         # alarm can only come earlier (the reset only lowers the statistic).
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=1.0,
-                        strategies=[strategy_cache(1.0)])
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=1.0)
         ac = eng.run_batch(cfg, [pair], n_reps=60, seed=12, nu=1, limit=20_000)
         cu = eng.run_batch(CusumSpec(4.0), [pair], n_reps=60, seed=12, nu=1,
                            limit=20_000)
         assert (ac.stop_time >= cu.stop_time).all()
 
-    def test_require_zero_at_partitions_reps(self, pair, strategy_cache):
-        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_require_zero_at_partitions_reps(self, pair):
+        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63)
         batch = eng.run_batch(cfg, [pair], n_reps=300, seed=13, nu=20,
                               limit=5000, require_zero_at=19)
         assert batch.rejected.any() and (~batch.rejected).any()
@@ -303,18 +296,20 @@ def _strategy(rate):
                              p1_nosend=0.5, post_kl=0.1)
 
 
+def _config(a, a1, *rates):
+    """CuSum-AC at thresholds ``a`` and ``a1``, one pinned strategy per sensor rate."""
+    return CusumAcConfig(a, a1, tuple(_strategy(rate) for rate in rates))
+
+
 def _golden_case(name, pair):
     p2, p3 = [pair] * 2, [pair] * 3
-    m3 = two_level(p3, 5.0, 0.79, 0.27, [_strategy(0.27)] * 3)
-    worst = two_level(pair, 4.5, 0.78, 0.63, [_strategy(0.63)])
+    m3 = _config(5.0, 0.79, 0.27, 0.27, 0.27)
+    worst = _config(4.5, 0.78, 0.63)
     return {
-        "m1": (two_level(pair, 3.5, 0.78, 0.4, [_strategy(0.4)]), [pair],
-               dict(n_reps=64, seed=201, limit=6000)),
+        "m1": (_config(3.5, 0.78, 0.4), [pair], dict(n_reps=64, seed=201, limit=6000)),
         "m3": (m3, p3, dict(n_reps=48, seed=202, limit=5000)),
-        "hetero": (two_level(p2, 4.0, 0.78, [0.2, 0.8], [_strategy(0.2), _strategy(0.8)]),
-                   p2, dict(n_reps=40, seed=203, limit=5000)),
-        "high_a1": (two_level(pair, 4.0, 1.2, 0.6, [_strategy(0.6)]), [pair],
-                    dict(n_reps=40, seed=204, limit=5000)),
+        "hetero": (_config(4.0, 0.78, 0.2, 0.8), p2, dict(n_reps=40, seed=203, limit=5000)),
+        "high_a1": (_config(4.0, 1.2, 0.6), [pair], dict(n_reps=40, seed=204, limit=5000)),
         "nostop": (m3, p3, dict(n_reps=20, seed=205, limit=2500, stop_enabled=False)),
         "delay": (m3, p3, dict(n_reps=40, seed=206, limit=6000, nu=1500)),
         "worst_history": (worst, [pair], dict(n_reps=200, seed=207, limit=3000, nu=20,
@@ -339,13 +334,21 @@ _GOLDEN = {
     "worst_history": "db1c732c5225f30c286a0739c56662fb76c5544541689b496701d4a59554978e",
     "late_reject": "729a467c39a94f6ba8a45d5e54acb0410333e0d9a3aab4a8d00a951aafab90c1",
 }
-_FIELDS = ("stop_time", "stopped", "tx", "feedback", "time_above", "time_below", "rejected")
+_FIELDS = ("stop_time", "stopped", "tx", "feedback", "time_above", "rejected")
 
 
-def _digest(batch):
+def _digest(batch, detector):
+    """sha256 over the result arrays, with the steps below a1 hashed before ``rejected``.
+
+    The pins were generated while those steps were a result field, so they
+    are derived and hashed in its place: CuSum-AC's steps not above a1, and
+    none for the other detectors.
+    """
+    below = (batch.stop_time - batch.time_above if isinstance(detector, CusumAcConfig)
+             else np.zeros_like(batch.time_above))
     h = hashlib.sha256()
-    for field in _FIELDS:
-        h.update(np.ascontiguousarray(getattr(batch, field)).tobytes())
+    for array in [getattr(batch, field) for field in _FIELDS[:-1]] + [below, batch.rejected]:
+        h.update(np.ascontiguousarray(array).tobytes())
     return h.hexdigest()
 
 
@@ -355,11 +358,10 @@ class TestCusumAcKernel:
         # Runs cross several CHUNK and OBS_BLOCK boundaries.
         config, pairs, kwargs = _golden_case(name, pair)
         assert kwargs["limit"] > 2 * eng.OBS_BLOCK
-        assert _digest(eng.run_batch(config, pairs, **kwargs)) == _GOLDEN[name]
+        assert _digest(eng.run_batch(config, pairs, **kwargs), config) == _GOLDEN[name]
 
     def test_replay_across_observation_blocks(self, pair):
-        cfg = two_level([pair, pair], a=5.0, a1=0.78, eps1=0.4,
-                        strategies=[_strategy(0.4)] * 2)
+        cfg = _config(5.0, 0.78, 0.4, 0.4)
         limit = 2 * eng.OBS_BLOCK + 552
         batch = eng.run_batch(cfg, [pair, pair], n_reps=4, seed=304, limit=limit,
                               record=True)
@@ -371,8 +373,7 @@ class TestCusumAcKernel:
         # Sensors are added in order, as the scalar step does; numpy's
         # pairwise sum would round differently from eight sensors on.
         pairs = [pair] * 9
-        cfg = two_level(pairs, a=9.0, a1=1.5, eps1=0.27,
-                        strategies=[_strategy(0.27)] * 9)
+        cfg = _config(9.0, 1.5, *[0.27] * 9)
         batch = eng.run_batch(cfg, pairs, n_reps=3, seed=305, limit=300, nu=100,
                               record=True)
         replay_cusum_ac(batch, cfg, pairs)
@@ -381,17 +382,14 @@ class TestCusumAcKernel:
         class Generic:  # exactly the surface the engine reads
             sample0, sample1, llr = pair.sample0, pair.sample1, pair.llr
 
-        custom = Generic()
-        strategies = [_strategy(0.27)] * 3
+        cfg = _config(5.0, 0.79, 0.27, 0.27, 0.27)
         kwargs = dict(n_reps=30, seed=306, limit=3000, nu=400)
-        fast = eng.run_batch(two_level([pair] * 3, 5.0, 0.79, 0.27, strategies),
-                             [pair] * 3, **kwargs)
-        generic = eng.run_batch(two_level([custom] * 3, 5.0, 0.79, 0.27, strategies),
-                                [custom] * 3, **kwargs)
-        assert _digest(fast) == _digest(generic)
+        fast = eng.run_batch(cfg, [pair] * 3, **kwargs)
+        generic = eng.run_batch(cfg, [Generic()] * 3, **kwargs)
+        assert _digest(fast, cfg) == _digest(generic, cfg)
 
     def test_records_end_with_each_replication(self, pair):
-        cfg = two_level(pair, a=3.0, a1=0.78, eps1=0.4, strategies=[_strategy(0.4)])
+        cfg = _config(3.0, 0.78, 0.4)
         batch = eng.run_batch(cfg, [pair], n_reps=8, seed=100, limit=600, record=True)
         recs = batch.records
         assert recs["s"].shape[0] == batch.stop_time.max()
@@ -416,7 +414,7 @@ class TestObservationBlocks:
     def test_short_delay_batch_draws_one_chunk(self, pair, family):
         detector = {
             "cusum": CusumSpec(4.0),
-            "cusum_ac": two_level([pair] * 3, 5.0, 0.79, 0.27, [_strategy(0.27)] * 3),
+            "cusum_ac": _config(5.0, 0.79, 0.27, 0.27, 0.27),
             "random_tx": RandomTxSpec(4.0, 0.5),
         }[family]
         sensors = [_RecordingPair(pair) for _ in range(3)]
@@ -432,7 +430,7 @@ class TestObservationBlocks:
         # only the sensor-major layout at M > 1 depends on the block sizes.
         detector = {
             "cusum": CusumSpec(5.0),
-            "cusum_ac": two_level(pair, 5.0, 0.78, 0.63, [_strategy(0.63)]),
+            "cusum_ac": _config(5.0, 0.78, 0.63),
             "random_tx": RandomTxSpec(5.0, 0.5),
         }[family]
         # The change falls inside a block of either schedule, and runs cross blocks.
@@ -441,7 +439,8 @@ class TestObservationBlocks:
         assert (grown.stop_time > kwargs["nu"]).sum() >= 10
         assert grown.stop_time.max() > eng.OBS_BLOCK
         monkeypatch.setattr(eng, "_block_steps", lambda k, limit: min(eng.OBS_BLOCK, limit - k))
-        assert _digest(eng.run_batch(detector, [pair], **kwargs)) == _digest(grown)
+        fixed = eng.run_batch(detector, [pair], **kwargs)
+        assert _digest(fixed, detector) == _digest(grown, detector)
 
     def test_short_delay_batch_memory(self, pair):
         # Runs here end after about 30 steps.  A whole 1024-step block per lane

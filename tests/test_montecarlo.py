@@ -56,10 +56,9 @@ class TestArlfa:
         est = estimate_arlfa(CusumSpec(cal.a), pair, 2000, cap=50_000, seed=5)
         assert abs(est.mean - 500.0) <= max(3 * est.std_error, 0.05 * 500.0)
 
-    def test_ac_dominates_cusum_at_same_threshold(self, pair, strategy_cache):
+    def test_ac_dominates_cusum_at_same_threshold(self, pair):
         # Slow-regime censoring can only lengthen the pre-change run.
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.2,
-                        strategies=[strategy_cache(0.2)])
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.2)
         ac = estimate_arlfa(cfg, pair, 1500, cap=500_000, seed=6)
         cu = estimate_arlfa(CusumSpec(4.0), pair, 1500, cap=500_000, seed=6)
         assert ac.mean >= cu.mean - three_se(ac, cu)
@@ -78,9 +77,8 @@ class TestDelay:
         d_big = estimate_delay(CusumSpec(4.5), big_shift, 1000, seed=8)
         assert d_big.mean < d_small.mean
 
-    def test_worst_history_equalizer(self, pair, strategy_cache):
-        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_worst_history_equalizer(self, pair):
+        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63)
         d1 = estimate_delay(cfg, pair, 2000, seed=9, nu=1)
         d20 = estimate_delay(cfg, pair, 2000, seed=10, nu=20, worst_history=True)
         assert abs(d1.mean - d20.mean) <= three_se(d1, d20)
@@ -94,11 +92,10 @@ class TestDelay:
         d20 = estimate_delay(det, pair, 2000, seed=14, nu=20, worst_history=True)
         assert abs(d1.mean - d20.mean) <= three_se(d1, d20)
 
-    def test_unconditional_late_change_is_not_worst_case(self, pair, strategy_cache):
+    def test_unconditional_late_change_is_not_worst_case(self, pair):
         # Favorable pre-change histories shorten the delay, so the
         # unconditional nu > 1 mean sits below the worst-history one.
-        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+        cfg = two_level(pair, a=4.5, a1=0.78, eps1=0.63)
         plain = estimate_delay(cfg, pair, 3000, seed=11, nu=20)
         worst = estimate_delay(cfg, pair, 3000, seed=11, nu=20, worst_history=True)
         assert plain.mean < worst.mean - three_se(plain, worst) / 3
@@ -114,9 +111,8 @@ class TestDelay:
 
 
 class TestCommRate:
-    def test_full_rate_levels_rate_one_exactly(self, pair, strategy_cache):
-        cfg = two_level(pair, a=6.0, a1=0.78, eps1=1.0,
-                        strategies=[strategy_cache(1.0)])
+    def test_full_rate_levels_rate_one_exactly(self, pair):
+        cfg = two_level(pair, a=6.0, a1=0.78, eps1=1.0)
         est = estimate_comm_rate(cfg, pair, 10_000, 50, seed=13)
         assert est.mean == 1.0 and est.std_error == 0.0
 
@@ -128,20 +124,18 @@ class TestCommRate:
         est = estimate_comm_rate(RandomTxSpec(5.0, 0.3), pair, 10_000, 100, seed=15)
         assert abs(est.mean - 0.3) <= 3 * est.std_error
 
-    def test_unreachable_top_level_rate_is_eps1(self, pair, strategy_cache):
-        cfg = two_level(pair, a=31.0, a1=30.0, eps1=0.4,
-                        strategies=[strategy_cache(0.4)])
+    def test_unreachable_top_level_rate_is_eps1(self, pair):
+        cfg = two_level(pair, a=31.0, a1=30.0, eps1=0.4)
         est = estimate_comm_rate(cfg, pair, 10_000, 100, seed=16)
         assert abs(est.mean - 0.4) <= max(3 * est.std_error, 1e-3)
 
-    def test_network_rate_symmetry(self, pair, pairs3, strategy_cache):
+    def test_network_rate_symmetry(self, pair, pairs3):
         # Identical sensors switching levels together: every sensor's marginal
         # send rate must match the network average (the per-sensor count is
         # collected through the scalar multi-sensor step).
         from cusumac.detectors import cusum_ac_multi_step, initial_state
 
-        cfg = two_level(pairs3, a=1000.0, a1=0.78, eps1=0.27,
-                        strategies=[strategy_cache(0.27)] * 3)
+        cfg = two_level(pairs3, a=1000.0, a1=0.78, eps1=0.27)
         rng = np.random.default_rng(17)
         horizon = 12_000
         per_sensor = np.zeros(3)
@@ -156,9 +150,8 @@ class TestCommRate:
         for r in rates:
             assert abs(r - network) <= 3 * se
 
-    def test_two_horizon_agreement(self, pair, strategy_cache):
-        cfg = two_level(pair, a=6.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_two_horizon_agreement(self, pair):
+        cfg = two_level(pair, a=6.0, a1=0.78, eps1=0.63)
         r1 = estimate_comm_rate(cfg, pair, 10_000, 120, seed=19)
         r2 = estimate_comm_rate(cfg, pair, 20_000, 120, seed=20)
         assert abs(r1.mean - r2.mean) <= three_se(r1, r2)
@@ -166,9 +159,8 @@ class TestCommRate:
         for est in (r1, r2):
             assert 0.63 <= est.mean <= 1.0
 
-    def test_conditional_agrees_with_no_stop_at_large_a(self, pair, strategy_cache):
-        cfg = two_level(pair, a=8.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_conditional_agrees_with_no_stop_at_large_a(self, pair):
+        cfg = two_level(pair, a=8.0, a1=0.78, eps1=0.63)
         ns = estimate_comm_rate(cfg, pair, 10_000, 100, seed=21, mode="no_stop")
         cond = estimate_comm_rate(cfg, pair, 10_000, 100, seed=22, mode="conditional")
         assert abs(ns.mean - cond.mean) <= max(three_se(ns, cond), 0.01)
@@ -178,11 +170,11 @@ class TestCommRate:
             estimate_comm_rate(CusumSpec(2.0), pair, 10_000, 10, seed=23,
                                mode="conditional")
 
-    def test_no_stop_rate_ignores_the_alarm_threshold(self, pairs3, strategy_cache):
+    def test_no_stop_rate_ignores_the_alarm_threshold(self, pairs3):
         # The grid search measures a candidate's rate before calibrating its
         # threshold, so the no_stop rate must be the same at every threshold.
         def ac(a):
-            return two_level(pairs3, a, 0.78, 0.27, strategies=[strategy_cache(0.27)] * 3)
+            return two_level(pairs3, a, 0.78, 0.27)
 
         def rate(det):
             return estimate_comm_rate(det, pairs3, 10_000, 20, seed=25)
@@ -196,9 +188,8 @@ class TestCommRate:
 
 
 class TestDiagnosticsAndDeterminism:
-    def test_bit_identical_reruns(self, pair, strategy_cache):
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_bit_identical_reruns(self, pair):
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63)
         a = pre_change_run(cfg, pair, 300, cap=100_000, seed=25)
         b = pre_change_run(cfg, pair, 300, cap=100_000, seed=25)
         assert a == b
@@ -231,17 +222,15 @@ class TestDiagnosticsAndDeterminism:
         assert pools == [2]
         assert many == estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=1)
 
-    def test_worker_count_invariance_on_kernel(self, pair, strategy_cache):
+    def test_worker_count_invariance_on_kernel(self, pair):
         # The second worker's chunk starts at rep_offset > 0 on the kernel.
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63)
         one = pre_change_run(cfg, pair, 201, cap=100_000, seed=26, n_jobs=1)
         two = pre_change_run(cfg, pair, 201, cap=100_000, seed=26, n_jobs=2)
         assert one == two
 
-    def test_frac_above_stabilizes_in_a(self, pair, strategy_cache):
-        cfg_stop = two_level(pair, a=0.78 + 5.0, a1=0.78, eps1=0.63,
-                             strategies=[strategy_cache(0.63)])
+    def test_frac_above_stabilizes_in_a(self, pair):
+        cfg_stop = two_level(pair, a=0.78 + 5.0, a1=0.78, eps1=0.63)
         run = pre_change_run(cfg_stop, pair, 600, cap=200_000, seed=27)
         # Open-band surrogate: stopping disabled, fraction over a fixed horizon.
         batch = eng.run_batch(cfg_stop, [pair], n_reps=300, seed=28, limit=10_000,
@@ -251,9 +240,8 @@ class TestDiagnosticsAndDeterminism:
         combined = 3 * math.hypot(run.frac_time_above_a1.std_error, se_inf)
         assert abs(run.frac_time_above_a1.mean - frac_inf.mean()) <= combined
 
-    def test_measure_performance_bundle(self, pair, strategy_cache):
-        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63,
-                        strategies=[strategy_cache(0.63)])
+    def test_measure_performance_bundle(self, pair):
+        cfg = two_level(pair, a=4.0, a1=0.78, eps1=0.63)
         report = measure_performance(cfg, pair, n_reps=300, cap=100_000,
                                      horizon=10_000, seed=29)
         assert report.arlfa.mean > 0
@@ -264,30 +252,29 @@ class TestDiagnosticsAndDeterminism:
 
 
 class TestOrderings:
-    def test_delay_nonincreasing_in_rate_at_matched_arlfa(self, pair, strategy_cache):
+    def test_delay_nonincreasing_in_rate_at_matched_arlfa(self, pair):
         zeta = 500.0
         delays = {}
         for eps1 in (0.3, 0.8, 1.0):
-            family = two_level(pair, math.inf, 0.78, eps1, strategies=[strategy_cache(eps1)])
+            family = two_level(pair, math.inf, 0.78, eps1)
             cal = calibrate_threshold(
                 threshold_curve(family, pair, [zeta], seed=30, tolerance=0.04), zeta)
-            cfg = two_level(pair, cal.a, 0.78, eps1,
-                            strategies=[strategy_cache(eps1)])
+            cfg = two_level(pair, cal.a, 0.78, eps1)
             delays[eps1] = estimate_delay(cfg, pair, 2000, seed=31)
         assert delays[0.8].mean <= delays[0.3].mean + three_se(delays[0.8], delays[0.3])
         assert delays[1.0].mean <= delays[0.8].mean + three_se(delays[1.0], delays[0.8])
 
-    def test_adaptive_beats_random_transmission(self, pair, strategy_cache):
+    def test_adaptive_beats_random_transmission(self, pair):
         # Matched ARLFA and matched rate budget 0.5: the adaptive detector
         # must be faster with at least three-standard-error separation.
         zeta = 500.0
-        family = two_level(pair, math.inf, 0.78, 0.4, strategies=[strategy_cache(0.4)])
+        family = two_level(pair, math.inf, 0.78, 0.4)
         cal_ac = calibrate_threshold(
             threshold_curve(family, pair, [zeta], seed=32, tolerance=0.04), zeta)
         cal_rtx = calibrate_threshold(
             threshold_curve(RandomTxSpec(0.0, 0.5), pair, [zeta], seed=33, tolerance=0.04),
             zeta)
-        cfg = two_level(pair, cal_ac.a, 0.78, 0.4, strategies=[strategy_cache(0.4)])
+        cfg = two_level(pair, cal_ac.a, 0.78, 0.4)
         samp_ac, t_ac = delay_samples(cfg, pair, 2500, seed=34)
         samp_rtx, t_rtx = delay_samples(RandomTxSpec(cal_rtx.a, 0.5), pair, 2500,
                                         seed=34)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cusumac import renewal
 from cusumac._engine import _StepTables
 from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
 from cusumac.detectors import CusumSpec, two_level
@@ -17,6 +18,8 @@ from cusumac.renewal import (
     feedback_expectation,
     rate_upper_bound,
 )
+
+from test_calibration import _no_walk
 
 # Exit probability of the one-step band: P(llr < 0) = Phi(0.25).
 P_RETURN_DEGENERATE = 0.598706
@@ -55,20 +58,18 @@ def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0):
 
 class TestCycleEstimation:
     def test_vanishing_band_degenerates(self, pair):
-        stats = estimate_cycle(pair, a1=0.78, a=0.78 + 1e-9, eps1=0.5,
+        stats = estimate_cycle(two_level(pair, 0.78 + 1e-9, 0.78, 0.5), pair,
                                n_reps=4000, seed=1)
         assert stats.eta0.mean == pytest.approx(1.0, abs=1e-6)
         se = stats.p_return.std_error
         assert abs(stats.p_return.mean - P_RETURN_DEGENERATE) <= 3 * se
 
-    def test_composition_identity(self, pair, strategy_cache):
+    def test_composition_identity(self, pair):
         # Two independent routes to the mean cycle length: the eta/phi
         # decomposition against whole cycles stepped through the detector.
-        a1, a, eps1 = 0.78, 4.5, 0.63
-        stats = estimate_cycle(pair, a1, a, eps1, n_reps=6000, seed=2,
-                               strategy=strategy_cache(eps1))
-        direct = estimate_cycle_direct(pair, a1, a, eps1, n_cycles=3000, seed=3,
-                                       strategy=strategy_cache(eps1))
+        cfg = two_level(pair, 4.5, 0.78, 0.63)
+        stats = estimate_cycle(cfg, pair, n_reps=6000, seed=2)
+        direct = estimate_cycle_direct(cfg, pair, n_cycles=3000, seed=3)
         p = stats.p_return.mean
         composed = stats.eta0.mean + p * stats.phi_given_return.mean
         se = math.sqrt(
@@ -81,34 +82,30 @@ class TestCycleEstimation:
         assert abs(direct.p_return.mean - stats.p_return.mean) <= 3 * p_se
 
     @pytest.mark.parametrize("config, means, capped", GOLDEN_M1)
-    def test_single_sensor_golden(self, pair, strategy_cache, config, means, capped):
+    def test_single_sensor_golden(self, pair, config, means, capped):
         a1, a, eps1, seed = config
-        stats = estimate_cycle(pair, a1, a, eps1, n_reps=2000, seed=seed,
-                               strategy=strategy_cache(eps1))
+        stats = estimate_cycle(two_level(pair, a, a1, eps1), pair, n_reps=2000, seed=seed)
         got = (stats.eta0.mean, stats.eta0_given_return.mean,
                stats.phi_given_return.mean, stats.t_a1.mean, stats.p_return.mean)
         assert got == means
         assert stats.capped_walks == capped
 
     @pytest.mark.parametrize("config, means, capped", GOLDEN_M3)
-    def test_three_sensor_golden(self, pairs3, strategy_cache, config, means, capped):
+    def test_three_sensor_golden(self, pairs3, config, means, capped):
         a1, a, eps1, seed = config
-        stats = estimate_cycle(pairs3, a1, a, eps1, n_reps=2000, seed=seed,
-                               strategy=[strategy_cache(eps1)] * 3)
+        stats = estimate_cycle(two_level(pairs3, a, a1, eps1), pairs3, n_reps=2000,
+                               seed=seed)
         got = (stats.eta0.mean, stats.eta0_given_return.mean,
                stats.phi_given_return.mean, stats.t_a1.mean, stats.p_return.mean)
         assert got == means
         assert stats.capped_walks == capped
 
-    def test_composition_identity_fused(self, pairs3, strategy_cache):
+    def test_composition_identity_fused(self, pairs3):
         # The identity for the fused 3-sensor statistic, against whole cycles
         # stepped through cusum_ac_multi_step.
-        a1, a, eps1 = 0.78, 4.5, 0.63
-        strategies = [strategy_cache(eps1)] * 3
-        stats = estimate_cycle(pairs3, a1, a, eps1, n_reps=6000, seed=17,
-                               strategy=strategies)
-        direct = estimate_cycle_direct(pairs3, a1, a, eps1, n_cycles=3000, seed=18,
-                                       strategy=strategies)
+        cfg = two_level(pairs3, 4.5, 0.78, 0.63)
+        stats = estimate_cycle(cfg, pairs3, n_reps=6000, seed=17)
+        direct = estimate_cycle_direct(cfg, pairs3, n_cycles=3000, seed=18)
         p = stats.p_return.mean
         composed = stats.eta0.mean + p * stats.phi_given_return.mean
         se = math.sqrt(
@@ -118,43 +115,49 @@ class TestCycleEstimation:
             + direct.cycle_length.std_error ** 2)
         assert abs(direct.cycle_length.mean - composed) <= 3 * se
 
-    def test_fused_t_a1_matches_engine_arlfa(self, pairs3, strategy_cache):
+    def test_fused_t_a1_matches_engine_arlfa(self, pairs3):
         # The plain-CuSum leg against the engine's ARLFA run at threshold a1.
         a1 = 0.78
-        stats = estimate_cycle(pairs3, a1, math.inf, 0.63, n_reps=4000, seed=19,
-                               strategy=strategy_cache(0.63))
+        stats = estimate_cycle(two_level(pairs3, math.inf, a1, 0.63), pairs3, n_reps=4000,
+                               seed=19)
         arl = estimate_arlfa(CusumSpec(a1), pairs3, 2000, cap=100_000, seed=20)
         se = math.hypot(stats.t_a1.std_error, arl.std_error)
         assert abs(stats.t_a1.mean - arl.mean) <= 3 * se
 
-    def test_strategy_count_must_match_sensors(self, pairs3, strategy_cache):
-        with pytest.raises(ValueError, match="strategies"):
-            estimate_cycle(pairs3, 0.78, 4.0, 0.63, n_reps=200, seed=21,
-                           strategy=[strategy_cache(0.63)] * 2)
-        with pytest.raises(ValueError, match="got 1 strategies for 3 sensors"):
-            estimate_cycle_direct(pairs3, 0.78, 4.0, 0.63, n_cycles=200, seed=21,
-                                  strategy=[strategy_cache(0.63)])
-
-    def test_open_band_walks_stay_finite(self, pair, strategy_cache):
-        stats = estimate_cycle(pair, a1=0.78, a=math.inf, eps1=0.63,
-                               n_reps=3000, seed=4, strategy=strategy_cache(0.63))
+    def test_open_band_walks_stay_finite(self, pair):
+        stats = estimate_cycle(two_level(pair, math.inf, 0.78, 0.63), pair,
+                               n_reps=3000, seed=4)
         assert stats.capped_walks == 0
         assert stats.p_return.mean == 1.0
         assert np.all(stats.return_value_samples < 0.78)
 
-    def test_eta_stable_as_band_grows(self, pair, strategy_cache):
-        s10 = estimate_cycle(pair, 0.78, 10.0, 0.63, n_reps=6000, seed=5,
-                             strategy=strategy_cache(0.63))
-        sinf = estimate_cycle(pair, 0.78, math.inf, 0.63, n_reps=6000, seed=6,
-                              strategy=strategy_cache(0.63))
+    def test_eta_stable_as_band_grows(self, pair):
+        s10 = estimate_cycle(two_level(pair, 10.0, 0.78, 0.63), pair, n_reps=6000, seed=5)
+        sinf = estimate_cycle(two_level(pair, math.inf, 0.78, 0.63), pair, n_reps=6000,
+                              seed=6)
         se = math.hypot(s10.eta0.std_error, sinf.eta0.std_error)
         assert abs(s10.eta0.mean - sinf.eta0.mean) <= 3 * se
 
-    def test_validation(self, pair):
-        with pytest.raises(ValueError):
-            estimate_cycle(pair, a1=1.0, a=0.5, eps1=0.5, n_reps=200, seed=7)
-        with pytest.raises(ValueError):
-            estimate_cycle(pair, a1=0.78, a=4.0, eps1=5e-4, n_reps=200, seed=7)
+
+@pytest.mark.parametrize("estimator", [estimate_cycle, estimate_cycle_direct])
+class TestCycleRefusals:
+    # Each detector is refused before a leg is walked or a cycle is stepped.
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        monkeypatch.setattr(renewal, "_walk", _no_walk)
+        monkeypatch.setattr(renewal, "cusum_ac_multi_step", _no_walk)
+
+    def test_plain_cusum_refused(self, pairs3, estimator):
+        with pytest.raises(TypeError, match="need a CusumAcConfig"):
+            estimator(CusumSpec(4.0), pairs3, 200, 21)
+
+    def test_one_strategy_for_three_pairs_refused(self, pair, pairs3, estimator):
+        with pytest.raises(ValueError, match="config has 1 sensors, got 3 pairs"):
+            estimator(two_level(pair, 4.0, 0.78, 0.63), pairs3, 200, 21)
+
+    def test_mixed_rates_refused(self, pairs3, estimator):
+        with pytest.raises(ValueError, match="one censored rate"):
+            estimator(two_level(pairs3, 4.0, 0.78, [0.27, 0.63, 0.63]), pairs3, 200, 21)
 
 
 class _RecordingPair:
@@ -198,31 +201,31 @@ class TestWalkDraws:
 
 
 class TestEprimeMembership:
-    def test_full_rate_is_rejected(self, pair, strategy_cache):
+    def test_full_rate_is_rejected(self, pair):
         # Without censoring the climb from a re-entry point is strictly
         # faster than a fresh run to a1.
-        stats = estimate_cycle(pair, 0.78, math.inf, 1.0, n_reps=6000, seed=9,
-                               strategy=strategy_cache(1.0))
+        stats = estimate_cycle(two_level(pair, math.inf, 0.78, 1.0), pair, n_reps=6000,
+                               seed=9)
         check = check_eprime_membership(stats)
         assert check.verdict == "rejected"
 
-    def test_heavy_censoring_is_member(self, pair, strategy_cache):
-        stats = estimate_cycle(pair, 0.78, math.inf, 0.1, n_reps=4000, seed=10,
-                               strategy=strategy_cache(0.1))
+    def test_heavy_censoring_is_member(self, pair):
+        stats = estimate_cycle(two_level(pair, math.inf, 0.78, 0.1), pair, n_reps=4000,
+                               seed=10)
         check = check_eprime_membership(stats)
         assert check.verdict == "member"
 
-    def test_margin_grows_as_rate_shrinks(self, pair, strategy_cache):
+    def test_margin_grows_as_rate_shrinks(self, pair):
         margins = []
         for eps1 in (0.6, 0.3, 0.1):
-            stats = estimate_cycle(pair, 0.78, math.inf, eps1, n_reps=4000,
-                                   seed=11, strategy=strategy_cache(eps1))
+            stats = estimate_cycle(two_level(pair, math.inf, 0.78, eps1), pair,
+                                   n_reps=4000, seed=11)
             margins.append(check_eprime_membership(stats).margin)
         assert margins[0] < margins[1] < margins[2]
 
-    def test_tiny_a1_everything_is_member(self, pair, strategy_cache):
-        stats = estimate_cycle(pair, 0.05, math.inf, 0.3, n_reps=4000, seed=12,
-                               strategy=strategy_cache(0.3))
+    def test_tiny_a1_everything_is_member(self, pair):
+        stats = estimate_cycle(two_level(pair, math.inf, 0.05, 0.3), pair, n_reps=4000,
+                               seed=12)
         assert check_eprime_membership(stats).verdict == "member"
 
 
@@ -234,13 +237,12 @@ class TestRateUpperBound:
         stats = make_stats(eta_ret=2.0, phi_ret=1e9, p_return=0.99, eps1=0.37)
         assert rate_upper_bound(stats) == pytest.approx(0.37, abs=1e-6)
 
-    def test_bound_dominates_measured_rate(self, pair, strategy_cache):
+    def test_bound_dominates_measured_rate(self, pair):
         for (a1, eps1) in ((0.78, 0.63), (1.2, 0.3)):
-            stats = estimate_cycle(pair, a1, math.inf, eps1, n_reps=5000, seed=13,
-                                   strategy=strategy_cache(eps1))
+            stats = estimate_cycle(two_level(pair, math.inf, a1, eps1), pair, n_reps=5000,
+                                   seed=13)
             bound = rate_upper_bound(stats)
-            cfg = two_level(pair, a1 + 100.0, a1, eps1,
-                            strategies=[strategy_cache(eps1)])
+            cfg = two_level(pair, a1 + 100.0, a1, eps1)
             rate = estimate_comm_rate(cfg, pair, 10_000, 150, seed=14)
             assert rate.mean <= bound + 3 * rate.std_error
 
@@ -253,14 +255,12 @@ class TestFeedback:
     def test_certain_return_is_unbounded(self):
         assert feedback_expectation(make_stats(3.0, 8.0, 1.0)) == math.inf
 
-    def test_formula_matches_simulated_feedback(self, pair, strategy_cache):
+    def test_formula_matches_simulated_feedback(self, pair):
         # Per-alarm announcements counted by the detector vs the renewal
         # formula 2 / (1 - p_return); equivalently the up-crossings per alarm
         # are geometric with mean 1 / (1 - p_return).
-        a1, a, eps1 = 0.78, 4.0, 0.63
-        stats = estimate_cycle(pair, a1, a, eps1, n_reps=8000, seed=15,
-                               strategy=strategy_cache(eps1))
-        cfg = two_level(pair, a, a1, eps1, strategies=[strategy_cache(eps1)])
+        cfg = two_level(pair, 4.0, 0.78, 0.63)
+        stats = estimate_cycle(cfg, pair, n_reps=8000, seed=15)
         run = pre_change_run(cfg, pair, 3000, cap=100_000, seed=16)
         predicted = feedback_expectation(stats)
         p, se_p = stats.p_return.mean, stats.p_return.std_error
