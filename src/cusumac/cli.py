@@ -473,6 +473,9 @@ def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
     zetas = spec.zeta_grid
     cusum = _calibrate(spec, pairs, CusumSpec(0.0), zetas, seed, 10)
     adaptive = _calibrate(spec, pairs, ac_of(math.inf), zetas, seed, 40)
+    # A no-stop run ignores the alarm threshold, so one rate serves every zeta.
+    rate = estimate_comm_rate(ac_of(math.inf), pairs, 10_000, max(100, spec.n_reps // 10),
+                              derive_seed(seed, 100), n_jobs=n_jobs)
     sink = _RowSink(spec, seed)
     for i, (zeta, (a_c, arl_c), (a_ac, arl_ac)) in enumerate(zip(zetas, cusum, adaptive)):
         delay_seed = derive_seed(seed, 70 + i)
@@ -483,9 +486,6 @@ def _run_delay_vs_arlfa(spec, pairs, out_dir, seed, n_jobs):
         ac = _measure(sink, pairs, "cusum_ac", ac_of(a_ac), arl_ac, delay_seed, ac_extra,
                       n_jobs)
         _add_gap(sink, "cusum_ac", "delay_gap_vs_cusum", ac, c, ac_extra)
-        rate = estimate_comm_rate(ac_of(a_ac), pairs, 10_000,
-                                  max(100, spec.n_reps // 10),
-                                  derive_seed(seed, 100 + i), n_jobs=n_jobs)
         sink.add("cusum_ac", "comm_rate", rate, **ac_extra)
     return [sink.write(out_dir)]
 

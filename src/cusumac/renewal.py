@@ -7,8 +7,9 @@ with re-entry value s_hat, followed - on return - by a censored climb back to
 a1 (duration phi).  This module estimates those cycle quantities by
 simulation, plus the derived checks built on them: the slow-regime
 membership test (is the censored climb at least as long as a plain CuSum run
-to a1?), the alternating-renewal upper bound on the communication rate, and
-the expected per-alarm feedback count.
+to a1?), the renewal-reward communication rate (``rate_upper_bound``, which
+equals the long-run no-stop rate), and the expected per-alarm feedback
+count.
 
 Every leg, and the plain CuSum run t_a1, is one call of a single walker,
 which steps one row of the engine's step table (``_engine._StepTables``)
@@ -23,11 +24,13 @@ the engine's closed-form reflected walk.  The walker draws on the engine's
 block schedule (``_engine._block_steps``) with its own, smaller bounds: legs
 last a few to a few dozen steps, so its first block has ``_WALK_FIRST``
 steps per replication and each later block doubles up to ``_WALK_BLOCK``.
-The schedule depends only on the step count, so results do not depend on
-batching.  With M > 1 sensors it is part of the walker's stream, since a
-block is drawn sensor by sensor; with M = 1 the draws are one sequence
-whatever the block sizes (random transmission's send uniforms, which follow
-each block's observations, aside).
+The schedule depends only on the step count.  It takes its draws from one
+of two sources.  The cycle estimators give each replication its own stream
+and draw its block sensor by sensor, so their results do not depend on
+batching.  The ARLFA curve walks its legs in fixed batches of
+``_LEG_BATCH`` and draws each batch's block from one stream, as one array
+per sensor; its batches start at multiples of ``_LEG_BATCH``, so the
+curve is a function of its seed and leg count.
 
 Both cycle estimators take the detector as every simulator does, as
 ``(config, pairs)``: a :class:`CusumAcConfig` whose strategies share one
@@ -119,21 +122,50 @@ def _cycle_tables(config, pairs) -> _StepTables:
     return _StepTables(config, pairs)
 
 
+def _leg_draws(tab: _StepTables, seed: int, n: int, post_change: bool):
+    """Per-leg draws: leg i reads stream [seed, i, 0], sensor by sensor within a block."""
+    rngs = _rep_rngs(seed, 0, n, 0)
+    nu = 1 if post_change else None
+    return lambda act, k, B: (_draw_obs(rngs, act, tab.pairs, k, B, nu),
+                              tab.send_mask(rngs, act, B))
+
+
+def _batch_draws(tab: _StepTables, entropy: list, post_change: bool):
+    """Whole-batch draws from the one stream ``default_rng(entropy)``.
+
+    Each block is one (n_active, B) draw per sensor, then, for random
+    transmission, the send flags as one (n_active, M, B) draw of uniforms.
+    """
+    rng = np.random.default_rng(entropy)
+    samplers = [p.sample1 if post_change else p.sample0 for p in tab.pairs]
+
+    def draw(act, k, B):
+        x = np.empty((act.size, len(samplers), B))
+        for m, sample in enumerate(samplers):
+            x[:, m] = sample(rng, (act.size, B))
+        if tab.send_prob is None:
+            return x, None
+        return x, rng.random(x.shape) < tab.send_prob
+    return draw
+
+
 def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, upper: float,
-          seed: int, cap: int, *, rep_offset: int = 0, substream: int = 0,
-          post_change: bool = False, levels=None):
+          seed: int, cap: int, *, stream=None, post_change: bool = False, levels=None):
     """Step one row of ``tab`` from ``starts`` until the statistic leaves (lower, upper).
 
     The fused increment is the table's censored row (in force below a1)
-    throughout if ``censored``, else its full-rate row.  Replication i draws
-    from stream [seed, rep_offset + i, substream] in blocks of 16, 16, 32,
-    64, ... steps, doubling up to ``_WALK_BLOCK``, sensor by sensor within a
-    block, from the post-change law if ``post_change``.  The schedule
-    depends only on the step count; it is part of the stream at M > 1, and
-    at M = 1 gives the same draws as any other schedule.  Random
-    transmission's send uniforms follow each block's observations on the
-    same stream.  The statistic is the closed-form reflected walk of the
-    engine's :func:`_reflected`.
+    throughout if ``censored``, else its full-rate row; observations follow
+    the post-change law if ``post_change``.  Blocks have 16, 16, 32, 64, ...
+    steps, doubling up to ``_WALK_BLOCK``.  By default replication i draws
+    from its own stream [seed, i, 0], sensor by sensor within a block, with
+    random transmission's send uniforms after each block's observations
+    (the cycle estimators' streams).  With ``stream=(start, k)`` the whole
+    call draws from the one stream [seed, start, k], a block at a time:
+    one (n_active, B) array per sensor, then the send uniforms (the ARLFA
+    curve's streams).  Either way the schedule depends only on the step
+    count; it is part of the stream, except for per-leg streams at M = 1.
+    The statistic is the closed-form reflected walk of the engine's
+    :func:`_reflected`.
 
     Returns (durations, exit values, n_capped); a capped walk has duration
     ``cap`` and exit value NaN.  With nondecreasing ``levels`` it also
@@ -141,7 +173,10 @@ def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, up
     statistic first reached each level (0 if never) and its value there.
     """
     n = starts.size
-    rngs = _rep_rngs(seed, rep_offset, n, substream)
+    if stream is None:
+        draw = _leg_draws(tab, seed, n, post_change)
+    else:
+        draw = _batch_draws(tab, [seed, *stream], post_change)
     act = np.arange(n)
     w = np.zeros(n)
     w_min = -starts
@@ -152,8 +187,7 @@ def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, up
     k = 0
     while act.size and k < cap:
         B = _block_steps(k, cap, _WALK_FIRST, _WALK_BLOCK)
-        x = _draw_obs(rngs, act, tab.pairs, k, B, 1 if post_change else None)
-        fused, _ = tab.increments(x, tab.send_mask(rngs, act, B), censored)
+        fused, _ = tab.increments(*draw(act, k, B), censored)
         s, w, w_min = _reflected(fused, w, w_min)
         out = (s <= lower) | (s >= upper)
         found = out.any(axis=1)
@@ -290,38 +324,38 @@ class ArlfaCurve:
                           n_reps=self.n_legs, truncated_reps=self.capped)
 
     def grown(self, n_legs: int) -> "ArlfaCurve":
-        """This curve grown to ``n_legs`` legs, walked in batches of ``_LEG_BATCH``.
+        """This curve grown to ``n_legs`` legs, rounded up to whole batches of ``_LEG_BATCH``.
 
-        The sums fold in one leg at a time, so growing in steps gives the
-        curve built at once, bit for bit.
+        Batch j holds legs j * _LEG_BATCH onward and draws from streams of
+        its own, and the sums fold in one batch at a time, so growing in
+        steps gives the curve built at once, bit for bit.
         """
         tab = _StepTables(self.detector, self.pairs)
         sums, capped = self.sums.copy(), self.capped
-        for start in range(self.n_legs, n_legs, _LEG_BATCH):
-            y, q, z, n_capped = _curve_legs(tab, self, start, min(_LEG_BATCH, n_legs - start))
-            for row, v in enumerate((y, y * y, q, q * q, z, z * z)):
-                sums[row] = np.add.accumulate(np.concatenate([sums[row][None], v]))[-1]
+        total = max(self.n_legs, math.ceil(n_legs / _LEG_BATCH) * _LEG_BATCH)
+        for start in range(self.n_legs, total, _LEG_BATCH):
+            y, q, z, n_capped = _curve_legs(tab, self, start)
+            sums += np.stack([v.sum(axis=0) for v in (y, y * y, q, q * q, z, z * z)])
             capped += n_capped
-        return dataclasses.replace(self, n_legs=max(n_legs, self.n_legs), sums=sums,
-                                   capped=capped)
+        return dataclasses.replace(self, n_legs=total, sums=sums, capped=capped)
 
 
-def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int, n: int):
-    """y, q and z per threshold of legs ``start`` .. ``start + n - 1``, and capped walks."""
-    r = tab.regen
+def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int):
+    """y, q and z per threshold of the batch of legs from ``start``, and its capped walks."""
+    n, r = _LEG_BATCH, tab.regen
     lower = max(np.nextafter(r, -math.inf), 0.0)  # a leg returns below r, or back to 0
     alarms = tab.inclusive(curve.a)
-    kw = dict(seed=curve.seed, cap=_WALK_CAP, rep_offset=start)
+    kw = dict(seed=curve.seed, cap=_WALK_CAP)
     leg = dict(kw, tab=tab, censored=False, starts=np.full(n, r), lower=lower,
                upper=alarms[-1], levels=alarms)
-    dur, exit_s, capped, (t0, _) = _walk(**leg)
-    _, _, capped_1, (t1, v1) = _walk(**leg, substream=1, post_change=True)
+    dur, exit_s, capped, (t0, _) = _walk(**leg, stream=(start, 0))
+    _, _, capped_1, (t1, v1) = _walk(**leg, stream=(start, 1), post_change=True)
     tail, z = dur.astype(float), np.zeros(n)
     if tab.censors:  # the censored climbs back to r: after a returned leg, and the first from 0
         returned = exit_s <= lower
         phi, _, capped_phi = _walk(tab, True, np.where(returned, exit_s, 0.0), -math.inf, r,
-                                   substream=2, **kw)
-        z, _, capped_z = _walk(tab, True, np.zeros(n), -math.inf, r, substream=3, **kw)
+                                   stream=(start, 2), **kw)
+        z, _, capped_z = _walk(tab, True, np.zeros(n), -math.inf, r, stream=(start, 3), **kw)
         tail += np.where(returned, phi, 0)
         capped += capped_phi + capped_z
     y = np.where(t0 > 0, t0, tail[:, None])
@@ -348,9 +382,12 @@ def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
     exp(-(s - r)), the exact likelihood ratio of a path that has not
     reflected.
 
-    Leg i draws from streams [seed, i, k]: k = 0 for its pre-change leg, 1
-    for its post-change leg, 2 for the climb after the pre-change leg and 3
-    for the first climb, so the curve does not depend on batching.
+    Legs are walked in batches of ``_LEG_BATCH``, and ``n_legs`` is rounded
+    up to whole batches.  The batch of legs from i draws each kind from one
+    stream [seed, i, k]: k = 0 for its pre-change legs, 1 for its
+    post-change legs, 2 for the climbs after the pre-change legs and 3 for
+    the first climbs.  So the curve is a function of (seed, n_legs), and
+    growing it in steps (:meth:`ArlfaCurve.grown`) gives the same curve.
     Thresholds must be finite and nondecreasing, at least 0, and above a1
     for CuSum-AC.
     """
@@ -360,8 +397,8 @@ def arlfa_curve(detector, pairs, a_grid, n_legs: int, seed: int) -> ArlfaCurve:
         raise ValueError("a_grid must be a nonempty nondecreasing sequence of finite reals")
     if not tab.inclusive(a[0]) > tab.regen:  # every alarm lies above the regeneration
         raise ValueError("thresholds must be nonnegative, and above a1 for CuSum-AC")
-    if n_legs < 2:
-        raise ValueError("an ARLFA curve needs at least two legs")
+    if n_legs < 1:
+        raise ValueError("an ARLFA curve needs at least one leg")
     empty = ArlfaCurve(detector=detector, pairs=tuple(tab.pairs), a=a, seed=seed,
                        n_legs=0, sums=np.zeros((6, a.size)), capped=0)
     return empty.grown(n_legs)
@@ -386,12 +423,16 @@ def check_eprime_membership(stats: CycleStats) -> EprimeCheck:
 
 
 def rate_upper_bound(stats: CycleStats) -> float:
-    """Alternating-renewal upper bound on the pre-change communication rate.
+    """The long-run pre-change communication rate, by renewal-reward.
 
-    Every cycle alternates a full-rate leg (mean eta, conditioned on return
-    as in the renewal-reward decomposition) with a censored leg (mean phi,
-    rate eps1); the long-run send fraction is bounded by the time-weighted
-    mix of the two rates.
+    With the alarm open above, every SPRT leg returns, so pre-change time
+    splits into i.i.d. cycles of a full-rate leg (mean eta, conditioned on
+    return) and a censored climb (mean phi).  Every sensor sends on every
+    full-rate step; a censored sensor sends with probability eps1 at each
+    step, and the climb is a stopping time, so by Wald's identity a climb
+    sends eps1 * phi on average.  The ratio (eta + eps1 * phi) / (eta + phi)
+    is therefore exactly the no-stop rate, not only a bound on it.  Both
+    means are estimates, so the ratio carries their Monte Carlo error.
     """
     eta = stats.eta0_given_return.mean
     phi = stats.phi_given_return.mean

@@ -91,12 +91,13 @@ class TestAgainstEngine:
         assert abs(est.mean - direct.mean) <= band, (est, direct)
 
 
-# sha256 of ArlfaCurve.sums for three sensors, 1500 legs (two leg batches),
-# seed 46, generated before the walker stepped the engine's step table.
+# sha256 of ArlfaCurve.sums for three sensors, 1500 legs rounded up to two
+# leg batches, seed 46, regenerated when each batch of legs came to draw one
+# stream per leg kind.
 GOLDEN_SUMS = {
-    "cusum": "bdba3108b4706ccc53ce4461ffda34fa320f4bace42cbea2163122c66c9fe0c8",
-    "random_tx": "f8ac677240df6158b19ecd85c41227055b9cd2ee26594c5463d05f64ebd98f87",
-    "cusum_ac": "7bcc7427c9798bcda2246f871a97f27c1ed126655d14fa25904f1210f261172c",
+    "cusum": "6965fdd5e9cd9a62c099d6b18254f1c584f4c951de5b8a951b4d09c44c705df2",
+    "random_tx": "8d0bb74ff352b30c392efed9f44ca8c3e8ae0f85295b2c35ad7f9062fb92dd6c",
+    "cusum_ac": "12942bc1e35df9ff74210aa0baf6241f7b47989a42c6f5e791192a33fbbf80a9",
 }
 
 
@@ -118,10 +119,18 @@ class TestCurve:
         grid = [0.9, 2.0, 3.5, 5.0]
         once = arlfa_curve(family, pair, grid, 2500, seed=44)
         grown = arlfa_curve(family, pair, grid, 700, seed=44).grown(1900).grown(2500)
-        assert grown.n_legs == once.n_legs == 2500
+        assert grown.n_legs == once.n_legs == 3000
         assert np.array_equal(grown.sums, once.sums)
         assert np.array_equal(grown.mean, once.mean)
         assert np.array_equal(grown.std_error, once.std_error)
+
+    def test_leg_count_rounds_up_to_whole_batches(self, pairs3):
+        detector = RandomTxSpec(0.0, 0.4)
+        part = arlfa_curve(detector, pairs3, [2.0, 4.0], 1500, seed=47)
+        whole = arlfa_curve(detector, pairs3, [2.0, 4.0], 2000, seed=47)
+        assert part.n_legs == whole.n_legs == 2000
+        assert np.array_equal(part.sums, whole.sums)
+        assert part.capped == whole.capped
 
     def test_curve_is_nondecreasing_and_above_exp_a(self, pairs3):
         # Every increment's exponential has mean one before the change, so

@@ -199,6 +199,27 @@ class TestWalkDraws:
         assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
         assert rec.sizes == [b for b in schedule for _ in range(3)]
 
+    def test_curve_batch_draws_one_array_per_sensor_per_block(self, pair):
+        # The curve's walks share one stream: each block is one (n_active, B)
+        # draw per sensor, whatever the number of legs still walking.
+        sensors = [_RecordingPair(pair), _RecordingPair(pair)]
+        tab = _StepTables(CusumSpec(0.0), sensors)
+        schedule = [16, 16, 32, 64, 128, 256, 256, 100]
+        cap = sum(schedule)
+        dur, _, capped = _walk(tab, False, np.zeros(3), -math.inf, math.inf, seed=2, cap=cap,
+                               stream=(0, 0))
+        assert capped == 3 and (dur == cap).all()
+        for rec in sensors:
+            assert rec.sizes == [(3, b) for b in schedule]
+            rec.sizes.clear()
+        starts = np.linspace(0.0, 3.0, 40)
+        dur, _, _ = _walk(tab, False, starts, 0.0, 3.0, seed=2, cap=10_000, stream=(1000, 1),
+                          post_change=True)
+        active = [int((dur > k).sum()) for k in np.cumsum([0, 16, 16, 32, 64, 128])]
+        expected = [(n, b) for n, b in zip(active, [16, 16, 32, 64, 128, 256]) if n]
+        for rec in sensors:
+            assert rec.sizes == expected
+
 
 class TestEprimeMembership:
     def test_full_rate_is_rejected(self, pair):
