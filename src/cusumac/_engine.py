@@ -2,7 +2,8 @@
 
 Replications are advanced in lockstep with numpy across the active set; each
 replication owns RNG streams derived from (seed, replication index, substream)
-so results do not depend on batching, chunk boundaries or worker count.
+so results do not depend on batching, chunk boundaries or worker count;
+:func:`_rep_draws` lays them out for the kernel and the renewal-cycle walks.
 Substream 0 carries observations, consumed in blocks that grow from one
 ``CHUNK`` of steps and double up to ``OBS_BLOCK`` (:func:`_block_steps`):
 pre-change segment first when the change time falls inside a block, sensor
@@ -19,8 +20,9 @@ depends on the schedule.
 A detector's step is described once, by :class:`_StepTables`, which the
 kernel here and the renewal walker of :mod:`cusumac.renewal` both step: the
 fused increment and send count of the full-rate row and, for CuSum-AC, of
-the censored row in force below the switching threshold a1, random
-transmission's send mask, the regeneration level, and the alarm test.
+the censored row in force below the switching threshold a1 (random
+transmission's send flags mask the full-rate row), the regeneration level,
+and the alarm test.  The table draws nothing.
 Plain CuSum and random transmission are its case without a1; the table
 turns their strict alarm ``S > a`` into the inclusive test against
 ``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
@@ -199,23 +201,35 @@ def _rep_rngs(seed: int, rep_offset: int, n_reps: int, substream: int) -> list:
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
 
 
-def _draw_obs(rep_rngs, rep_ids, pairs, k0: int, B: int, nu: Optional[int]) -> np.ndarray:
-    """Observations (n, M, B) for steps k0+1 .. k0+B of every listed replication.
+def _rep_draws(tab: _StepTables, seed: int, rep_offset: int, n_reps: int, nu: Optional[int]):
+    """The draw source of a batch: ``draw(rep_ids, k0, B) -> (obs, send flags)``.
 
-    Each replication's block is drawn pre-change segment first, then
-    post-change, sensor by sensor within a segment.
+    For steps k0+1 .. k0+B of every listed replication, observations
+    (n, M, B) come from its substream 0, pre-change segment first, sensor by
+    sensor within a segment.  Random transmission's send flags (n, M, B)
+    come from its substream 1, one (B, M) draw of uniforms per block; other
+    detectors get None.
     """
-    out = np.empty((len(rep_ids), len(pairs), B))
-    n_pre = _pre_steps(k0, B, nu)
-    for row, rid in enumerate(rep_ids):
-        rng = rep_rngs[rid]
-        for m, p in enumerate(pairs):
-            if n_pre:
-                out[row, m, :n_pre] = p.sample0(rng, n_pre)
-        for m, p in enumerate(pairs):
-            if n_pre < B:
-                out[row, m, n_pre:] = p.sample1(rng, B - n_pre)
-    return out
+    pairs, M, eps = tab.pairs, len(tab.pairs), tab.send_prob
+    obs_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
+    flag_rngs = None if eps is None else _rep_rngs(seed, rep_offset, n_reps, 1)
+
+    def draw(rep_ids, k0: int, B: int):
+        n_pre = _pre_steps(k0, B, nu)
+        obs = np.empty((len(rep_ids), M, B))
+        u = None if eps is None else np.empty((len(rep_ids), B, M))
+        for row, rid in enumerate(rep_ids):
+            rng = obs_rngs[rid]
+            for m, p in enumerate(pairs):
+                if n_pre:
+                    obs[row, m, :n_pre] = p.sample0(rng, n_pre)
+            for m, p in enumerate(pairs):
+                if n_pre < B:
+                    obs[row, m, n_pre:] = p.sample1(rng, B - n_pre)
+            if u is not None:
+                u[row] = flag_rngs[rid].random((B, M))
+        return obs, None if u is None else (u < eps).transpose(0, 2, 1)
+    return draw
 
 
 def _new_result(n_reps: int, limit: int) -> BatchResult:
@@ -309,15 +323,6 @@ class _StepTables:
                 self.lo[m], self.hi[m] = strat.nosend_x_lo, strat.nosend_x_hi
                 self.llrc[m] = strat.llr_censored
 
-    def send_mask(self, rngs, rep_ids, B: int):
-        """Random transmission's send flags (n, M, B), from one (B, M) draw each; else None."""
-        if self.send_prob is None:
-            return None
-        u = np.empty((len(rep_ids), B, len(self.pairs)))
-        for row, rid in enumerate(rep_ids):
-            u[row] = rngs[rid].random((B, len(self.pairs)))
-        return (u < self.send_prob).transpose(0, 2, 1)
-
     def inclusive(self, a):
         """Thresholds ``a`` as the test ``S >= inclusive(a)``: ``S > a`` unless CuSum-AC."""
         return a if self.censors else np.nextafter(a, np.inf)
@@ -357,13 +362,11 @@ class _StepTables:
 
 def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 stop_enabled, require_zero_at, record) -> BatchResult:
-    pairs = tab.pairs
-    M = len(pairs)
+    M = len(tab.pairs)
     closed = not tab.censors and not record  # i.i.d. increments: the closed-form step
 
     res = _new_result(n_reps, limit)
-    rep_rngs = _rep_rngs(seed, rep_offset, n_reps, 0)
-    aux_rngs = _rep_rngs(seed, rep_offset, n_reps, 1) if tab.send_prob is not None else None
+    draw = _rep_draws(tab, seed, rep_offset, n_reps, nu)
 
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
@@ -373,8 +376,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
     k = 0
     while ids.size and k < limit:
         B = _block_steps(k, limit)
-        obs = _draw_obs(rep_rngs, ids, pairs, k, B, nu)
-        gam = tab.send_mask(aux_rngs, ids, B)
+        obs, gam = draw(ids, k, B)
         rows = np.arange(ids.size)  # each running replication's row in obs
         for j0 in range(0, B, CHUNK):
             k0 = k + j0

@@ -16,21 +16,22 @@ which steps one row of the engine's step table (``_engine._StepTables``)
 from a start value until the statistic leaves (lower, upper): the
 full-rate row for the SPRT leg, t_a1 and every plain CuSum or
 random-transmission leg, the censored row for the climb back to a1.  The
-table decides the increments, random transmission's send mask, the
-regeneration level (a1, or 0) and which alarms are strict, so the walker and
-the engine cannot disagree on the detector they run.  Within a leg the row
-never changes, so the increments are i.i.d. and a block of steps reduces to
-the engine's closed-form reflected walk.  The walker draws on the engine's
-block schedule (``_engine._block_steps``) with its own, smaller bounds: legs
-last a few to a few dozen steps, so its first block has ``_WALK_FIRST``
-steps per replication and each later block doubles up to ``_WALK_BLOCK``.
-The schedule depends only on the step count.  It takes its draws from one
-of two sources.  The cycle estimators give each replication its own stream
-and draw its block sensor by sensor, so their results do not depend on
-batching.  The ARLFA curve walks its legs in fixed batches of
-``_LEG_BATCH`` and draws each batch's block from one stream, as one array
-per sensor; its batches start at multiples of ``_LEG_BATCH``, so the
-curve is a function of its seed and leg count.
+table decides the increments, the regeneration level (a1, or 0) and which
+alarms are strict, so the walker and the engine cannot disagree on the
+detector they run.  Within a leg the row never changes, so the increments
+are i.i.d. and a block of steps reduces to the engine's closed-form
+reflected walk.  The walker draws on the engine's block schedule
+(``_engine._block_steps``) with its own, smaller bounds: legs last a few to
+a few dozen steps, so its first block has ``_WALK_FIRST`` steps per
+replication and each later block doubles up to ``_WALK_BLOCK``.  The
+schedule depends only on the step count.  Each call takes its draw source
+as an argument.  The cycle estimators pass the engine's per-replication
+source (``_engine._rep_draws``), so each leg reads its own stream in the
+engine's layout and their results do not depend on batching.  The ARLFA
+curve walks its legs in fixed batches of ``_LEG_BATCH`` and draws each
+batch's block from one stream, as one array per sensor; its batches start
+at multiples of ``_LEG_BATCH``, so the curve is a function of its seed and
+leg count.
 
 Both cycle estimators take the detector as every simulator does, as
 ``(config, pairs)``: a :class:`CusumAcConfig` whose strategies share one
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import _block_steps, _draw_obs, _reflected, _rep_rngs, _StepTables
+from ._engine import _block_steps, _reflected, _rep_draws, _rep_rngs, _StepTables
 from .detectors import CusumAcConfig, cusum_ac_multi_step, initial_state
 from .montecarlo import McEstimate, derive_seed, summarize
 
@@ -122,14 +123,6 @@ def _cycle_tables(config, pairs) -> _StepTables:
     return _StepTables(config, pairs)
 
 
-def _leg_draws(tab: _StepTables, seed: int, n: int, post_change: bool):
-    """Per-leg draws: leg i reads stream [seed, i, 0], sensor by sensor within a block."""
-    rngs = _rep_rngs(seed, 0, n, 0)
-    nu = 1 if post_change else None
-    return lambda act, k, B: (_draw_obs(rngs, act, tab.pairs, k, B, nu),
-                              tab.send_mask(rngs, act, B))
-
-
 def _batch_draws(tab: _StepTables, entropy: list, post_change: bool):
     """Whole-batch draws from the one stream ``default_rng(entropy)``.
 
@@ -150,22 +143,18 @@ def _batch_draws(tab: _StepTables, entropy: list, post_change: bool):
 
 
 def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, upper: float,
-          seed: int, cap: int, *, stream=None, post_change: bool = False, levels=None):
+          draw, cap: int, *, levels=None):
     """Step one row of ``tab`` from ``starts`` until the statistic leaves (lower, upper).
 
     The fused increment is the table's censored row (in force below a1)
-    throughout if ``censored``, else its full-rate row; observations follow
-    the post-change law if ``post_change``.  Blocks have 16, 16, 32, 64, ...
-    steps, doubling up to ``_WALK_BLOCK``.  By default replication i draws
-    from its own stream [seed, i, 0], sensor by sensor within a block, with
-    random transmission's send uniforms after each block's observations
-    (the cycle estimators' streams).  With ``stream=(start, k)`` the whole
-    call draws from the one stream [seed, start, k], a block at a time:
-    one (n_active, B) array per sensor, then the send uniforms (the ARLFA
-    curve's streams).  Either way the schedule depends only on the step
-    count; it is part of the stream, except for per-leg streams at M = 1.
-    The statistic is the closed-form reflected walk of the engine's
-    :func:`_reflected`.
+    throughout if ``censored``, else its full-rate row.  Blocks have 16, 16,
+    32, 64, ... steps, doubling up to ``_WALK_BLOCK``, and come from
+    ``draw(act, k, B) -> (obs, send flags)`` for the walks ``act`` still
+    running after step k: the engine's per-replication source
+    (:func:`_engine._rep_draws`, the cycle estimators') or one stream per
+    call (:func:`_batch_draws`, the ARLFA curve's).  The schedule depends
+    only on the step count.  The statistic is the closed-form reflected
+    walk of the engine's :func:`_reflected`.
 
     Returns (durations, exit values, n_capped); a capped walk has duration
     ``cap`` and exit value NaN.  With nondecreasing ``levels`` it also
@@ -173,10 +162,6 @@ def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, up
     statistic first reached each level (0 if never) and its value there.
     """
     n = starts.size
-    if stream is None:
-        draw = _leg_draws(tab, seed, n, post_change)
-    else:
-        draw = _batch_draws(tab, [seed, *stream], post_change)
     act = np.arange(n)
     w = np.zeros(n)
     w_min = -starts
@@ -231,15 +216,18 @@ def estimate_cycle(config: CusumAcConfig, pairs, n_reps: int, seed: int, *,
         raise ValueError("cycle estimation needs at least 100 replications")
     a1, a = config.a1, config.a
 
+    def draws(salt, n):  # leg i of the walk reads stream [derive_seed(seed, salt), i, 0]
+        return _rep_draws(tab, derive_seed(seed, salt), 0, n, None)
+
     eta, shat, capped_eta = _walk(tab, False, np.full(n_reps, a1),
-                                  np.nextafter(a1, -math.inf), a,
-                                  derive_seed(seed, 11), cap)
+                                  np.nextafter(a1, -math.inf), a, draws(11, n_reps), cap)
     returned = shat < a1
     ret_vals = shat[returned]
-    phi, _, capped_phi = _walk(tab, True, ret_vals, -math.inf, a1, derive_seed(seed, 12), cap)
+    phi, _, capped_phi = _walk(tab, True, ret_vals, -math.inf, a1,
+                               draws(12, ret_vals.size), cap)
     # Plain CuSum's run to a1, whose alarm S > a1 is strict.
     t_a1, _, capped_t = _walk(tab, False, np.zeros(n_reps), -math.inf,
-                              np.nextafter(a1, math.inf), derive_seed(seed, 13), cap)
+                              np.nextafter(a1, math.inf), draws(13, n_reps), cap)
 
     return CycleStats(
         eps1=config.strategies[0].rate,
@@ -345,17 +333,20 @@ def _curve_legs(tab: _StepTables, curve: ArlfaCurve, start: int):
     n, r = _LEG_BATCH, tab.regen
     lower = max(np.nextafter(r, -math.inf), 0.0)  # a leg returns below r, or back to 0
     alarms = tab.inclusive(curve.a)
-    kw = dict(seed=curve.seed, cap=_WALK_CAP)
-    leg = dict(kw, tab=tab, censored=False, starts=np.full(n, r), lower=lower,
-               upper=alarms[-1], levels=alarms)
-    dur, exit_s, capped, (t0, _) = _walk(**leg, stream=(start, 0))
-    _, _, capped_1, (t1, v1) = _walk(**leg, stream=(start, 1), post_change=True)
+
+    def draws(kind, post_change=False):
+        return _batch_draws(tab, [curve.seed, start, kind], post_change)
+
+    dur, exit_s, capped, (t0, _) = _walk(tab, False, np.full(n, r), lower, alarms[-1],
+                                         draws(0), _WALK_CAP, levels=alarms)
+    _, _, capped_1, (t1, v1) = _walk(tab, False, np.full(n, r), lower, alarms[-1],
+                                     draws(1, True), _WALK_CAP, levels=alarms)
     tail, z = dur.astype(float), np.zeros(n)
     if tab.censors:  # the censored climbs back to r: after a returned leg, and the first from 0
         returned = exit_s <= lower
         phi, _, capped_phi = _walk(tab, True, np.where(returned, exit_s, 0.0), -math.inf, r,
-                                   stream=(start, 2), **kw)
-        z, _, capped_z = _walk(tab, True, np.zeros(n), -math.inf, r, stream=(start, 3), **kw)
+                                   draws(2), _WALK_CAP)
+        z, _, capped_z = _walk(tab, True, np.zeros(n), -math.inf, r, draws(3), _WALK_CAP)
         tail += np.where(returned, phi, 0)
         capped += capped_phi + capped_z
     y = np.where(t0 > 0, t0, tail[:, None])
@@ -409,10 +400,12 @@ def check_eprime_membership(stats: CycleStats) -> EprimeCheck:
 
     The defining inequality compares two estimated means, so the verdict is
     statistical: member at margin >= +3 combined standard errors, rejected
-    at <= -3, indeterminate in between.
+    at <= -3, indeterminate in between.  Means without error give margin
+    +inf or -inf by the sign of their difference, and 0 when equal.
     """
     se = math.hypot(stats.phi_given_return.std_error, stats.t_a1.std_error)
-    margin = (stats.phi_given_return.mean - stats.t_a1.mean) / se if se > 0 else math.inf
+    diff = stats.phi_given_return.mean - stats.t_a1.mean
+    margin = diff / se if se > 0 else (math.copysign(math.inf, diff) if diff else 0.0)
     if margin >= 3.0:
         verdict = "member"
     elif margin <= -3.0:

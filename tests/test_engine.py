@@ -23,6 +23,7 @@ from cusumac.detectors import (
     random_tx_cusum_step,
     two_level,
 )
+from cusumac.model import GaussianPair
 from test_renewal import _RecordingPair
 
 
@@ -272,6 +273,30 @@ class TestRepRngs:
             eng._rep_rngs(3, 2**32 - 2, 3, 0)
         with pytest.raises(ValueError, match="2\\*\\*32"):
             eng._rep_rngs(3, 2**32, 1, 0)
+
+
+class TestRepDraws:
+    def test_layout_matches_default_rng(self):
+        # Random transmission on two unlike sensors; the change at nu = 200
+        # falls inside the second block (steps 129..256), and replications
+        # are drawn out of order.
+        pairs = [GaussianPair(0.0, 0.5, 1.0), GaussianPair(1.0, 2.0, 2.0)]
+        seed, rep_offset, nu, eps = 17, 5, 200, 0.3
+        draw = eng._rep_draws(eng._StepTables(RandomTxSpec(4.0, eps), pairs), seed,
+                              rep_offset, 3, nu)
+        blocks = [draw([2, 0], 0, 128), draw([2, 0], 128, 128)]
+        n_pre = nu - 1 - 128  # pre-change steps of the second block
+        for row, i in enumerate([2, 0]):
+            rng = np.random.default_rng([seed, rep_offset + i, 0])
+            first = [rng.normal(p.mu0, p.sigma, 128) for p in pairs]
+            pre = [rng.normal(p.mu0, p.sigma, n_pre) for p in pairs]
+            post = [rng.normal(p.mu1, p.sigma, 128 - n_pre) for p in pairs]
+            np.testing.assert_array_equal(blocks[0][0][row], np.stack(first))
+            np.testing.assert_array_equal(blocks[1][0][row],
+                                          np.concatenate([pre, post], axis=1))
+            flag_rng = np.random.default_rng([seed, rep_offset + i, 1])
+            for _, flags in blocks:
+                np.testing.assert_array_equal(flags[row], (flag_rng.random((128, 2)) < eps).T)
 
 
 # Optimal strategies of N(0,1) -> N(0.5,1) as literals, so the golden digests

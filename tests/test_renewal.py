@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from cusumac import renewal
-from cusumac._engine import _StepTables
+from cusumac._engine import _rep_draws, _StepTables
 from cusumac.montecarlo import McEstimate, estimate_arlfa, estimate_comm_rate, pre_change_run
 from cusumac.detectors import CusumSpec, two_level
 from cusumac.renewal import (
     _WALK_BLOCK,
     _WALK_FIRST,
+    _batch_draws,
     _walk,
     CycleStats,
     check_eprime_membership,
@@ -45,9 +46,9 @@ GOLDEN_M3 = [
 ]
 
 
-def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0):
+def make_stats(eta_ret, phi_ret, p_return, eps1=0.5, t_a1=5.0, se=1e-6):
     def est(v):
-        return McEstimate(mean=v, std_error=1e-6, n_reps=1000)
+        return McEstimate(mean=v, std_error=se, n_reps=1000)
 
     return CycleStats(
         eps1=eps1,
@@ -183,8 +184,9 @@ class TestWalkDraws:
     def test_short_leg_draws_one_first_block(self, pair):
         sensors = [_RecordingPair(pair), _RecordingPair(pair)]
         # A vanishing band: every walk leaves it at its first step.
-        dur, _, capped = _walk(_StepTables(CusumSpec(0.0), sensors), False, np.full(50, 0.78),
-                               0.78, 0.78 + 1e-9, seed=1, cap=10_000)
+        tab = _StepTables(CusumSpec(0.0), sensors)
+        dur, _, capped = _walk(tab, False, np.full(50, 0.78), 0.78, 0.78 + 1e-9,
+                               _rep_draws(tab, 1, 0, 50, None), cap=10_000)
         assert capped == 0 and (dur == 1).all()
         for rec in sensors:
             assert rec.sizes == [_WALK_FIRST] * 50
@@ -193,8 +195,9 @@ class TestWalkDraws:
         rec = _RecordingPair(pair)
         schedule = [16, 16, 32, 64, 128, 256, 256, 100]
         cap = sum(schedule)
-        dur, exit_s, capped = _walk(_StepTables(CusumSpec(0.0), [rec]), False, np.zeros(3),
-                                    -math.inf, math.inf, seed=2, cap=cap)
+        tab = _StepTables(CusumSpec(0.0), [rec])
+        dur, exit_s, capped = _walk(tab, False, np.zeros(3), -math.inf, math.inf,
+                                    _rep_draws(tab, 2, 0, 3, None), cap=cap)
         assert capped == 3 and (dur == cap).all() and np.isnan(exit_s).all()
         assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
         assert rec.sizes == [b for b in schedule for _ in range(3)]
@@ -206,15 +209,15 @@ class TestWalkDraws:
         tab = _StepTables(CusumSpec(0.0), sensors)
         schedule = [16, 16, 32, 64, 128, 256, 256, 100]
         cap = sum(schedule)
-        dur, _, capped = _walk(tab, False, np.zeros(3), -math.inf, math.inf, seed=2, cap=cap,
-                               stream=(0, 0))
+        dur, _, capped = _walk(tab, False, np.zeros(3), -math.inf, math.inf,
+                               _batch_draws(tab, [2, 0, 0], False), cap=cap)
         assert capped == 3 and (dur == cap).all()
         for rec in sensors:
             assert rec.sizes == [(3, b) for b in schedule]
             rec.sizes.clear()
         starts = np.linspace(0.0, 3.0, 40)
-        dur, _, _ = _walk(tab, False, starts, 0.0, 3.0, seed=2, cap=10_000, stream=(1000, 1),
-                          post_change=True)
+        dur, _, _ = _walk(tab, False, starts, 0.0, 3.0, _batch_draws(tab, [2, 1000, 1], True),
+                          cap=10_000)
         active = [int((dur > k).sum()) for k in np.cumsum([0, 16, 16, 32, 64, 128])]
         expected = [(n, b) for n, b in zip(active, [16, 16, 32, 64, 128, 256]) if n]
         for rec in sensors:
@@ -249,6 +252,12 @@ class TestEprimeMembership:
                                seed=12)
         assert check_eprime_membership(stats).verdict == "member"
 
+    @pytest.mark.parametrize("phi, verdict, margin", [
+        (1.0, "rejected", -math.inf), (7.0, "member", math.inf), (5.0, "indeterminate", 0.0)])
+    def test_exact_means_decide_by_their_difference(self, phi, verdict, margin):
+        stats = make_stats(2.0, phi_ret=phi, p_return=0.9, t_a1=5.0, se=0.0)
+        assert check_eprime_membership(stats) == renewal.EprimeCheck(verdict, margin)
+
 
 class TestRateUpperBound:
     def test_full_rate_bound_is_one(self):
@@ -266,6 +275,29 @@ class TestRateUpperBound:
             cfg = two_level(pair, a1 + 100.0, a1, eps1)
             rate = estimate_comm_rate(cfg, pair, 10_000, 150, seed=14)
             assert rate.mean <= bound + 3 * rate.std_error
+
+    @pytest.mark.parametrize("m, a1, eps1, seed", [(1, 0.5, 0.63, 15), (3, 0.79, 0.27, 16)])
+    def test_ratio_is_the_no_stop_rate(self, pair, m, a1, eps1, seed):
+        # Renewal-reward makes the ratio the long-run no-stop rate, so the
+        # test is two-sided.  20 000 cycles give the ratio an SE of about
+        # 0.0013 and 200 runs of 10^4 slots give the rate about 0.0005.
+        # Start-up bias: a no-stop run starts at 0, inside the censored
+        # region, and its first climb to a1 sends at eps1, below the ratio.
+        # Measured with 60 000 runs of 100 and 300 slots, it falls 0.9 sends
+        # per sensor short of ratio * T at M = 1 and 0.4 at M = 3, so the rate
+        # over 10^4 slots reads low by under 1e-4, which the band adds.
+        startup_bias, horizon = 1e-4, 10_000
+        pairs = [pair] * m
+        cfg = two_level(pairs, math.inf, a1, eps1)
+        stats = estimate_cycle(cfg, pairs, n_reps=20_000, seed=seed)
+        rate = estimate_comm_rate(cfg, pairs, horizon, 200, seed=seed + 100)
+        # Delta method for (eta + eps1 * phi) / (eta + phi) in the means of
+        # eta and phi given a return.
+        eta, phi = stats.eta0_given_return, stats.phi_given_return
+        ratio_se = ((1 - eps1) / (eta.mean + phi.mean) ** 2
+                    * math.hypot(phi.mean * eta.std_error, eta.mean * phi.std_error))
+        se = math.hypot(ratio_se, rate.std_error)
+        assert abs(rate.mean - rate_upper_bound(stats)) <= 3 * se + startup_bias
 
 
 class TestFeedback:
