@@ -14,7 +14,10 @@ LLR mass outside a no-send interval, its objective) and ``monotone_llr``;
 ``kl_divergence`` reads ``closed_form_kl``.  The last two callers' methods
 are closed forms, never integrated numerically: a pair missing one is
 refused with ``TypeError``.  ``GaussianPair`` has them all and computes its
-CDF and quantile with the standard library.
+CDF and quantile with the standard library.  The engine passes the samplers
+a ``(g, steps)`` shape, for g equal sensors drawn together (g may be 1), so a
+sampler must fill a shape in C order from the stream, as numpy's generators
+do: one ``(g, steps)`` draw equals g draws of ``steps``.
 """
 
 from __future__ import annotations

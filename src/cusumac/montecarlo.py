@@ -108,15 +108,22 @@ def _engine_task(args):
                              rep_offset=rep_offset, **kwargs)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwargs
                  ) -> _engine.BatchResult:
     """Run a batch, optionally split over worker processes.
 
     The per-replication streams make results identical for every n_jobs, so
     chunking is purely a throughput knob.  The pool forks all its workers at
-    once, so ``n_jobs`` is capped at the core count.
+    once, so ``n_jobs`` is capped at the cores this process may run on.
     """
-    n_jobs = min(n_jobs, os.cpu_count() or 1)
+    n_jobs = min(n_jobs, _usable_cores())
     if n_jobs <= 1 or n_reps < 2 * n_jobs:
         return _engine.run_batch(detector, pairs, n_reps=n_reps, seed=seed,
                                  rep_offset=rep_offset, **kwargs)

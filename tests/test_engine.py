@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cusumac import _engine as eng
 from cusumac.censoring import CensoringStrategy
@@ -298,6 +299,28 @@ class TestRepDraws:
             for _, flags in blocks:
                 np.testing.assert_array_equal(flags[row], (flag_rng.random((128, 2)) < eps).T)
 
+    def test_equal_sensors_draw_as_one_group(self):
+        # Three equal pairs then an unlike one: the first three sensors' segment
+        # is one (3, steps) draw, which numpy fills in C order, so it equals
+        # three per-sensor draws.  The change at nu = 200 falls inside the
+        # second block.
+        p, q = GaussianPair(0.0, 0.5, 1.0), GaussianPair(1.0, 2.0, 2.0)
+        pairs = [p, p, GaussianPair(0.0, 0.5, 1.0), q]
+        seed, rep_offset, nu = 23, 2, 200
+        draw = eng._rep_draws(eng._StepTables(_config(5.0, 0.79, 0.27, 0.27, 0.27, 0.4),
+                                              pairs), seed, rep_offset, 2, nu)
+        blocks = [draw([1, 0], 0, 128), draw([1, 0], 128, 128)]
+        n_pre = nu - 1 - 128
+        for row, i in enumerate([1, 0]):
+            rng = np.random.default_rng([seed, rep_offset + i, 0])
+            first = [rng.normal(pr.mu0, pr.sigma, 128) for pr in pairs]
+            pre = [rng.normal(pr.mu0, pr.sigma, n_pre) for pr in pairs]
+            post = [rng.normal(pr.mu1, pr.sigma, 128 - n_pre) for pr in pairs]
+            obs, flags = blocks[0]
+            assert flags is None
+            np.testing.assert_array_equal(obs[row], np.stack(first))
+            np.testing.assert_array_equal(blocks[1][0][row], np.concatenate([pre, post], axis=1))
+
 
 # Optimal strategies of N(0,1) -> N(0.5,1) as literals, so the golden digests
 # below do not depend on the optimizer's last bits: rate -> (x_lo, x_hi, llr_c).
@@ -403,6 +426,19 @@ class TestCusumAcKernel:
                               record=True)
         replay_cusum_ac(batch, cfg, pairs)
 
+    @pytest.mark.parametrize("family", ["cusum_ac", "random_tx"])
+    def test_send_counts_hold_many_sensors(self, pair, family):
+        # At M = 128 every sensor sends on the full-rate row, a count that
+        # the smallest signed integer type holding -M could not hold.
+        M = 128
+        detector = {"cusum_ac": _config(50.0, 0.5, *[0.27] * M),
+                    "random_tx": RandomTxSpec(50.0, 0.9)}[family]
+        batch = eng.run_batch(detector, [pair] * M, n_reps=3, seed=307, limit=200, nu=1,
+                              stop_enabled=False, record=True)
+        sent = batch.records["sent"].astype(np.int64).sum(axis=(0, 2))
+        np.testing.assert_array_equal(batch.tx, sent)
+        assert (batch.tx > 100 * M).all()
+
     def test_generic_llr_path_matches_gaussian(self, pair):
         class Generic:  # exactly the surface the engine reads
             sample0, sample1, llr = pair.sample0, pair.sample1, pair.llr
@@ -424,6 +460,67 @@ class TestCusumAcKernel:
             assert recs["stopped"][t - 1:, i].all() and not recs["stopped"][:t - 1, i].any()
 
 
+def _walk_reference(s, cen, full, a1):
+    """The recursion one step at a time over all lanes of increments (n, B): the path (B, n)."""
+    path = np.empty(cen.shape[::-1])
+    for j in range(cen.shape[1]):
+        below = s < a1
+        s = np.maximum(s + np.where(below, cen[:, j], full[:, j]), 0.0)
+        s = np.where(below & (s >= a1), a1, s)
+        path[j] = s
+    return path
+
+
+def _walked_path(walked, B):
+    """The (W, K, n) statistic of a block walk as one path (B, n)."""
+    W, K, n = walked.shape
+    return walked.transpose(1, 0, 2).reshape(K * W, n)[:B]
+
+
+class TestBlockWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           B=st.sampled_from([1, 37, 128, 256, 300, 1024]),
+           drift=st.sampled_from([-0.25, -0.1, 0.1, 0.3]),
+           a1=st.sampled_from([0.3, 0.79, 1.5, np.inf]),
+           start_scale=st.sampled_from([0.0, 1.0, 4.0]))
+    def test_equals_the_per_step_recursion_bit_for_bit(self, seed, n, B, drift, a1,
+                                                       start_scale):
+        # Negative drifts are pre-change-like, positive ones post-change-like;
+        # starts reach above a1, and B = 300 leaves a short last chunk.
+        rng = np.random.default_rng(seed)
+        full = rng.normal(drift, 1.0, (n, B))
+        cen = np.where(rng.random((n, B)) < 0.7, -0.2, full)
+        s = start_scale * rng.random(n)
+        walked = eng._walk_block(s, cen, full, a1)
+        assert walked.shape == (min(eng.CHUNK, B), -(-B // eng.CHUNK), n)
+        np.testing.assert_array_equal(_walked_path(walked, B).view(np.uint64),
+                                      _walk_reference(s, cen, full, a1).view(np.uint64))
+
+    def test_chunks_that_never_rejoin_take_every_round(self, monkeypatch):
+        # With only positive increments a chunk walked from 0.0 stays below the
+        # true path, so each round repairs every later chunk to its end and
+        # hands the new end on: K - 1 repair rounds after the side-by-side walk.
+        rng = np.random.default_rng(5)
+        B, n = 1000, 4
+        full = rng.uniform(0.01, 0.5, (n, B))
+        cen = rng.uniform(0.01, 0.5, (n, B))
+        s = np.array([0.0, 0.5, 2.0, 10.0])
+        calls = []  # lanes stepped by each call of the recursion
+        recursion = eng._recursion
+
+        def counted(s, *args, **kwargs):
+            calls.append(s.size)
+            return recursion(s, *args, **kwargs)
+
+        monkeypatch.setattr(eng, "_recursion", counted)
+        walked = eng._walk_block(s, cen, full, 0.79)
+        K = -(-B // eng.CHUNK)
+        assert calls == [K * n] + [(K - r) * n for r in range(1, K)]
+        np.testing.assert_array_equal(_walked_path(walked, B).view(np.uint64),
+                                      _walk_reference(s, cen, full, 0.79).view(np.uint64))
+
+
 class TestObservationBlocks:
     def test_blocks_grow_from_one_chunk(self, pair):
         rec = _RecordingPair(pair)
@@ -433,7 +530,7 @@ class TestObservationBlocks:
                               stop_enabled=False)
         assert (batch.stop_time == limit).all()
         assert schedule[0] == eng.CHUNK and max(schedule) == eng.OBS_BLOCK
-        assert rec.sizes == [b for b in schedule for _ in range(3)]
+        assert rec.sizes == [(1, b) for b in schedule for _ in range(3)]
 
     @pytest.mark.parametrize("family", ["cusum", "cusum_ac", "random_tx"])
     def test_short_delay_batch_draws_one_chunk(self, pair, family):
@@ -446,7 +543,7 @@ class TestObservationBlocks:
         batch = eng.run_batch(detector, sensors, n_reps=50, seed=2, nu=1, limit=100_000)
         assert batch.stopped.all() and batch.stop_time.max() <= eng.CHUNK
         for rec in sensors:
-            assert rec.sizes == [eng.CHUNK] * 50
+            assert rec.sizes == [(1, eng.CHUNK)] * 50
 
     @pytest.mark.parametrize("family", ["cusum", "cusum_ac", "random_tx"])
     def test_single_sensor_results_ignore_the_schedule(self, pair, family, monkeypatch):

@@ -217,10 +217,17 @@ class TestDiagnosticsAndDeterminism:
                 return map(fn, tasks)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # The cores this process may run on cap the pool, not the machine's count.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         many = estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=64)
         assert pools == [2]
         assert many == estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=1)
+        # Without an affinity call the core count caps it.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=64)
+        assert pools == [2, 3]
 
     def test_worker_count_invariance_on_kernel(self, pair):
         # The second worker's chunk starts at rep_offset > 0 on the kernel.

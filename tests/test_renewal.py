@@ -189,7 +189,7 @@ class TestWalkDraws:
                                _rep_draws(tab, 1, 0, 50, None), cap=10_000)
         assert capped == 0 and (dur == 1).all()
         for rec in sensors:
-            assert rec.sizes == [_WALK_FIRST] * 50
+            assert rec.sizes == [(1, _WALK_FIRST)] * 50
 
     def test_long_leg_blocks_double_up_to_the_largest(self, pair):
         rec = _RecordingPair(pair)
@@ -200,7 +200,7 @@ class TestWalkDraws:
                                     _rep_draws(tab, 2, 0, 3, None), cap=cap)
         assert capped == 3 and (dur == cap).all() and np.isnan(exit_s).all()
         assert schedule[0] == _WALK_FIRST and max(schedule) == _WALK_BLOCK
-        assert rec.sizes == [b for b in schedule for _ in range(3)]
+        assert rec.sizes == [(1, b) for b in schedule for _ in range(3)]
 
     def test_curve_batch_draws_one_array_per_sensor_per_block(self, pair):
         # The curve's walks share one stream: each block is one (n_active, B)
