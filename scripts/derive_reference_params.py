@@ -20,8 +20,12 @@ entry, eps1 = 0.055, is not on this script's grid (0.045, 0.06, 0.075 and
 0.09 at that budget).  Regenerating the table means replacing it with this
 script's output.
 
+``--threads`` sets the worker processes, as ``cusumac --threads`` does: the
+candidates of each search fan out over one worker pool, and the output is
+the same for any worker count.
+
 Usage: python scripts/derive_reference_params.py [--zeta 10000] [--sensors 3]
-           [--reps 600] [--seed 20240501]
+           [--reps 600] [--seed 20240501] [--threads 1]
 """
 
 import argparse
@@ -45,7 +49,10 @@ def main():
     ap.add_argument("--reps", type=int, default=600,
                     help="replications of each delay batch (rate batches: a tenth, at least 100)")
     ap.add_argument("--seed", type=int, default=20240501, help="master seed")
+    ap.add_argument("--threads", type=int, default=1, help="worker processes")
     args = ap.parse_args()
+    if args.threads < 1:
+        ap.error("--threads must be at least 1")
 
     pairs = [gaussian_mean_shift(0.0, 0.5, 1.0)] * args.sensors
     table = {}
@@ -55,7 +62,7 @@ def main():
             pairs, CalibrationTarget(zeta=args.zeta, epsilon=eps),
             a1_grid=A1_CANDIDATES_TIGHT if eps <= 0.2 else A1_CANDIDATES,
             eps1_grid=[round(f * eps, 3) for f in EPS1_FRACTIONS],
-            n_reps=args.reps, seed=args.seed)
+            n_reps=args.reps, seed=args.seed, n_jobs=args.threads)
         for rec in result.search_trace:
             verdict = "admissible" if rec.admissible else rec.note
             print(f"  eps={eps} a1={rec.a1} eps1={rec.eps1}: a={rec.a:.3f} "

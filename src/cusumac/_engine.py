@@ -32,7 +32,8 @@ turns their strict alarm ``S > a`` into the inclusive test against
 
 Every batch runs on one chunked kernel.  The row in force depends only on
 the statistic, so each block's increments of both rows are computed in bulk
-first, and the observation block is released unless the batch records.  Only the sequential step
+first, from one LLR evaluation per sensor, and the observation block is
+released unless the batch records.  Only the sequential step
 that follows has two forms.  Without a1 and without ``record`` the
 increments are i.i.d., and the reflected statistic is the closed form of
 :func:`_reflected`, restarted from the statistic at each chunk of
@@ -352,31 +353,35 @@ class _StepTables:
         """Thresholds ``a`` as the test ``S >= inclusive(a)``: ``S > a`` unless CuSum-AC."""
         return a if self.censors else np.nextafter(a, np.inf)
 
-    def increments(self, x, mask=None, censored=False):
-        """Fused increment and send count (n, C) of the full-rate or the censored row.
+    def increments(self, x, mask=None, censored=(False,)):
+        """Fused increment and send count (n, C) of each row named in ``censored``.
 
-        ``x`` is (n, M, C) for any number of steps C, as is ``mask``, the
-        random-transmission send flags applied to the full-rate row.  Sensors
-        are added in order onto 0.0, as the scalar step function does.  Send
-        counts take the smallest signed integer type that holds M, which is
-        the one that holds -(M + 1).
+        ``censored`` holds one flag per row wanted, True for the censored row
+        and False for the full-rate row; a list of (fused, n_sent) pairs
+        comes back in that order.  ``x`` is (n, M, C) for any number of steps
+        C, as is ``mask``, the random-transmission send flags applied to the
+        full-rate row.  Each sensor's LLR is evaluated once for all rows, and
+        each row adds its sensors in order onto 0.0, as the scalar step
+        function does.  Send counts take the smallest signed integer type
+        that holds M, which is the one that holds -(M + 1).
         """
         n, M, C = x.shape
-        fused = np.zeros((n, C))
-        n_sent = np.full((n, C), M, dtype=np.min_scalar_type(-M - 1))
+        fused = [np.zeros((n, C)) for _ in censored]
+        n_sent = [np.full((n, C), M, dtype=np.min_scalar_type(-M - 1)) for _ in censored]
         for m, pair in enumerate(self.pairs):
             xm = x[:, m]
             raw = pair.llr(xm)
-            if censored:
-                inside = (xm >= self.lo[m]) & (xm <= self.hi[m])
-                fused += np.where(inside, self.llrc[m], raw)
-                n_sent -= inside
-            elif mask is None:
-                fused += raw
-            else:
-                fused += raw * mask[:, m]
-                n_sent -= ~mask[:, m]
-        return fused, n_sent
+            for i, row_censored in enumerate(censored):
+                if row_censored:
+                    inside = (xm >= self.lo[m]) & (xm <= self.hi[m])
+                    fused[i] += np.where(inside, self.llrc[m], raw)
+                    n_sent[i] -= inside
+                elif mask is None:
+                    fused[i] += raw
+                else:
+                    fused[i] += raw * mask[:, m]
+                    n_sent[i] -= ~mask[:, m]
+        return list(zip(fused, n_sent))
 
     def sent(self, xt, censored, mask=None):
         """Send flags (C, n, M) of observations ``xt``, censored where ``censored`` (C, n).
@@ -467,8 +472,8 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
         B = _block_steps(k, limit)
         obs, gam = draw(ids, k, B)
         # A detector that does not censor is always below a1 = +inf, on its full-rate row.
-        full, n_full = tab.increments(obs, gam)
-        cen, n_cen = tab.increments(obs, censored=True) if tab.censors else (full, n_full)
+        inc = tab.increments(obs, gam, (False, True) if tab.censors else (False,))
+        (full, n_full), (cen, n_cen) = inc[0], inc[-1]
         if not record:  # the increments are all the kernel reads of the block
             obs = gam = None
         span = B if _pre_steps(k, B, nu) == B else CHUNK  # steps walked side by side
@@ -524,7 +529,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 if not ids.size:
                     break
         k += B
-        obs = gam = full = cen = walked = None  # release the block before drawing the next
+        obs = gam = inc = full = cen = walked = None  # release the block before drawing the next
 
     if tab.censors:
         # The starting level differs from the sensors' full-rate default, so the

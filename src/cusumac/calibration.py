@@ -34,6 +34,7 @@ from .montecarlo import (
     estimate_comm_rate,
     estimate_delay,
     measure_performance,
+    pool_map,
 )
 from .renewal import (
     ArlfaCurve,
@@ -245,6 +246,41 @@ class CalibrationResult:
         return self.config is not None
 
 
+def _evaluate_candidate(task) -> tuple[CandidateRecord, Optional[CusumAcConfig]]:
+    """One grid candidate: rate screen, curve, calibrated threshold, delay and cycle.
+
+    Returns its trace record and, when it was calibrated, its config.
+    """
+    pairs, target, a1, eps1, n_reps, seed, rate_horizon, cycle_reps, n_jobs = task
+    # The detector family, open above: the no_stop rate ignores the alarm
+    # threshold, so it is measured once, before calibrating; the family
+    # also names the ARLFA curve and the renewal cycle.
+    family = two_level(pairs, math.inf, a1, eps1)
+    rate = estimate_comm_rate(family, pairs, rate_horizon, max(100, n_reps // 10),
+                              derive_seed(seed, 23), n_jobs=n_jobs)
+    if not rate.mean <= target.epsilon + 3.0 * rate.std_error:
+        return _skipped(a1, eps1, rate, "rate screen failed"), None
+    try:
+        curve = threshold_curve(family, pairs, [target.zeta],
+                                derive_seed(seed, 22), target.tolerance)
+        cal = calibrate_threshold(curve, target.zeta)
+    except CalibrationError as err:
+        return _skipped(a1, eps1, rate, f"calibration failed: {err}"), None
+    config = dataclasses.replace(family, a=cal.a)
+    delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
+                           nu=target.nu, n_jobs=n_jobs)
+    cycle = estimate_cycle(family, pairs, cycle_reps, derive_seed(seed, 25))
+    eprime: EprimeCheck = check_eprime_membership(cycle)
+    rec = CandidateRecord(
+        a1=a1, eps1=eps1, a=cal.a,
+        arlfa_mean=cal.arlfa.mean, arlfa_se=cal.arlfa.std_error,
+        rate_mean=rate.mean, rate_se=rate.std_error,
+        delay_mean=delay.mean, delay_se=delay.std_error,
+        eprime_verdict=eprime.verdict, eprime_margin=eprime.margin,
+        admissible=True)
+    return rec, config
+
+
 def search_two_level(
     pairs,
     target: CalibrationTarget,
@@ -279,6 +315,14 @@ def search_two_level(
     statistic of all sensors, with each sensor's strategy at ``eps1``.
     When no candidate is calibrated, ``config`` and ``report`` are None and
     ``feasible`` is false.
+
+    With ``n_jobs > 1`` and two or more candidates, whole candidates are
+    mapped over the process's shared worker pool
+    (:func:`cusumac.montecarlo.pool_map`), each running its batches at one
+    worker; a lone candidate, and the winner's report, chunk their batches
+    over the same pool.  Seeds do not depend on the worker count and the
+    trace keeps grid order (a1 outer, eps1 inner), so the result is the same
+    for every ``n_jobs``.
     """
     if not a1_grid or not eps1_grid:
         raise ValueError("grids must be nonempty")
@@ -290,41 +334,15 @@ def search_two_level(
         raise ValueError("the search needs at least 100 replications and 100 cycles")
     pairs = as_pairs(pairs)
 
-    trace: list[CandidateRecord] = []
-    candidates: list[tuple[CandidateRecord, CusumAcConfig]] = []
-
-    for a1 in a1_grid:
-        for eps1 in eps1_grid:
-            # The detector family, open above: the no_stop rate ignores the alarm
-            # threshold, so it is measured once, before calibrating; the family
-            # also names the ARLFA curve and the renewal cycle.
-            family = two_level(pairs, math.inf, a1, eps1)
-            rate = estimate_comm_rate(family, pairs, rate_horizon, max(100, n_reps // 10),
-                                      derive_seed(seed, 23), n_jobs=n_jobs)
-            if not rate.mean <= target.epsilon + 3.0 * rate.std_error:
-                trace.append(_skipped(a1, eps1, rate, "rate screen failed"))
-                continue
-            try:
-                curve = threshold_curve(family, pairs, [target.zeta],
-                                        derive_seed(seed, 22), target.tolerance)
-                cal = calibrate_threshold(curve, target.zeta)
-            except CalibrationError as err:
-                trace.append(_skipped(a1, eps1, rate, f"calibration failed: {err}"))
-                continue
-            config = dataclasses.replace(family, a=cal.a)
-            delay = estimate_delay(config, pairs, n_reps, derive_seed(seed, 24),
-                                   nu=target.nu, n_jobs=n_jobs)
-            cycle = estimate_cycle(family, pairs, cycle_reps, derive_seed(seed, 25))
-            eprime: EprimeCheck = check_eprime_membership(cycle)
-            rec = CandidateRecord(
-                a1=a1, eps1=eps1, a=cal.a,
-                arlfa_mean=cal.arlfa.mean, arlfa_se=cal.arlfa.std_error,
-                rate_mean=rate.mean, rate_se=rate.std_error,
-                delay_mean=delay.mean, delay_se=delay.std_error,
-                eprime_verdict=eprime.verdict, eprime_margin=eprime.margin,
-                admissible=True)
-            trace.append(rec)
-            candidates.append((rec, config))
+    grid = [(a1, eps1) for a1 in a1_grid for eps1 in eps1_grid]
+    # Whole candidates fan out over the workers, each running its batches in
+    # its own process; a lone candidate chunks its batches instead.
+    inner_jobs = 1 if len(grid) > 1 else n_jobs
+    results = pool_map(_evaluate_candidate,
+                       [(pairs, target, a1, eps1, n_reps, seed, rate_horizon, cycle_reps,
+                         inner_jobs) for a1, eps1 in grid], n_jobs)
+    trace = [rec for rec, _ in results]
+    candidates = [(rec, config) for rec, config in results if config is not None]
 
     if not candidates:
         return CalibrationResult(config=None, report=None, search_trace=tuple(trace))

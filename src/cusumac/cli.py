@@ -58,6 +58,7 @@ from .montecarlo import (
     estimate_delay,
     paired_gap,
     pre_change_run,
+    shutdown_pool,
     summarize,
 )
 from .renewal import arlfa_curve
@@ -604,6 +605,8 @@ def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> li
     The manifest is written before the first experiment with ``status =
     running`` and rewritten at the end as ``complete``, or ``failed`` when an
     experiment raised, so a partial run still records its seed and config.
+    With ``n_jobs > 1`` every experiment shares one worker pool, shut down
+    when the run ends, however it ends.
     """
     _require(seed is not None, "a seed is required (give --seed or [meta] seed); "
                                "wall-clock seeding is not supported")
@@ -622,6 +625,8 @@ def _run_all(specs, meta, out_dir: Path, seed: Optional[int], n_jobs: int) -> li
     except BaseException:
         _write_manifest(manifest, meta, specs, "failed", time.time() - t0)
         raise
+    finally:
+        shutdown_pool()  # the run's one worker pool, shared by every experiment
     _write_manifest(manifest, meta, specs, "complete", time.time() - t0)
     return written + [manifest]
 

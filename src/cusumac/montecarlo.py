@@ -14,6 +14,11 @@ cheap default; ``conditional`` keeps the alarm and averages only over replicatio
 surviving to the horizon, which is the literal conditional definition of the
 rate and serves as a cross-check.  It resamples until enough replications
 survive, in the same loop as the worst-history delay.
+
+Worker processes come from one pool per process (:func:`pool_map`), built
+on the first call that needs two or more workers and reused by every later
+one; :func:`shutdown_pool` ends it.  Results never depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +48,8 @@ __all__ = [
     "summarize",
     "pre_change_run",
     "measure_performance",
+    "pool_map",
+    "shutdown_pool",
 ]
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -115,13 +123,50 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+_pool: Optional[ProcessPoolExecutor] = None  # the shared worker pool, and its size
+_pool_size = 0
+
+
+def shutdown_pool() -> None:
+    """Shut the shared worker pool down; the next call needing workers builds a new one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
+def pool_map(fn, tasks, n_jobs: int) -> list:
+    """``[fn(task) for task in tasks]``, over the shared worker pool when it pays.
+
+    ``n_jobs`` is capped at the cores this process may run on, since a pool
+    forks all its workers at once.  One worker or one task runs in this
+    process.  Otherwise the tasks are mapped, in order, over the process's
+    one pool of ``n_jobs`` workers, built through ``ProcessPoolExecutor`` on
+    first use and rebuilt only for a different worker count.  A pool whose
+    map raised is shut down and never reused.
+    """
+    global _pool, _pool_size
+    n_jobs = min(n_jobs, _usable_cores())
+    if n_jobs <= 1 or len(tasks) < 2:
+        return [fn(task) for task in tasks]
+    if _pool is None or _pool_size != n_jobs:
+        shutdown_pool()
+        _pool, _pool_size = ProcessPoolExecutor(max_workers=n_jobs), n_jobs
+    try:
+        return list(_pool.map(fn, tasks))
+    except BaseException:
+        shutdown_pool()
+        raise
+
+
 def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwargs
                  ) -> _engine.BatchResult:
-    """Run a batch, optionally split over worker processes.
+    """Run a batch, optionally split into ``n_jobs`` chunks over the shared pool.
 
     The per-replication streams make results identical for every n_jobs, so
-    chunking is purely a throughput knob.  The pool forks all its workers at
-    once, so ``n_jobs`` is capped at the cores this process may run on.
+    chunking is purely a throughput knob.  ``n_jobs`` is capped at the cores
+    this process may run on; a batch of fewer than two replications per
+    worker runs in this process.
     """
     n_jobs = min(n_jobs, _usable_cores())
     if n_jobs <= 1 or n_reps < 2 * n_jobs:
@@ -133,9 +178,7 @@ def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwa
         size = base + (1 if i < extra else 0)
         tasks.append((detector, pairs, size, seed, offset, kwargs))
         offset += size
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        parts = list(pool.map(_engine_task, tasks))
-    return _engine.concat_results(parts)
+    return _engine.concat_results(pool_map(_engine_task, tasks, n_jobs))
 
 
 def _resample(detector, pairs, n_reps: int, seed: int, n_jobs: int, usable, failure: str,

@@ -172,7 +172,7 @@ def _walk(tab: _StepTables, censored: bool, starts: np.ndarray, lower: float, up
     k = 0
     while act.size and k < cap:
         B = _block_steps(k, cap, _WALK_FIRST, _WALK_BLOCK)
-        fused, _ = tab.increments(*draw(act, k, B), censored)
+        [(fused, _)] = tab.increments(*draw(act, k, B), (censored,))
         s, w, w_min = _reflected(fused, w, w_min)
         out = (s <= lower) | (s >= upper)
         found = out.any(axis=1)

@@ -1,6 +1,18 @@
 import pytest
 
-from cusumac import gaussian_mean_shift
+from cusumac import gaussian_mean_shift, montecarlo
+
+
+@pytest.fixture(autouse=True)
+def shared_pool_per_test():
+    """Shut the shared worker pool down after each test.
+
+    A pool kept across tests would hide a later test's stub of
+    ``montecarlo.ProcessPoolExecutor``, and its workers, forked before a
+    later monkeypatch, would never see the patch.
+    """
+    yield
+    montecarlo.shutdown_pool()
 
 
 @pytest.fixture(scope="session")

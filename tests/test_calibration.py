@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cusumac import montecarlo
 from cusumac.calibration import (
     CalibrationError,
     CalibrationTarget,
@@ -174,6 +175,19 @@ class TestSearchTwoLevel:
         r2 = search_two_level(pair, target, **kw)
         assert r1.search_trace == r2.search_trace
         assert r1.config == r2.config
+
+    def test_fanned_out_candidates_match_the_serial_search(self, pairs3, monkeypatch):
+        # The CI smoke search: (0.8, 0.27) is calibrated, (0.8, 0.6) fails the rate screen.
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)  # a pool even on one core
+        target = CalibrationTarget(zeta=200, epsilon=0.4, tolerance=0.2)
+        kw = dict(a1_grid=[0.8], eps1_grid=[0.27, 0.6], n_reps=200, seed=16)
+        one = search_two_level(pairs3, target, n_jobs=1, **kw)
+        two = search_two_level(pairs3, target, n_jobs=2, **kw)
+        assert [rec.note for rec in one.search_trace] == ["", "rate screen failed"]
+        # repr, since a skipped record's NaN fields compare unequal once pickled.
+        assert repr(two.search_trace) == repr(one.search_trace)
+        assert two.config == one.config
+        assert two.report == one.report
 
     def test_unbuildable_probe_fails_only_its_candidate(self, pairs3):
         # ARLFA just above a1 = 1.6 already exceeds 50: no threshold reaches

@@ -1,6 +1,7 @@
 import configparser
 import csv
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -591,6 +592,28 @@ def test_result_csvs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
     trace = read_csv(out / "search_trace.csv")
     assert [r["note"] for r in trace] == ["", "rate screen failed"]
+
+
+def test_one_worker_pool_per_run(tmp_path, monkeypatch):
+    # Every experiment, the search's fanned-out candidates included, shares
+    # one pool, which is gone when the run returns; the CSVs do not move.
+    built = []
+
+    class CountingPool(montecarlo.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, GOLDEN_CONFIG)), "--out", str(out),
+                 "--threads", "2"]) == 0
+    assert built == [2]
+    assert multiprocessing.active_children() == []
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.csv"))}
+    assert digests == GOLDEN_DIGESTS
 
 
 SEARCH_CONFIG = """

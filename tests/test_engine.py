@@ -449,6 +449,22 @@ class TestCusumAcKernel:
         generic = eng.run_batch(cfg, [Generic()] * 3, **kwargs)
         assert _digest(fast, cfg) == _digest(generic, cfg)
 
+    def test_both_rows_from_one_llr_evaluation_per_sensor(self, pair):
+        calls = []
+
+        class Spy:  # the surface the engine reads, counting LLR evaluations
+            sample0, sample1 = pair.sample0, pair.sample1
+
+            def llr(self, x):
+                calls.append(x.shape)
+                return pair.llr(x)
+
+        schedule = [128, 128, 256]
+        cfg = _config(5.0, 0.79, 0.27, 0.27, 0.27)
+        eng.run_batch(cfg, [Spy()] * 3, n_reps=4, seed=308, limit=sum(schedule),
+                      stop_enabled=False)
+        assert calls == [(4, b) for b in schedule for _ in range(3)]
+
     def test_records_end_with_each_replication(self, pair):
         cfg = _config(3.0, 0.78, 0.4)
         batch = eng.run_batch(cfg, [pair], n_reps=8, seed=100, limit=600, record=True)

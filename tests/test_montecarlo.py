@@ -207,14 +207,11 @@ class TestDiagnosticsAndDeterminism:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, tasks):
                 return map(fn, tasks)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
         # The cores this process may run on cap the pool, not the machine's count.
@@ -228,6 +225,31 @@ class TestDiagnosticsAndDeterminism:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=64)
         assert pools == [2, 3]
+
+    def test_one_pool_reused_until_a_map_raises(self, pair, monkeypatch):
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                self.closed = False
+                pools.append(self)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                self.closed = True
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        estimate_arlfa(CusumSpec(4.0), pair, 200, cap=100_000, seed=26, n_jobs=2)
+        estimate_delay(CusumSpec(4.0), pair, 200, seed=26, n_jobs=2)
+        assert len(pools) == 1 and not pools[0].closed
+        with pytest.raises(ZeroDivisionError):
+            montecarlo.pool_map(lambda t: 1 / t, [1, 0], 2)
+        assert pools[0].closed
+        assert montecarlo.pool_map(abs, [1, -2], 2) == [1, 2]
+        assert len(pools) == 2
 
     def test_worker_count_invariance_on_kernel(self, pair):
         # The second worker's chunk starts at rep_offset > 0 on the kernel.
