@@ -37,7 +37,13 @@ released unless the batch records.  Only the sequential step
 that follows has two forms.  Without a1 and without ``record`` the
 increments are i.i.d., and the reflected statistic is the closed form of
 :func:`_reflected`, restarted from the statistic at each chunk of
-``CHUNK`` steps.  Every other batch takes the per-step recursion
+``CHUNK`` steps.  It is walked one observation block at a time
+(:func:`_closed_block`): the block's chunks take their walks and running
+minima in one pass each, and only the chunk starts are carried in turn,
+so every value is the chunk-by-chunk walk's bit for bit.  Such a detector
+is always on its full-rate row, so its alarm, ``require_zero_at``
+rejection and send count follow once per block, and it keeps no feedback
+or sojourn counts.  Every other batch takes the per-step recursion
 (:func:`_recursion`): select the increment of the row in force, reflect at
 zero, clamp an upward crossing of a1 to a1.  It runs once per block
 (:func:`_walk_block`): the block's K chunks side by side as K * n lanes,
@@ -55,11 +61,11 @@ every replication has alarmed.  Walking those blocks whole too took
 replications) from about 90 to 105 ms on a 2-core machine.  Recorded trajectories replay bit for bit
 through the scalar step functions of :mod:`cusumac.detectors`.  The row
 in force is a function of the statistic, since a clamp lands on a1.
-Alarms (at +inf in a batch without stopping), ``require_zero_at``
-conditioning, trajectories and the counters, which accumulate straight
-into the :class:`BatchResult`, follow chunk by chunk from the statistic,
-and a batch whose replications have all ended stops at that chunk instead
-of finishing its observation block.
+Along the recursion, alarms (at +inf in a batch without stopping),
+``require_zero_at`` conditioning, trajectories and the counters, which
+accumulate straight into the :class:`BatchResult`, follow chunk by chunk
+from the statistic, and a batch whose replications have all ended stops
+at that chunk instead of finishing its observation block.
 """
 
 from __future__ import annotations
@@ -226,9 +232,9 @@ def _rep_draws(tab: _StepTables, seed: int, rep_offset: int, n_reps: int, nu: Op
     For steps k0+1 .. k0+B of every listed replication, observations
     (n, M, B) come from its substream 0, pre-change segment first, sensor by
     sensor within a segment; a run of g equal pairs draws its segment in one
-    (g, steps) call.  Random transmission's send flags (n, M, B)
-    come from its substream 1, one (B, M) draw of uniforms per block; other
-    detectors get None.
+    (g, steps) call.  Random transmission's send flags, a C-contiguous
+    (n, M, B) array, come from its substream 1, one (B, M) draw of uniforms
+    per block; other detectors get None.
     """
     pairs, M, eps = tab.pairs, len(tab.pairs), tab.send_prob
     groups, m0 = [], 0  # (first sensor, one past the last, count, pair) per run of equal pairs
@@ -242,7 +248,7 @@ def _rep_draws(tab: _StepTables, seed: int, rep_offset: int, n_reps: int, nu: Op
     def draw(rep_ids, k0: int, B: int):
         n_pre = _pre_steps(k0, B, nu)
         obs = np.empty((len(rep_ids), M, B))
-        u = None if eps is None else np.empty((len(rep_ids), B, M))
+        flags = None if eps is None else np.empty((len(rep_ids), M, B), dtype=bool)
         for row, rid in enumerate(rep_ids):
             rng = obs_rngs[rid]
             # A (g, steps) draw fills g equal sensors in C order, as g draws in turn would.
@@ -252,9 +258,9 @@ def _rep_draws(tab: _StepTables, seed: int, rep_offset: int, n_reps: int, nu: Op
             if n_pre < B:
                 for m0, m1, g, p in groups:
                     obs[row, m0:m1, n_pre:] = p.sample1(rng, (g, B - n_pre))
-            if u is not None:
-                u[row] = flag_rngs[rid].random((B, M))
-        return obs, None if u is None else (u < eps).transpose(0, 2, 1)
+            if flags is not None:
+                flags[row] = (flag_rngs[rid].random((B, M)) < eps).T
+        return obs, flags
     return draw
 
 
@@ -294,8 +300,9 @@ def run_batch(
     keeps full per-step trajectories; intended for small test batches only.
 
     Every batch runs on the one chunked kernel; see the module docstring for
-    the growing observation blocks it draws, the two forms of its
-    sequential step and the block walk of its per-step recursion.
+    the growing observation blocks it draws and the two forms of its
+    sequential step: the closed form, walked and resolved one block at a
+    time, and the block walk of the per-step recursion.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -360,10 +367,12 @@ class _StepTables:
         and False for the full-rate row; a list of (fused, n_sent) pairs
         comes back in that order.  ``x`` is (n, M, C) for any number of steps
         C, as is ``mask``, the random-transmission send flags applied to the
-        full-rate row.  Each sensor's LLR is evaluated once for all rows, and
-        each row adds its sensors in order onto 0.0, as the scalar step
-        function does.  Send counts take the smallest signed integer type
-        that holds M, which is the one that holds -(M + 1).
+        full-rate row; pass it C-contiguous, since the multiply by a strided
+        view of each sensor's flags is several times slower.  Each sensor's
+        LLR is evaluated once for all rows, and each row adds its sensors in
+        order onto 0.0, as the scalar step function does.  Send counts take
+        the smallest signed integer type that holds M, which is the one that
+        holds -(M + 1).
         """
         n, M, C = x.shape
         fused = [np.zeros((n, C)) for _ in censored]
@@ -454,6 +463,52 @@ def _walk_block(s, cen, full, a1):
         todo = todo[todo < K * n]
 
 
+def _closed_block(res: BatchResult, ids, s, full, n_full, k: int, alarm: float,
+                  require_zero_at: Optional[int]) -> tuple:
+    """Step every running replication through one block of i.i.d. increments (n, B).
+
+    The reflected statistic of each chunk of ``CHUNK`` steps is
+    c_j = w_j - min(-c_0, min_{i<=j} w_i) over the chunk's walk w, as in
+    :func:`_reflected`, restarted from the statistic at the chunk's start.
+    All K chunks of the block take their walk and its running minimum in one
+    call each, as an (n, K, CHUNK) array (a short last chunk padded with
+    zeros), and only the K chunk starts are carried in turn, so every value
+    is the chunk-by-chunk walk's bit for bit.  A detector without a1 is
+    always on its full-rate row, so the stop, the ``require_zero_at`` test
+    and the send count follow once per block.  Returns the replications
+    still running and their statistics.
+    """
+    n, B = full.shape
+    W = min(CHUNK, B)
+    K = -(-B // W)
+    if B < K * W:
+        full = np.pad(full, ((0, 0), (0, K * W - B)))
+    walk = np.cumsum(full.reshape(n, K, W), axis=2)
+    walk_min = np.minimum.accumulate(walk, axis=2)
+    start = np.empty((n, K))
+    for c in range(K):
+        start[:, c] = s
+        s = walk[:, c, -1] - np.minimum(walk_min[:, c, -1], -s)
+    np.minimum(walk_min, -start[..., None], out=walk_min)
+    S = np.subtract(walk, walk_min, out=walk).reshape(n, K * W)
+
+    hit = S[:, :B] >= alarm
+    first = hit.argmax(axis=1)
+    end = np.where(hit[np.arange(n), first], first, B)  # column of each last step
+    alarmed = end < B
+    if require_zero_at is not None and 0 <= require_zero_at - k - 1 < B:
+        jr = require_zero_at - k - 1
+        rej = (end > jr) & (S[:, jr] != 0.0)
+        end[rej] = jr
+        alarmed &= ~rej
+        res.rejected[ids[rej]] = True
+    res.tx[ids] += (n_full * (np.arange(B) <= end[:, None])).sum(axis=1)
+    done = end < B
+    res.stop_time[ids[done]] = k + end[done] + 1
+    res.stopped[ids[alarmed]] = True
+    return ids[~done], S[~done, B - 1]
+
+
 def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 stop_enabled, require_zero_at, record) -> BatchResult:
     M = len(tab.pairs)
@@ -476,58 +531,55 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
         (full, n_full), (cen, n_cen) = inc[0], inc[-1]
         if not record:  # the increments are all the kernel reads of the block
             obs = gam = None
-        span = B if _pre_steps(k, B, nu) == B else CHUNK  # steps walked side by side
-        rows = np.arange(ids.size)  # each running replication's row in the block
-        for j0 in range(0, B, CHUNK):
-            k0 = k + j0
-            C = min(CHUNK, B - j0)
-            n = ids.size
-            below_in = s < tab.a1  # the censored row is in force
-            if closed:  # i.i.d. increments: the reflected walk in closed form, from s
-                S = _reflected(full[rows, j0:j0 + C], np.zeros(n), -s)[0].T
-            else:
+        if closed:
+            ids, s = _closed_block(res, ids, s, full, n_full, k, alarm, require_zero_at)
+        else:
+            span = B if _pre_steps(k, B, nu) == B else CHUNK  # steps walked side by side
+            rows = np.arange(ids.size)  # each running replication's row in the block
+            for j0 in range(0, B, CHUNK):
+                k0 = k + j0
+                C = min(CHUNK, B - j0)
+                below_in = s < tab.a1  # the censored row is in force
                 if j0 % span == 0:
                     walked = _walk_block(s, cen[rows, j0:j0 + span], full[rows, j0:j0 + span],
                                          tab.a1)
-                    lanes = np.arange(n)  # each running replication's lane in walked
+                    lanes = np.arange(ids.size)  # each running replication's lane in walked
                 S = walked[:C, j0 % span // CHUNK][:, lanes]
-            s = S[-1]
+                s = S[-1]
 
-            # Everything else follows from the recorded statistic; the row in
-            # force is a function of it, since a clamp lands on a1.
-            low = S < tab.a1  # below a1 after each step
-            hit = S >= alarm
-            end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)  # row of each last step
-            alarmed = end < C
-            if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
-                jr = require_zero_at - k0 - 1
-                rej = (end > jr) & (S[jr] != 0.0)
-                end[rej] = jr
-                alarmed &= ~rej
-                res.rejected[ids[rej]] = True
-            live = np.arange(C)[:, None] <= end
-            low_in = np.vstack((below_in, low[:-1]))  # the censored row in force at each step
-            sends = np.where(low_in, n_cen[rows, j0:j0 + C].T, n_full[rows, j0:j0 + C].T)
-            res.tx[ids] += (sends * live).sum(axis=0)
-            res.feedback[ids] += ((low != low_in) & live).sum(axis=0)
-            res.time_above[ids] += (~low & live).sum(axis=0)
-            if record:
-                xt = obs[rows, :, j0:j0 + C].transpose(2, 0, 1)  # (C, n, M)
-                sent = tab.sent(xt, low_in, None if gam is None else gam[rows, :, j0:j0 + C])
-                chunks.append((k0, ids, np.where(live, S, np.nan),
-                               np.where(live, low & tab.censors, -1),
-                               sent & live[..., None], np.where(live[..., None], xt, np.nan)))
+                # Everything else follows from the recorded statistic; the row in
+                # force is a function of it, since a clamp lands on a1.
+                low = S < tab.a1  # below a1 after each step
+                hit = S >= alarm
+                end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)  # row of each last step
+                alarmed = end < C
+                if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
+                    jr = require_zero_at - k0 - 1
+                    rej = (end > jr) & (S[jr] != 0.0)
+                    end[rej] = jr
+                    alarmed &= ~rej
+                    res.rejected[ids[rej]] = True
+                live = np.arange(C)[:, None] <= end
+                low_in = np.vstack((below_in, low[:-1]))  # the censored row in force at each step
+                sends = np.where(low_in, n_cen[rows, j0:j0 + C].T, n_full[rows, j0:j0 + C].T)
+                res.tx[ids] += (sends * live).sum(axis=0)
+                res.feedback[ids] += ((low != low_in) & live).sum(axis=0)
+                res.time_above[ids] += (~low & live).sum(axis=0)
+                if record:
+                    xt = obs[rows, :, j0:j0 + C].transpose(2, 0, 1)  # (C, n, M)
+                    sent = tab.sent(xt, low_in, None if gam is None else gam[rows, :, j0:j0 + C])
+                    chunks.append((k0, ids, np.where(live, S, np.nan),
+                                   np.where(live, low & tab.censors, -1),
+                                   sent & live[..., None], np.where(live[..., None], xt, np.nan)))
 
-            done = end < C
-            if done.any():
-                res.stop_time[ids[done]] = k0 + end[done] + 1
-                res.stopped[ids[alarmed]] = True
-                keep = ~done
-                ids, rows, s = ids[keep], rows[keep], s[keep]
-                if not closed:
-                    lanes = lanes[keep]
-                if not ids.size:
-                    break
+                done = end < C
+                if done.any():
+                    res.stop_time[ids[done]] = k0 + end[done] + 1
+                    res.stopped[ids[alarmed]] = True
+                    keep = ~done
+                    ids, rows, lanes, s = ids[keep], rows[keep], lanes[keep], s[keep]
+                    if not ids.size:
+                        break
         k += B
         obs = gam = inc = full = cen = walked = None  # release the block before drawing the next
 

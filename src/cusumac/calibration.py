@@ -219,6 +219,21 @@ class CandidateRecord:
     admissible: bool
     note: str = ""
 
+    def _key(self) -> tuple:
+        # A skipped candidate holds NaN placeholders; NaN == NaN is False, and a
+        # tuple compares equal NaNs only when they are one object, which a
+        # pickle round trip (a record made in a pool worker) does not keep.
+        return tuple(None if isinstance(v, float) and math.isnan(v) else v
+                     for v in (getattr(self, f.name) for f in dataclasses.fields(self)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def to_record(self) -> dict:
         return dict(asdict(self), admissible=int(self.admissible))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -6,6 +8,7 @@ from cusumac import montecarlo
 from cusumac.calibration import (
     CalibrationError,
     CalibrationTarget,
+    CandidateRecord,
     calibrate_threshold,
     search_two_level,
     threshold_curve,
@@ -184,10 +187,22 @@ class TestSearchTwoLevel:
         one = search_two_level(pairs3, target, n_jobs=1, **kw)
         two = search_two_level(pairs3, target, n_jobs=2, **kw)
         assert [rec.note for rec in one.search_trace] == ["", "rate screen failed"]
-        # repr, since a skipped record's NaN fields compare unequal once pickled.
-        assert repr(two.search_trace) == repr(one.search_trace)
+        assert two.search_trace == one.search_trace
         assert two.config == one.config
         assert two.report == one.report
+
+    def test_records_with_nan_fields_compare_by_value(self):
+        # A skipped candidate's NaN placeholders, as a pool worker returns them.
+        rec = CandidateRecord(a1=0.8, eps1=0.6, a=math.nan, arlfa_mean=math.nan,
+                              arlfa_se=math.nan, rate_mean=0.61, rate_se=0.01,
+                              delay_mean=math.nan, delay_se=math.nan,
+                              eprime_verdict="skipped", eprime_margin=math.nan,
+                              admissible=False, note="rate screen failed")
+        copy = pickle.loads(pickle.dumps(rec))
+        assert copy.a is not rec.a
+        assert copy == rec and hash(copy) == hash(rec)
+        assert copy != dataclasses.replace(rec, a=5.0)
+        assert rec.to_record()["admissible"] == 0
 
     def test_unbuildable_probe_fails_only_its_candidate(self, pairs3):
         # ARLFA just above a1 = 1.6 already exceeds 50: no threshold reaches

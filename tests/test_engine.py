@@ -148,6 +148,16 @@ class TestIidReplay:
                                         require_zero_at=2 * eng.OBS_BLOCK + 100)),
         "conditioned": ((CusumSpec(4.0), RandomTxSpec(4.0, 0.5)), 1,
                         dict(n_reps=120, seed=50, nu=20, limit=3000, require_zero_at=19)),
+        # The block pass's edges; test_block_edge_cases_reach_their_edge keeps them there.
+        "m3_random_tx_arl_full_blocks": ((RandomTxSpec(5.0, 0.5),), 3,
+                                         dict(n_reps=40, seed=60, limit=8000)),
+        "limit_inside_a_block": ((CusumSpec(5.0), RandomTxSpec(5.0, 0.5)), 1,
+                                 dict(n_reps=40, seed=61, limit=2 * eng.OBS_BLOCK + 300)),
+        "zero_in_fifth_chunk": ((CusumSpec(5.0), RandomTxSpec(5.0, 0.5)), 1,
+                                dict(n_reps=60, seed=62, limit=4000,
+                                     require_zero_at=eng.OBS_BLOCK + 4 * eng.CHUNK + 60)),
+        "alarm_in_last_chunk": ((CusumSpec(6.0),), 3,
+                                dict(n_reps=40, seed=70, nu=1912, limit=6000)),
     }
 
     @pytest.mark.parametrize("name", sorted(_FORMS_CASES))
@@ -162,6 +172,33 @@ class TestIidReplay:
                                               err_msg=field)
             if "require_zero_at" in kwargs:
                 assert fast.rejected.any() and (~fast.rejected).any()
+
+    def test_block_edge_cases_reach_their_edge(self, pair):
+        def block(t, limit):  # (steps before, size) of the observation block holding step t
+            k = 0
+            while k + eng._block_steps(k, limit) < t:
+                k += eng._block_steps(k, limit)
+            return k, eng._block_steps(k, limit)
+
+        def run(name):
+            dets, m, kwargs = self._FORMS_CASES[name]
+            return [(eng.run_batch(det, [pair] * m, **kwargs), kwargs) for det in dets]
+
+        for batch, kw in run("m3_random_tx_arl_full_blocks"):
+            assert (batch.stop_time > 2 * eng.OBS_BLOCK).sum() >= 5
+        for batch, kw in run("limit_inside_a_block"):
+            k, B = block(kw["limit"], kw["limit"])
+            assert B % eng.CHUNK and k + eng.OBS_BLOCK > kw["limit"]
+            assert batch.stopped.any() and (batch.stop_time == kw["limit"]).any()
+        for batch, kw in run("zero_in_fifth_chunk"):
+            k, B = block(kw["require_zero_at"], kw["limit"])
+            assert B == eng.OBS_BLOCK and (kw["require_zero_at"] - k - 1) // eng.CHUNK == 4
+        for batch, kw in run("alarm_in_last_chunk"):
+            last = []
+            for t in batch.stop_time[batch.stopped]:
+                k, B = block(t, kw["limit"])
+                last.append(B == eng.OBS_BLOCK and t > k + B - eng.CHUNK)
+            assert sum(last) >= 3
 
     # sha256 over the BatchResult arrays of conditioned runs.  The M = 1 pin
     # was generated by the per-step i.i.d. loop that preceded the kernel's
@@ -593,3 +630,19 @@ class TestObservationBlocks:
             tracemalloc.stop()
         assert batch.stopped.all()
         assert peak < 50e6
+
+    def test_arl_batch_memory(self, pair):
+        # The closed form holds a block's walk and running minimum beside its
+        # increments, each (n, B) floats, but only after the observation block
+        # is released, so they stay below the peak of drawing and fusing a
+        # block.  Stepped chunk by chunk, this batch peaked at 16.13 MB; the
+        # bound is 5% above.
+        tracemalloc.start()
+        try:
+            batch = eng.run_batch(RandomTxSpec(6.8, 0.5), [pair] * 3, n_reps=300, seed=1,
+                                  limit=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.stopped.all() and batch.stop_time.max() > 10 * eng.OBS_BLOCK
+        assert peak < 16.9e6
