@@ -30,42 +30,38 @@ Plain CuSum and random transmission are its case without a1; the table
 turns their strict alarm ``S > a`` into the inclusive test against
 ``nextafter(a, inf)`` that CuSum-AC uses at ``a``.
 
-Every batch runs on one chunked kernel.  The row in force depends only on
-the statistic, so each block's increments of both rows are computed in bulk
-first, from one LLR evaluation per sensor, and the observation block is
-released unless the batch records.  Only the sequential step
-that follows has two forms.  Without a1 and without ``record`` the
-increments are i.i.d., and the reflected statistic is the closed form of
-:func:`_reflected`, restarted from the statistic at each chunk of
-``CHUNK`` steps.  It is walked one observation block at a time
-(:func:`_closed_block`): the block's chunks take their walks and running
-minima in one pass each, and only the chunk starts are carried in turn,
-so every value is the chunk-by-chunk walk's bit for bit.  Such a detector
-is always on its full-rate row, so its alarm, ``require_zero_at``
-rejection and send count follow once per block, and it keeps no feedback
-or sojourn counts.  Every other batch takes the per-step recursion
-(:func:`_recursion`): select the increment of the row in force, reflect at
-zero, clamp an upward crossing of a1 to a1.  It runs once per block
-(:func:`_walk_block`): the block's K chunks side by side as K * n lanes,
-chunk 0 from the statistic and every later chunk from 0.0, after which
-each later chunk is repaired from the previous chunk's end, stepping only
-its lanes that differ until they equal the walked path bit for bit.  This
-is exact because the kernel carries only the statistic, and K = 1 is the
-plain recursion.  Pre-change the statistic resets to exactly 0 or clamps
-to exactly a1 every few steps, so the repair is short.  After the change
-it drifts up, and paths from different starts do not meet, so a block
-holding post-change steps is walked one chunk at a time: a walk of such a
-block costs its K - 1 repair rounds and cannot stop at the chunk where
-every replication has alarmed.  Walking those blocks whole too took
-``montecarlo.delay_samples`` of CuSum-AC at M = 3 and nu = 1500 (400
-replications) from about 90 to 105 ms on a 2-core machine.  Recorded trajectories replay bit for bit
-through the scalar step functions of :mod:`cusumac.detectors`.  The row
-in force is a function of the statistic, since a clamp lands on a1.
-Along the recursion, alarms (at +inf in a batch without stopping),
-``require_zero_at`` conditioning, trajectories and the counters, which
-accumulate straight into the :class:`BatchResult`, follow chunk by chunk
-from the statistic, and a batch whose replications have all ended stops
-at that chunk instead of finishing its observation block.
+Every batch runs on one kernel, and every observation block takes the same
+four steps: draw, increments, one walk of the statistic, one outcome pass.
+The row in force depends only on the statistic, so each block's increments
+of both rows are computed in bulk first, from one LLR evaluation per sensor,
+and the observation block is released unless the batch records.  The walk
+returns the block's statistic (n, B) in one of three ways.  Without a1 and
+without ``record`` the increments are i.i.d., and the reflected statistic is
+the closed form of :func:`_reflected`, restarted from the statistic at each
+chunk of ``CHUNK`` steps (:func:`_closed_walk`): the block's chunks take
+their walks and running minima in one pass each, and only the chunk starts
+are carried in turn, so every value is the chunk-by-chunk walk's bit for
+bit.  Every other block takes the per-step recursion (:func:`_recursion`):
+select the increment of the row in force, reflect at zero, clamp an upward
+crossing of a1 to a1.  An all-pre-change block walks its K chunks side by
+side as K * n lanes (:func:`_walk_block`), chunk 0 from the statistic and
+every later chunk from 0.0, after which each later chunk is repaired from
+the previous chunk's end, stepping only its lanes that differ until they
+equal the walked path bit for bit.  This is exact because the kernel
+carries only the statistic.  Pre-change the statistic resets to exactly 0
+or clamps to exactly a1 every few steps, so the repair is short.  After the
+change it drifts up, and paths from different starts do not meet, so a
+block holding post-change steps is walked whole by the plain recursion, one
+lane per replication.  The outcome pass (:func:`_block_outcomes`) then
+reads everything else off the statistic, once per block for all three
+detectors: the alarm (at +inf in a batch without stopping), the
+``require_zero_at`` rejection, the stop time, and the send, feedback and
+sojourn counts, which accumulate straight into the :class:`BatchResult`,
+plus the trajectories of a recorded batch.  The row in force is a function
+of the statistic, since a clamp lands on a1, and a detector without a1 is
+always on its full-rate row and keeps no feedback or sojourn counts.
+Recorded trajectories replay bit for bit through the scalar step functions
+of :mod:`cusumac.detectors`.
 """
 
 from __future__ import annotations
@@ -80,7 +76,7 @@ from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
 from .model import as_pairs
 
 OBS_BLOCK = 1024  # steps in the largest observation block; blocks double from one CHUNK
-CHUNK = 128       # kernel steps per chunk of bulk increments and derived outcomes
+CHUNK = 128       # the closed form's restart period and the side-by-side walk's lane width
 
 
 @dataclass
@@ -299,10 +295,11 @@ def run_batch(
     that already alarmed by then), and stops simulating it.  ``record=True``
     keeps full per-step trajectories; intended for small test batches only.
 
-    Every batch runs on the one chunked kernel; see the module docstring for
-    the growing observation blocks it draws and the two forms of its
-    sequential step: the closed form, walked and resolved one block at a
-    time, and the block walk of the per-step recursion.
+    Every batch runs on the one kernel; see the module docstring for the
+    growing observation blocks it draws, the three walks that give a
+    block's statistic (the closed form, and the per-step recursion side by
+    side before the change or whole after it) and the one outcome pass that
+    folds each block's statistic into the result.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -463,20 +460,16 @@ def _walk_block(s, cen, full, a1):
         todo = todo[todo < K * n]
 
 
-def _closed_block(res: BatchResult, ids, s, full, n_full, k: int, alarm: float,
-                  require_zero_at: Optional[int]) -> tuple:
-    """Step every running replication through one block of i.i.d. increments (n, B).
+def _closed_walk(s, full):
+    """The reflected statistic (n, B) over one block of i.i.d. increments (n, B) from ``s``.
 
-    The reflected statistic of each chunk of ``CHUNK`` steps is
+    The statistic of each chunk of ``CHUNK`` steps is
     c_j = w_j - min(-c_0, min_{i<=j} w_i) over the chunk's walk w, as in
     :func:`_reflected`, restarted from the statistic at the chunk's start.
     All K chunks of the block take their walk and its running minimum in one
     call each, as an (n, K, CHUNK) array (a short last chunk padded with
     zeros), and only the K chunk starts are carried in turn, so every value
-    is the chunk-by-chunk walk's bit for bit.  A detector without a1 is
-    always on its full-rate row, so the stop, the ``require_zero_at`` test
-    and the send count follow once per block.  Returns the replications
-    still running and their statistics.
+    is the chunk-by-chunk walk's bit for bit.
     """
     n, B = full.shape
     W = min(CHUNK, B)
@@ -490,9 +483,24 @@ def _closed_block(res: BatchResult, ids, s, full, n_full, k: int, alarm: float,
         start[:, c] = s
         s = walk[:, c, -1] - np.minimum(walk_min[:, c, -1], -s)
     np.minimum(walk_min, -start[..., None], out=walk_min)
-    S = np.subtract(walk, walk_min, out=walk).reshape(n, K * W)
+    return np.subtract(walk, walk_min, out=walk).reshape(n, K * W)[:, :B]
 
-    hit = S[:, :B] >= alarm
+
+def _block_outcomes(res: BatchResult, tab: _StepTables, ids, s, S, n_full, n_cen, k: int,
+                    alarm: float, require_zero_at: Optional[int], blocks, obs, gam) -> tuple:
+    """Fold the statistic S (n, B) of one block, steps k+1 .. k+B, into ``res``.
+
+    ``s`` holds each running replication's statistic before the block.  A
+    replication ends at its first step at or above ``alarm``, or, with
+    ``require_zero_at`` in the block, is rejected there unless its statistic
+    is exactly zero.  Everything else follows from the statistic up to that
+    step; the row in force is a function of it, since a clamp lands on a1.
+    A detector without a1 is always on its full-rate row and keeps no
+    feedback or sojourn counts.  Trajectories go to ``blocks`` when it is a
+    list.  Returns the replications still running and their statistics.
+    """
+    n, B = S.shape
+    hit = S >= alarm
     first = hit.argmax(axis=1)
     end = np.where(hit[np.arange(n), first], first, B)  # column of each last step
     alarmed = end < B
@@ -502,7 +510,21 @@ def _closed_block(res: BatchResult, ids, s, full, n_full, k: int, alarm: float,
         end[rej] = jr
         alarmed &= ~rej
         res.rejected[ids[rej]] = True
-    res.tx[ids] += (n_full * (np.arange(B) <= end[:, None])).sum(axis=1)
+    live = np.arange(B) <= end[:, None]
+    sends = n_full
+    if tab.censors or blocks is not None:
+        low = S < tab.a1  # below a1 after each step
+        low_in = np.hstack((s[:, None] < tab.a1, low[:, :-1]))  # the censored row in force
+        sends = np.where(low_in, n_cen, n_full)
+        res.feedback[ids] += ((low != low_in) & live).sum(axis=1)
+        res.time_above[ids] += (~low & live).sum(axis=1)
+    res.tx[ids] += (sends * live).sum(axis=1)
+    if blocks is not None:
+        xt = obs.transpose(2, 0, 1)  # (B, n, M)
+        sent = tab.sent(xt, low_in.T, gam)
+        blocks.append((k, ids, np.where(live, S, np.nan).T,
+                       np.where(live, low & tab.censors, -1).T,
+                       sent & live.T[..., None], np.where(live.T[..., None], xt, np.nan)))
     done = end < B
     res.stop_time[ids[done]] = k + end[done] + 1
     res.stopped[ids[alarmed]] = True
@@ -511,7 +533,6 @@ def _closed_block(res: BatchResult, ids, s, full, n_full, k: int, alarm: float,
 
 def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
                 stop_enabled, require_zero_at, record) -> BatchResult:
-    M = len(tab.pairs)
     closed = not tab.censors and not record  # i.i.d. increments: the closed-form step
 
     res = _new_result(n_reps, limit)
@@ -520,7 +541,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
     ids = np.arange(n_reps)  # replications still running
     s = np.zeros(n_reps)
     alarm = tab.a if stop_enabled else np.inf
-    chunks = [] if record else None
+    blocks = [] if record else None
 
     k = 0
     while ids.size and k < limit:
@@ -532,56 +553,16 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
         if not record:  # the increments are all the kernel reads of the block
             obs = gam = None
         if closed:
-            ids, s = _closed_block(res, ids, s, full, n_full, k, alarm, require_zero_at)
+            S = _closed_walk(s, full)
+        elif _pre_steps(k, B, nu) == B:  # pre-change paths merge: walk the chunks side by side
+            S = _walk_block(s, cen, full, tab.a1).transpose(2, 1, 0).reshape(ids.size, -1)[:, :B]
         else:
-            span = B if _pre_steps(k, B, nu) == B else CHUNK  # steps walked side by side
-            rows = np.arange(ids.size)  # each running replication's row in the block
-            for j0 in range(0, B, CHUNK):
-                k0 = k + j0
-                C = min(CHUNK, B - j0)
-                below_in = s < tab.a1  # the censored row is in force
-                if j0 % span == 0:
-                    walked = _walk_block(s, cen[rows, j0:j0 + span], full[rows, j0:j0 + span],
-                                         tab.a1)
-                    lanes = np.arange(ids.size)  # each running replication's lane in walked
-                S = walked[:C, j0 % span // CHUNK][:, lanes]
-                s = S[-1]
-
-                # Everything else follows from the recorded statistic; the row in
-                # force is a function of it, since a clamp lands on a1.
-                low = S < tab.a1  # below a1 after each step
-                hit = S >= alarm
-                end = np.where(hit.any(axis=0), hit.argmax(axis=0), C)  # row of each last step
-                alarmed = end < C
-                if require_zero_at is not None and 0 <= require_zero_at - k0 - 1 < C:
-                    jr = require_zero_at - k0 - 1
-                    rej = (end > jr) & (S[jr] != 0.0)
-                    end[rej] = jr
-                    alarmed &= ~rej
-                    res.rejected[ids[rej]] = True
-                live = np.arange(C)[:, None] <= end
-                low_in = np.vstack((below_in, low[:-1]))  # the censored row in force at each step
-                sends = np.where(low_in, n_cen[rows, j0:j0 + C].T, n_full[rows, j0:j0 + C].T)
-                res.tx[ids] += (sends * live).sum(axis=0)
-                res.feedback[ids] += ((low != low_in) & live).sum(axis=0)
-                res.time_above[ids] += (~low & live).sum(axis=0)
-                if record:
-                    xt = obs[rows, :, j0:j0 + C].transpose(2, 0, 1)  # (C, n, M)
-                    sent = tab.sent(xt, low_in, None if gam is None else gam[rows, :, j0:j0 + C])
-                    chunks.append((k0, ids, np.where(live, S, np.nan),
-                                   np.where(live, low & tab.censors, -1),
-                                   sent & live[..., None], np.where(live[..., None], xt, np.nan)))
-
-                done = end < C
-                if done.any():
-                    res.stop_time[ids[done]] = k0 + end[done] + 1
-                    res.stopped[ids[alarmed]] = True
-                    keep = ~done
-                    ids, rows, lanes, s = ids[keep], rows[keep], lanes[keep], s[keep]
-                    if not ids.size:
-                        break
+            S = _recursion(s, cen.T.copy(), full.T.copy(), tab.a1).T
+        inc = full = cen = None  # the outcomes read only the statistic and the send counts
+        ids, s = _block_outcomes(res, tab, ids, s, S, n_full, n_cen, k, alarm, require_zero_at,
+                                 blocks, obs, gam)
         k += B
-        obs = gam = inc = full = cen = walked = None  # release the block before drawing the next
+        obs = gam = S = n_full = n_cen = None  # release the block before drawing the next
 
     if tab.censors:
         # The starting level differs from the sensors' full-rate default, so the
@@ -591,11 +572,11 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
     if require_zero_at is not None:
         res.rejected |= res.stopped & (res.stop_time <= require_zero_at)
     if record:
-        res.records = _records(res, chunks, M)
+        res.records = _records(res, blocks, len(tab.pairs))
     return res
 
 
-def _records(res: BatchResult, chunks, M: int) -> dict:
+def _records(res: BatchResult, blocks, M: int) -> dict:
     """Per-step (T, n_reps[, M]) trajectories up to the last replication's end.
 
     Steps after a replication ended hold NaN (``s``, ``obs``), -1 (``level``)
@@ -609,7 +590,7 @@ def _records(res: BatchResult, chunks, M: int) -> dict:
         "sent": np.zeros((T, n, M), dtype=bool),
         "obs": np.full((T, n, M), np.nan),
     }
-    for k0, ids, *arrays in chunks:
+    for k0, ids, *arrays in blocks:
         c = min(arrays[0].shape[0], T - k0)
         for key, arr in zip(("s", "level", "sent", "obs"), arrays):
             recs[key][k0:k0 + c, ids] = arr[:c]

@@ -204,37 +204,31 @@ def _resample(detector, pairs, n_reps: int, seed: int, n_jobs: int, usable, fail
     return _engine.concat_results(parts), np.flatnonzero(np.concatenate(masks))[:n_reps]
 
 
-def _pre_change_batch(detector, pairs, n_reps: int, cap: int, seed: int, n_jobs: int
-                      ) -> tuple[_engine.BatchResult, int]:
-    """One pre-change batch run to the alarm or ``cap`` steps, and its truncation count."""
-    if n_reps < 100:
-        raise ValueError("ARLFA estimation needs at least 100 replications")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
-                         nu=None, limit=int(cap), stop_enabled=True)
-    return batch, int((~batch.stopped).sum())
-
-
 def estimate_arlfa(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs: int = 1
                    ) -> McEstimate:
     """Mean run length to false alarm over pre-change-only trajectories.
 
     Trajectories hitting ``cap`` are included at value cap (a downward bias)
     and surfaced through ``truncated_reps``; pick cap large enough, about
-    100x the expected run length.
+    100x the expected run length.  This is the ``arlfa`` of :func:`pre_change_run`.
     """
-    batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
-    return summarize(batch.stop_time, truncated)
+    return pre_change_run(detector, pairs, n_reps, cap, seed, n_jobs=n_jobs).arlfa
 
 
 def pre_change_run(detector, pairs, n_reps: int, cap: int, seed: int, *, n_jobs: int = 1
                    ) -> PreChangeRun:
     """ARLFA plus per-alarm feedback and sojourn diagnostics from one batch.
 
-    Replication floor, cap and truncation are those of :func:`estimate_arlfa`.
+    Each of at least 100 trajectories runs pre-change to its alarm or
+    ``cap`` steps; those hitting cap count as in :func:`estimate_arlfa`.
     """
-    batch, truncated = _pre_change_batch(detector, pairs, n_reps, cap, seed, n_jobs)
+    if n_reps < 100:
+        raise ValueError("ARLFA estimation needs at least 100 replications")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    batch = _run_chunked(detector, pairs, n_reps, seed, n_jobs=n_jobs,
+                         nu=None, limit=int(cap), stop_enabled=True)
+    truncated = int((~batch.stopped).sum())
     stop = batch.stop_time.astype(float)
     return PreChangeRun(
         arlfa=summarize(batch.stop_time, truncated),

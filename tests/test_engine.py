@@ -454,6 +454,19 @@ class TestCusumAcKernel:
         assert (batch.stop_time > eng.OBS_BLOCK).sum() >= 2
         replay_cusum_ac(batch, cfg, [pair, pair])
 
+    def test_replay_post_change_block_wider_than_one_chunk(self, pair):
+        # The change falls in chunk 4 of the 1024-step block [1024, 2048), so
+        # the recursion walks that whole block with every lane still running.
+        cfg = _config(40.0, 0.79, 0.27, 0.27)
+        nu = 1600
+        batch = eng.run_batch(cfg, [pair, pair], n_reps=4, seed=309, nu=nu, limit=2100,
+                              record=True)
+        assert eng._block_steps(eng.OBS_BLOCK, 2100) == eng.OBS_BLOCK
+        assert batch.stopped.all()
+        assert (batch.stop_time > nu + eng.CHUNK // 2).all()
+        assert (batch.stop_time <= 2 * eng.OBS_BLOCK).all()
+        replay_cusum_ac(batch, cfg, [pair, pair])
+
     def test_replay_many_sensors(self, pair):
         # Sensors are added in order, as the scalar step does; numpy's
         # pairwise sum would round differently from eight sensors on.
