@@ -37,19 +37,18 @@ of both rows are computed in bulk first, from one LLR evaluation per sensor,
 and the observation block is released unless the batch records.  The walk
 returns the block's statistic (n, B) in one of three ways.  Without a1 and
 without ``record`` the increments are i.i.d., and the reflected statistic is
-the closed form of :func:`_reflected`, restarted from the statistic at each
-chunk of ``CHUNK`` steps (:func:`_closed_walk`): the block's chunks take
-their walks and running minima in one pass each, and only the chunk starts
-are carried in turn, so every value is the chunk-by-chunk walk's bit for
-bit.  Every other block takes the per-step recursion (:func:`_recursion`):
-select the increment of the row in force, reflect at zero, clamp an upward
-crossing of a1 to a1.  An all-pre-change block walks its K chunks side by
-side as K * n lanes (:func:`_walk_block`), chunk 0 from the statistic and
-every later chunk from 0.0, after which each later chunk is repaired from
-the previous chunk's end, stepping only its lanes that differ until they
-equal the walked path bit for bit.  This is exact because the kernel
-carries only the statistic.  Pre-change the statistic resets to exactly 0
-or clamps to exactly a1 every few steps, so the repair is short.  After the
+the one closed form of :func:`_reflected`, a cumulative sum against its
+running minimum, restarted from the statistic at each block here and
+carried over a whole leg by the renewal walker.  Every other block takes
+the per-step recursion (:func:`_recursion`): select the increment of the
+row in force, reflect at zero, clamp an upward crossing of a1 to a1.  An
+all-pre-change block walks its K chunks side by side as K * n lanes
+(:func:`_walk_block`), chunk 0 from the statistic and every later chunk
+from 0.0, after which each later chunk is repaired from the previous
+chunk's end, stepping only its lanes that differ until they equal the
+walked path bit for bit.  This is exact because the kernel carries only
+the statistic.  Pre-change the statistic resets to exactly 0 or clamps to
+exactly a1 every few steps, so the repair is short.  After the
 change it drifts up, and paths from different starts do not meet, so a
 block holding post-change steps is walked whole by the plain recursion, one
 lane per replication.  The outcome pass (:func:`_block_outcomes`) then
@@ -76,7 +75,7 @@ from .detectors import CusumAcConfig, CusumSpec, RandomTxSpec
 from .model import as_pairs
 
 OBS_BLOCK = 1024  # steps in the largest observation block; blocks double from one CHUNK
-CHUNK = 128       # the closed form's restart period and the side-by-side walk's lane width
+CHUNK = 128       # the first block's steps and the side-by-side walk's lane width
 
 
 @dataclass
@@ -297,9 +296,10 @@ def run_batch(
 
     Every batch runs on the one kernel; see the module docstring for the
     growing observation blocks it draws, the three walks that give a
-    block's statistic (the closed form, and the per-step recursion side by
-    side before the change or whole after it) and the one outcome pass that
-    folds each block's statistic into the result.
+    block's statistic (the closed form of :func:`_reflected`, restarted at
+    each block, and the per-step recursion side by side before the change
+    or whole after it) and the one outcome pass that folds each block's
+    statistic into the result.
     """
     if limit < 1:
         raise ValueError("limit must be at least one step")
@@ -310,12 +310,20 @@ def run_batch(
 def _reflected(inc: np.ndarray, w: np.ndarray, w_min: np.ndarray) -> tuple:
     """The reflected statistic c_k = w_k - min(-c_0, min_{j<=k} w_j) over ``inc`` (n, C).
 
-    ``w`` carries each lane's walk and ``w_min`` its running minimum (from
-    -c_0); returns the statistic and both carries after the last column.
+    The one closed form of the CuSum recursion max(0, c + inc) on i.i.d.
+    increments (Lindley, 1952).  ``w`` carries each lane's walk and
+    ``w_min`` its running minimum (from -c_0); returns the statistic and
+    both carries after the last column.  The kernel restarts it at each
+    block (``w`` = 0, ``w_min`` = -statistic); the renewal walker carries
+    both over a leg.  The statistic overwrites the walk, so the call holds
+    two (n, C) arrays besides ``inc``.
     """
-    walk = np.cumsum(inc, axis=1) + w[:, None]
-    walk_min = np.minimum(np.minimum.accumulate(walk, axis=1), w_min[:, None])
-    return walk - walk_min, walk[:, -1], walk_min[:, -1]
+    walk = np.cumsum(inc, axis=1)
+    walk += w[:, None]
+    walk_min = np.minimum.accumulate(walk, axis=1)
+    np.minimum(walk_min, w_min[:, None], out=walk_min)
+    w, w_min = walk[:, -1].copy(), walk_min[:, -1].copy()
+    return np.subtract(walk, walk_min, out=walk), w, w_min
 
 
 class _StepTables:
@@ -460,32 +468,6 @@ def _walk_block(s, cen, full, a1):
         todo = todo[todo < K * n]
 
 
-def _closed_walk(s, full):
-    """The reflected statistic (n, B) over one block of i.i.d. increments (n, B) from ``s``.
-
-    The statistic of each chunk of ``CHUNK`` steps is
-    c_j = w_j - min(-c_0, min_{i<=j} w_i) over the chunk's walk w, as in
-    :func:`_reflected`, restarted from the statistic at the chunk's start.
-    All K chunks of the block take their walk and its running minimum in one
-    call each, as an (n, K, CHUNK) array (a short last chunk padded with
-    zeros), and only the K chunk starts are carried in turn, so every value
-    is the chunk-by-chunk walk's bit for bit.
-    """
-    n, B = full.shape
-    W = min(CHUNK, B)
-    K = -(-B // W)
-    if B < K * W:
-        full = np.pad(full, ((0, 0), (0, K * W - B)))
-    walk = np.cumsum(full.reshape(n, K, W), axis=2)
-    walk_min = np.minimum.accumulate(walk, axis=2)
-    start = np.empty((n, K))
-    for c in range(K):
-        start[:, c] = s
-        s = walk[:, c, -1] - np.minimum(walk_min[:, c, -1], -s)
-    np.minimum(walk_min, -start[..., None], out=walk_min)
-    return np.subtract(walk, walk_min, out=walk).reshape(n, K * W)[:, :B]
-
-
 def _block_outcomes(res: BatchResult, tab: _StepTables, ids, s, S, n_full, n_cen, k: int,
                     alarm: float, require_zero_at: Optional[int], blocks, obs, gam) -> tuple:
     """Fold the statistic S (n, B) of one block, steps k+1 .. k+B, into ``res``.
@@ -553,7 +535,7 @@ def _run_kernel(tab: _StepTables, n_reps, seed, rep_offset, nu, limit,
         if not record:  # the increments are all the kernel reads of the block
             obs = gam = None
         if closed:
-            S = _closed_walk(s, full)
+            S = _reflected(full, np.zeros(ids.size), -s)[0]
         elif _pre_steps(k, B, nu) == B:  # pre-change paths merge: walk the chunks side by side
             S = _walk_block(s, cen, full, tab.a1).transpose(2, 1, 0).reshape(ids.size, -1)[:, :B]
         else:

@@ -53,7 +53,6 @@ from .model import gaussian_mean_shift
 from .montecarlo import (
     delay_samples,
     derive_seed,
-    estimate_arlfa,
     estimate_comm_rate,
     estimate_delay,
     paired_gap,
@@ -404,13 +403,10 @@ def _detector_extra(spec) -> dict:
 def _run_arlfa(spec, pairs, out_dir, seed, n_jobs):
     detector = _detector_of(spec, pairs)
     cap = spec.cap if spec.cap is not None else 1_000_000
+    pre = pre_change_run(detector, pairs, spec.n_reps, cap, seed, n_jobs=n_jobs)
+    ests = {"arlfa": pre.arlfa}
     if spec.detector == "cusum_ac":
-        pre = pre_change_run(detector, pairs, spec.n_reps, cap, seed, n_jobs=n_jobs)
-        ests = {"arlfa": pre.arlfa, "feedback_ratio": pre.feedback_ratio,
-                "frac_time_above_a1": pre.frac_time_above_a1}
-    else:
-        ests = {"arlfa": estimate_arlfa(detector, pairs, spec.n_reps, cap, seed,
-                                        n_jobs=n_jobs)}
+        ests.update(feedback_ratio=pre.feedback_ratio, frac_time_above_a1=pre.frac_time_above_a1)
     sink = _RowSink(spec, seed)
     for metric, est in ests.items():
         sink.add(spec.detector, metric, est, **_detector_extra(spec), cap=cap)

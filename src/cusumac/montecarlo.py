@@ -161,20 +161,17 @@ def pool_map(fn, tasks, n_jobs: int) -> list:
 
 def _run_chunked(detector, pairs, n_reps, seed, *, rep_offset=0, n_jobs=1, **kwargs
                  ) -> _engine.BatchResult:
-    """Run a batch, optionally split into ``n_jobs`` chunks over the shared pool.
+    """Run a batch split into up to ``n_jobs`` chunks over the shared pool.
 
     The per-replication streams make results identical for every n_jobs, so
-    chunking is purely a throughput knob.  ``n_jobs`` is capped at the cores
-    this process may run on; a batch of fewer than two replications per
-    worker runs in this process.
+    chunking is purely a throughput knob.  The chunks are capped at the
+    cores this process may run on and hold at least two replications each;
+    :func:`pool_map` runs a lone chunk in this process.
     """
-    n_jobs = min(n_jobs, _usable_cores())
-    if n_jobs <= 1 or n_reps < 2 * n_jobs:
-        return _engine.run_batch(detector, pairs, n_reps=n_reps, seed=seed,
-                                 rep_offset=rep_offset, **kwargs)
-    base, extra = divmod(n_reps, n_jobs)
+    chunks = max(1, min(n_jobs, _usable_cores(), n_reps // 2))
+    base, extra = divmod(n_reps, chunks)
     tasks, offset = [], rep_offset
-    for i in range(n_jobs):
+    for i in range(chunks):
         size = base + (1 if i < extra else 0)
         tasks.append((detector, pairs, size, seed, offset, kwargs))
         offset += size

@@ -158,6 +158,12 @@ class TestIidReplay:
                                      require_zero_at=eng.OBS_BLOCK + 4 * eng.CHUNK + 60)),
         "alarm_in_last_chunk": ((CusumSpec(6.0),), 3,
                                 dict(n_reps=40, seed=70, nu=1912, limit=6000)),
+        # The closed form restarts at each block of a 10 000-step run; the
+        # statistic's zeros count at the first step of the last block, whose
+        # statistic is the restart's.
+        "m3_nostop_ten_blocks": ((CusumSpec(6.0), RandomTxSpec(5.5, 0.5)), 3,
+                                 dict(n_reps=20, seed=71, limit=10_000, stop_enabled=False,
+                                      require_zero_at=9 * eng.OBS_BLOCK + 1)),
     }
 
     @pytest.mark.parametrize("name", sorted(_FORMS_CASES))
